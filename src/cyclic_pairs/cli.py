@@ -30,6 +30,16 @@ EXIT_CAP = 3
 CSV_HEADER = ["n", "q", "k1", "d1", "g1", "k2", "d2", "g2", "ell"]
 
 
+def _non_negative(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _add_globals(parser, suppress: bool) -> None:
     # on subparsers the defaults are suppressed so values given before
     # the subcommand are not clobbered
@@ -37,7 +47,7 @@ def _add_globals(parser, suppress: bool) -> None:
     parser.add_argument("--q", type=int, **({"default": 2} if not suppress else kw),
                         help="field order (prime power, default 2)")
     parser.add_argument("--json", action="store_true", **kw, help="emit JSON")
-    parser.add_argument("--cap", type=int,
+    parser.add_argument("--cap", type=_non_negative,
                         **({"default": DEFAULT_CAP} if not suppress else kw),
                         help="max codewords enumerated per distance computation")
     parser.add_argument("--threads", type=int,
@@ -98,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--min-d1", type=int, default=1)
     p.add_argument("--min-d2", type=int, default=1)
-    p.add_argument("--limit", type=int, default=20)
+    p.add_argument("--limit", type=_non_negative, default=20)
     p.add_argument("--csv", action="store_true", help="CSV output")
 
     p = add_parser("verify-tables", help="verify the bundled (or given) pair tables")
@@ -306,7 +316,7 @@ def main(argv=None) -> int:
     except EnumerationCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

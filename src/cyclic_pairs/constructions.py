@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from cyclic_pairs.codes import DEFAULT_CAP, CyclicCode
-from cyclic_pairs.factorization import _mult_order_exact, factor_xn1
+from cyclic_pairs.factorization import factor_xn1, root_of_unity
 from cyclic_pairs.fields import Field, FieldElement
 from cyclic_pairs.pairs import PairReport, pair_analyze
 from cyclic_pairs.poly import Polynomial, poly_gcd, xn_minus_1
@@ -144,20 +144,6 @@ def construct_quadratic_2s(n_prime: int, field: Field, g1: Polynomial,
         f"x^{n_prime} - 1 has no irreducible quadratic factor over {field!r}")
 
 
-def _nth_root_of_unity(field: Field, n: int) -> int:
-    """Deterministic element of multiplicative order n in the field itself."""
-    if (field.q - 1) % n != 0:
-        raise ValueError(f"n = {n} does not divide q - 1 = {field.q - 1}")
-    if n == 1:
-        return 1
-    cofactor = (field.q - 1) // n
-    for beta in range(1, field.q):
-        gamma = field.pow(beta, cofactor)
-        if _mult_order_exact(field, gamma, n):
-            return gamma
-    raise RuntimeError(f"no element of order {n} in {field!r}")
-
-
 def construct_mds(field: Field, n: int, k1: int, k2: int, ell: int,
                   with_distances: bool = False,
                   cap: int = DEFAULT_CAP) -> ConstructionResult:
@@ -171,7 +157,9 @@ def construct_mds(field: Field, n: int, k1: int, k2: int, ell: int,
         raise ValueError(f"need 0 <= ell <= k1 <= k2 <= n, got {(ell, k1, k2, n)}")
     if k1 + k2 - ell > n:
         raise ValueError(f"need k1 + k2 - ell <= n, got {k1} + {k2} - {ell} > {n}")
-    alpha = _nth_root_of_unity(field, n)
+    if (field.q - 1) % n != 0:
+        raise ValueError(f"n = {n} does not divide q - 1 = {field.q - 1}")
+    alpha = root_of_unity(field, n)[2]  # t = 1: alpha lies in the field itself
 
     def root_product(lo: int, hi: int) -> Polynomial:
         out = Polynomial.one(field)

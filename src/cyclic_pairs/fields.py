@@ -8,9 +8,20 @@ reproducible across runs.  Elements are encoded as integers in
 ``[0, p^m)`` whose base-p digits are the coefficients (ascending) of the
 representative polynomial.
 
-Two internal arithmetic lanes are used with identical observable
-behaviour: characteristic 2 works on the bit-packed integer encodings
-directly, odd characteristic decodes to coefficient vectors.
+The arithmetic lanes all give the same results:
+
+* prime fields (m = 1) reduce integers mod p;
+* fields with m > 1 and at most ``_TABLE_LIMIT`` elements build, on their
+  first use, log/antilog tables over a primitive element, so ``mul``,
+  ``inv`` and ``pow`` are list lookups; in odd characteristic ``add``,
+  ``sub`` and ``neg`` use a Zech logarithm table (Lidl & Niederreiter,
+  *Finite Fields*, §10.1), in characteristic 2 ``add`` is XOR;
+* larger fields of characteristic 2 work on the bit-packed integer
+  encodings directly;
+* larger fields of odd characteristic decode to coefficient vectors and
+  multiply by one ``np.convolve`` and one matrix-vector product with a
+  reduction matrix R whose row i is x^(m+i) mod the modulus.  The Rabin
+  irreducibility test behind the modulus search reduces the same way.
 """
 
 from __future__ import annotations
@@ -21,11 +32,9 @@ from itertools import product
 
 import numpy as np
 
-from cyclic_pairs._modulus_table import LEX_LEAST_IRREDUCIBLE
-
 DEFAULT_ORDER_BOUND = 1 << 20
 
-# add/mul lookup tables are only built for fields this small
+# log/antilog and add/mul lookup tables are only built for fields this small
 _TABLE_LIMIT = 1 << 12
 
 
@@ -96,17 +105,6 @@ def _gf2_inv_mod(a: int, f: int) -> int:
     return s0
 
 
-def _gf2_powmod(a: int, e: int, f: int) -> int:
-    r = 1
-    a = _gf2_mod(a, f)
-    while e:
-        if e & 1:
-            r = _gf2_mod(_gf2_mul(r, a), f)
-        a = _gf2_mod(_gf2_mul(a, a), f)
-        e >>= 1
-    return r
-
-
 # ---------------------------------------------------------------------------
 # GF(p)[x] on int64 coefficient arrays, ascending degree, trimmed
 
@@ -123,16 +121,24 @@ def _pmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return np.convolve(a, b) % p
 
 
-def _pmod(a: np.ndarray, f: np.ndarray, p: int) -> np.ndarray:
-    # f must be monic
-    r = _ptrim(a % p).copy()
-    df = f.size - 1
-    while r.size - 1 >= df:
-        c = r[-1]
-        if c:
-            r[-df - 1:] = (r[-df - 1:] - c * f) % p
-        r = _ptrim(r)
-    return r
+def _reduction_matrix(f: np.ndarray, p: int) -> np.ndarray:
+    """Row i is x^(m+i) mod f, for i < m - 1; f is monic of degree m."""
+    m = f.size - 1
+    rows = np.zeros((m - 1, m), dtype=np.int64)
+    row = (-f[:m]) % p  # x^m mod f
+    for i in range(m - 1):
+        rows[i] = row
+        top = row[-1]
+        row = np.concatenate(([0], row[:-1]))
+        row = (row + top * rows[0]) % p
+    return rows
+
+
+def _mulmod(a: np.ndarray, b: np.ndarray, red: np.ndarray, p: int) -> np.ndarray:
+    """a * b mod f for length-m coefficient vectors; ``red`` is f's reduction matrix."""
+    m = a.size
+    c = np.convolve(a, b) % p
+    return (c[:m] + c[m:] @ red) % p
 
 
 def _pdivmod(a: np.ndarray, f: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -158,17 +164,6 @@ def _pgcd(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     if a.size:
         a = (a * pow(int(a[-1]), -1, p)) % p
     return a
-
-
-def _ppowmod(a: np.ndarray, e: int, f: np.ndarray, p: int) -> np.ndarray:
-    r = np.ones(1, dtype=np.int64)
-    a = _pmod(a, f, p)
-    while e:
-        if e & 1:
-            r = _pmod(_pmul(r, a, p), f, p)
-        a = _pmod(_pmul(a, a, p), f, p)
-        e >>= 1
-    return r
 
 
 def _p_inv_mod(a: np.ndarray, f: np.ndarray, p: int) -> np.ndarray:
@@ -225,22 +220,25 @@ def _is_irreducible_gfp(coeffs: np.ndarray, m: int, p: int) -> bool:
     if m == 1:
         return True
     f = coeffs
+    red = _reduction_matrix(f, p)
     checkpoints = {m // r for r in _prime_divisors(m)}
-    x = np.array([0, 1], dtype=np.int64)
+    x = np.zeros(m, dtype=np.int64)
+    x[1] = 1
+    bits = bin(p)[3:]  # square-and-multiply steps of t -> t^p after the leading bit
     t = x
-    one = np.ones(1, dtype=np.int64)
     for j in range(1, m + 1):
-        t = _ppowmod(t, p, f, p)
+        base = t
+        for bit in bits:
+            t = _mulmod(t, t, red, p)
+            if bit == "1":
+                t = _mulmod(t, base, red, p)
         if j in checkpoints:
             diff = t.copy()
-            if diff.size < 2:
-                diff = np.concatenate([diff, np.zeros(2 - diff.size, dtype=np.int64)])
             diff[1] = (diff[1] - 1) % p
             g = _pgcd(diff, f, p)
             if not (g.size == 1 and g[0] == 1):
                 return False
-    tv = _ptrim(t)
-    return tv.size == 2 and tv[0] == 0 and tv[1] == 1
+    return np.array_equal(t, x)
 
 
 def is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
@@ -272,9 +270,6 @@ def lex_least_irreducible(p: int, m: int) -> tuple[int, ...]:
     """Deterministic field modulus: lex-least monic irreducible of degree m."""
     if m == 1:
         return (0, 1)  # the polynomial x
-    cached = LEX_LEAST_IRREDUCIBLE.get((p, m))
-    if cached is not None:
-        return cached
     return _search_lex_least_irreducible(p, m)
 
 
@@ -284,16 +279,21 @@ def lex_least_irreducible(p: int, m: int) -> tuple[int, ...]:
 class Field:
     """The finite field GF(p^m) with canonical integer element encoding."""
 
-    __slots__ = ("p", "m", "q", "modulus", "_mod_int", "_mod_vec",
-                 "_add_table", "_mul_table")
+    __slots__ = ("p", "m", "q", "modulus", "_mod_int", "_mod_vec", "_red", "_small",
+                 "_exp", "_log", "_zech", "_neg", "_add_table", "_mul_table")
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
         self.p = p
         self.m = m
         self.q = p ** m
         self.modulus = modulus
+        self._small = m > 1 and self.q <= _TABLE_LIMIT
         self._mod_int = sum(c << i for i, c in enumerate(modulus)) if p == 2 else None
         self._mod_vec = np.array(modulus, dtype=np.int64) if p != 2 else None
+        self._red = (_reduction_matrix(self._mod_vec, p)
+                     if p != 2 and m > 1 and not self._small else None)
+        # log/antilog (and, for odd p, Zech and negation) lists; see _logs()
+        self._exp = self._log = self._zech = self._neg = None
         self._add_table = None
         self._mul_table = None
 
@@ -317,6 +317,43 @@ class Field:
             v = v * self.p + int(c)
         return v
 
+    def _logs(self) -> list[int]:
+        """Build the lookup lists of a small field on first use; returns the log list.
+
+        With g the least primitive element and n = q - 1: ``_exp[i]`` is
+        g^(i mod n) for i < 2n and 0 beyond, ``_log[g^i] = i``; for odd p
+        ``_zech[k]`` is log(1 + g^k), or 2n when 1 + g^k = 0, repeated
+        twice so that differences of logs index it directly, and
+        ``_neg[a]`` is -a.
+        """
+        p, m, q = self.p, self.m, self.q
+        n = q - 1
+        red = _reduction_matrix(np.array(self.modulus, dtype=np.int64), p)
+        for g in range(p, q):
+            # row i: digits of g * x^i, so a row vector of digits times it multiplies by g
+            times_g = np.array([_mulmod(self._digits(g), unit, red, p)
+                                for unit in np.eye(m, dtype=np.int64)])
+            # digits of g^0 .. g^(n-1), doubling: g^(k..2k-1) = g^(0..k-1) * g^k
+            powers = np.zeros((1, m), dtype=np.int64)
+            powers[0, 0] = 1
+            while len(powers) < n:
+                powers = np.concatenate([powers, powers @ times_g % p])
+                times_g = times_g @ times_g % p
+            exp = powers[:n] @ (p ** np.arange(m))
+            if np.count_nonzero(exp == 1) == 1:
+                break  # g has order n
+        log = np.zeros(q, dtype=np.int64)
+        log[exp] = np.arange(n)
+        self._exp = exp.tolist() * 2 + [0] * n
+        if p != 2:
+            one_plus = exp - exp % p + (exp + 1) % p
+            self._zech = np.where(one_plus == 0, 2 * n, log[one_plus]).tolist() * 2
+            neg = np.zeros(q, dtype=np.int64)
+            neg[exp] = np.roll(exp, -(n // 2))  # -1 = g^(n/2)
+            self._neg = neg.tolist()
+        self._log = log.tolist()
+        return self._log
+
     # -- arithmetic on integer encodings ------------------------------------
 
     def add(self, a: int, b: int) -> int:
@@ -324,6 +361,14 @@ class Field:
             return (a + b) % self.p
         if self.p == 2:
             return a ^ b
+        if self._small:
+            if not a:
+                return b
+            if not b:
+                return a
+            log = self._log or self._logs()
+            la = log[a]
+            return self._exp[la + self._zech[log[b] - la]]
         return self._undigits((self._digits(a) + self._digits(b)) % self.p)
 
     def sub(self, a: int, b: int) -> int:
@@ -331,6 +376,15 @@ class Field:
             return (a - b) % self.p
         if self.p == 2:
             return a ^ b
+        if self._small:
+            log = self._log or self._logs()
+            b = self._neg[b]
+            if not a:
+                return b
+            if not b:
+                return a
+            la = log[a]
+            return self._exp[la + self._zech[log[b] - la]]
         return self._undigits((self._digits(a) - self._digits(b)) % self.p)
 
     def neg(self, a: int) -> int:
@@ -338,22 +392,32 @@ class Field:
             return (-a) % self.p
         if self.p == 2:
             return a
+        if self._small:
+            if self._log is None:
+                self._logs()
+            return self._neg[a]
         return self._undigits((-self._digits(a)) % self.p)
 
     def mul(self, a: int, b: int) -> int:
         if self.m == 1:
             return (a * b) % self.p
+        if self._small:
+            if a and b:
+                log = self._log or self._logs()
+                return self._exp[log[a] + log[b]]
+            return 0
         if self.p == 2:
             return _gf2_mod(_gf2_mul(a, b), self._mod_int)
-        v = _pmod(_pmul(self._digits(a), self._digits(b), self.p),
-                  self._mod_vec, self.p)
-        return self._undigits(np.concatenate([v, np.zeros(self.m - v.size, dtype=np.int64)]))
+        return self._undigits(_mulmod(self._digits(a), self._digits(b), self._red, self.p))
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inversion of zero field element")
         if self.m == 1:
             return pow(a, -1, self.p)
+        if self._small:
+            log = self._log or self._logs()
+            return self._exp[self.q - 1 - log[a]]
         if self.p == 2:
             return _gf2_inv_mod(a, self._mod_int)
         v = _p_inv_mod(_ptrim(self._digits(a)), self._mod_vec, self.p)
@@ -365,6 +429,9 @@ class Field:
         return self.mul(a, self.inv(b))
 
     def pow(self, a: int, e: int) -> int:
+        if self._small and a:
+            log = self._log or self._logs()
+            return self._exp[log[a] * e % (self.q - 1)]
         if e < 0:
             a, e = self.inv(a), -e
         r, base = 1, a
@@ -386,15 +453,23 @@ class Field:
         if self.q > _TABLE_LIMIT:
             raise ValueError(f"lookup tables limited to order {_TABLE_LIMIT}")
         if self._add_table is None:
-            q = self.q
-            add = np.zeros((q, q), dtype=np.int64)
-            mul = np.zeros((q, q), dtype=np.int64)
-            for a in range(q):
-                for b in range(a, q):
-                    s = self.add(a, b)
-                    m = self.mul(a, b)
-                    add[a, b] = add[b, a] = s
-                    mul[a, b] = mul[b, a] = m
+            p, q = self.p, self.q
+            v = np.arange(q, dtype=np.int64)
+            if self.m == 1:
+                add = np.add.outer(v, v) % p
+                mul = np.multiply.outer(v, v) % p
+            else:
+                if p == 2:
+                    add = np.bitwise_xor.outer(v, v)
+                else:
+                    add = np.zeros((q, q), dtype=np.int64)
+                    for i in range(self.m):
+                        digit = v // p ** i % p
+                        add += np.add.outer(digit, digit) % p * p ** i
+                log = np.array(self._log or self._logs())
+                mul = np.array(self._exp)[np.add.outer(log, log)]
+                mul[0, :] = 0
+                mul[:, 0] = 0
             self._add_table = add
             self._mul_table = mul
         return self._add_table, self._mul_table
@@ -443,29 +518,22 @@ class FieldElement:
             return self.field._check(other)
         return NotImplemented
 
-    def __add__(self, other):
-        v = self._coerce(other)
-        return FieldElement(self.field, self.field.add(self.value, v))
+    def _binary(op):
+        # op(field, self's value, the other operand's value); anything that
+        # is neither an element nor an int defers to Python's operator protocol
+        def method(self, other):
+            v = self._coerce(other)
+            if v is NotImplemented:
+                return NotImplemented
+            return FieldElement(self.field, op(self.field, self.value, v))
+        return method
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        return FieldElement(self.field, self.field.sub(self.value, v))
-
-    def __rsub__(self, other):
-        v = self._coerce(other)
-        return FieldElement(self.field, self.field.sub(v, self.value))
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        return FieldElement(self.field, self.field.mul(self.value, v))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        v = self._coerce(other)
-        return FieldElement(self.field, self.field.div(self.value, v))
+    __add__ = __radd__ = _binary(lambda f, a, b: f.add(a, b))
+    __sub__ = _binary(lambda f, a, b: f.sub(a, b))
+    __rsub__ = _binary(lambda f, a, b: f.sub(b, a))
+    __mul__ = __rmul__ = _binary(lambda f, a, b: f.mul(a, b))
+    __truediv__ = _binary(lambda f, a, b: f.div(a, b))
+    del _binary
 
     def __pow__(self, e: int):
         return FieldElement(self.field, self.field.pow(self.value, e))

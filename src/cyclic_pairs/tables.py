@@ -153,6 +153,8 @@ def search_pairs(n: int, f: Field, ell: int, min_d1: int = 1, min_d2: int = 1,
     Ranked by (d1 + d2, d1 * d2) descending with a deterministic
     coefficient-order tie-break; at most ``limit`` reports are returned.
     """
+    if limit < 0:
+        raise ValueError(f"limit must be >= 0, got {limit}")
     witness = exists_ell(n, f, ell)
     if not witness.feasible:
         return SearchResult([], infeasible=True,

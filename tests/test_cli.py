@@ -138,6 +138,27 @@ def test_verify_tables_failure_exit(tmp_path, capsys):
     assert "FAIL" in out and "dist_c" in out
 
 
+def test_verify_tables_missing_file_is_usage_error(tmp_path, capsys):
+    missing = tmp_path / "no-such-rows.txt"
+    code, out, err = run(["verify-tables", "--file", str(missing)], capsys)
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error:") and "no-such-rows.txt" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "--n", "7", "--ell", "0", "--limit", "-1"],
+    ["search", "--n", "7", "--ell", "0", "--cap", "-1"],
+    ["--cap", "-5", "code", "--n", "7", "--g", "x+1", "--min-distance"],
+])
+def test_negative_limit_and_cap_are_refused(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "must be >= 0, got -" in err
+
+
 def test_cap_exit_code(capsys):
     code, _, err = run(["code", "--n", "31", "--g", "x+1", "--min-distance",
                         "--cap", "1024"], capsys)

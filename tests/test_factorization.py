@@ -1,3 +1,4 @@
+import random
 from math import gcd
 
 import pytest
@@ -124,3 +125,28 @@ def test_round_trip_property(n, q):
     fact = factor_xn1(n, f)
     assert fact.product() == xn_minus_1(f, n)
     assert sum(e.poly.degree * e.multiplicity for e in fact.factors) == n
+
+
+def test_is_irreducible_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    rng = random.Random(7)
+    for p in (2, 3, 5, 7):
+        for _ in range(40):
+            m = rng.randint(1, 40)
+            coeffs = tuple(rng.randrange(p) for _ in range(m)) + (1,)
+            expected = sympy.Poly(list(reversed(coeffs)), x, modulus=p).is_irreducible
+            assert is_irreducible(coeffs, p) == expected, (p, coeffs)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_factor_xn1_matches_sympy(q):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    f = field_from_order(q)
+    for n in range(1, 65):
+        _, factors = sympy.Poly(x ** n - 1, x, modulus=q).factor_list()
+        expected = sorted((tuple(int(c) % q for c in reversed(g.all_coeffs())), k)
+                          for g, k in factors)
+        got = sorted((e.poly.coeffs, e.multiplicity) for e in factor_xn1(n, f).factors)
+        assert got == expected, n

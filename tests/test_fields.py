@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -9,6 +10,50 @@ from cyclic_pairs.fields import (FieldMismatchError, field_from_order,
                                  make_field)
 
 SMALL_ORDERS = [2, 3, 4, 5, 7, 8, 9]
+# every extension field of order <= 81, and a prime field for tables(): every pair is checked
+EXHAUSTIVE_ORDERS = [7, 4, 8, 9, 16, 25, 27, 32, 49, 64, 81]
+# the remaining extension fields that take the table path (order <= 2^12)
+TABLE_ORDERS = [121, 125, 128, 169, 243, 256, 289, 343, 361, 512, 625, 729,
+                961, 1024, 1331, 2048, 2187, 2197, 2401, 3125, 3481, 4096]
+
+
+def _digits(f, v):
+    out = []
+    for _ in range(f.m):
+        v, d = divmod(v, f.p)
+        out.append(d)
+    return out
+
+
+def _undigits(f, digits):
+    return sum((d % f.p) * f.p ** i for i, d in enumerate(digits))
+
+
+def naive_add(f, a, b):
+    return _undigits(f, [x + y for x, y in zip(_digits(f, a), _digits(f, b))])
+
+
+def naive_mul(f, a, b):
+    """Schoolbook product of the digit vectors, reduced by the modulus from the top."""
+    da, db, m = _digits(f, a), _digits(f, b), f.m
+    prod = [0] * (2 * m - 1)
+    for i, x in enumerate(da):
+        for j, y in enumerate(db):
+            prod[i + j] += x * y
+    for k in range(2 * m - 2, m - 1, -1):
+        c = prod[k] % f.p
+        for i, mc in enumerate(f.modulus):
+            prod[k - m + i] -= c * mc
+    return _undigits(f, prod[:m])
+
+
+def _check_against_naive(f, a, b):
+    assert f.mul(a, b) == naive_mul(f, a, b)
+    assert f.add(a, b) == naive_add(f, a, b)
+    assert f.add(f.sub(a, b), b) == a
+    assert f.add(a, f.neg(a)) == 0
+    if b:
+        assert naive_mul(f, f.div(a, b), b) == a
 
 
 def test_prime_field_modulus_is_x():
@@ -141,3 +186,65 @@ def test_division_by_zero_and_mixed_fields():
 def test_rendering():
     assert str(make_field(2, 2)) == "GF(2^2), modulus=x^2 + x + 1"
     assert str(make_field(7)) == "GF(7), modulus=x"
+
+
+@pytest.mark.parametrize("q", EXHAUSTIVE_ORDERS)
+def test_table_path_matches_naive_reference_exhaustively(q):
+    f = field_from_order(q)
+    for a, b in product(range(q), repeat=2):
+        _check_against_naive(f, a, b)
+    add, mul = f.tables()
+    assert add.tolist() == [[naive_add(f, a, b) for b in range(q)] for a in range(q)]
+    assert mul.tolist() == [[naive_mul(f, a, b) for b in range(q)] for a in range(q)]
+    for a in range(q):
+        power = 1
+        for e in range(q + 2):
+            assert f.pow(a, e) == power
+            if a:
+                assert naive_mul(f, f.pow(a, -e), power) == 1
+            power = naive_mul(f, power, a)
+
+
+@pytest.mark.parametrize("q", TABLE_ORDERS)
+def test_table_path_matches_naive_reference_on_random_pairs(q):
+    f = field_from_order(q)
+    rng = random.Random(q)
+    for _ in range(300):
+        a, b = rng.randrange(q), rng.randrange(q)
+        _check_against_naive(f, a, b)
+        if a:
+            assert naive_mul(f, a, f.inv(a)) == 1
+            e = rng.randrange(2, 50)
+            assert f.pow(a, e) == naive_mul(f, f.pow(a, e - 1), a)
+
+
+def test_pow_of_zero_keeps_its_conventions():
+    for q in (2, 9, 16, 3 ** 9):
+        f = field_from_order(q)
+        assert f.pow(0, 0) == 1 and f.pow(0, 5) == 0
+        with pytest.raises(ZeroDivisionError):
+            f.pow(0, -1)
+
+
+@pytest.mark.parametrize("p, m", [(3, 40), (5, 52)])
+def test_reduction_matrix_multiply_matches_naive_reference(p, m):
+    f = make_field(p, m, order_bound=None)
+    rng = random.Random(p * m)
+    for _ in range(60):
+        a, b = rng.randrange(f.q), rng.randrange(f.q)
+        _check_against_naive(f, a, b)
+        if a:
+            assert naive_mul(f, a, f.inv(a)) == 1
+
+
+def test_element_operators_follow_the_operator_protocol():
+    f = make_field(3, 2)
+    for op in (lambda x: x + 1.5, lambda x: 1.5 + x, lambda x: x - 1.5,
+               lambda x: 1.5 - x, lambda x: x * 1.5, lambda x: 1.5 * x,
+               lambda x: x / 1.5):
+        with pytest.raises(TypeError, match="unsupported operand") as exc:
+            op(f.one)
+        assert "NotImplementedType" not in str(exc.value)
+    assert (f.one + 1).value == 2 and (2 * f.one).value == 2 and (1 - f.one).value == 0
+    with pytest.raises(ValueError):
+        f.one + 9  # not a canonical element of GF(9)

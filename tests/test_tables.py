@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from cyclic_pairs.factorization import factor_xn1
 from cyclic_pairs.fields import make_field
 from cyclic_pairs.poly import xn_minus_1
@@ -87,6 +89,12 @@ def test_search_respects_limit_and_order():
         [r.render() for r in full.reports[:3]]
     scores = [(r.d1 + r.d2, r.d1 * r.d2) for r in full.reports]
     assert scores == sorted(scores, reverse=True)
+
+
+def test_search_refuses_a_negative_limit():
+    assert search_pairs(7, GF2, 0, limit=0).reports == []
+    with pytest.raises(ValueError, match="limit"):
+        search_pairs(7, GF2, 0, limit=-1)
 
 
 def test_search_infeasible_reports_reason():
