@@ -1,0 +1,60 @@
+"""CLI stdout pinned byte for byte against committed golden files.
+
+The goldens cover ``search`` (CSV and JSON, binary with simple roots,
+repeated roots, nonbinary fields, a cap that skips pairs) and
+``factor --json``.  To regenerate them after a deliberate output change,
+run ``PYTHONPATH=src python tests/test_golden.py`` from the repository root.
+"""
+
+import contextlib
+import io
+import pathlib
+import sys
+
+import pytest
+
+from cyclic_pairs.cli import EXIT_OK, main
+
+GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
+
+CASES = {
+    "factor_n15_q2": "factor --n 15 --json",
+    "factor_n12_q3": "--q 3 factor --n 12 --json",
+    "factor_n9_q4": "--q 4 factor --n 9 --json",
+    "factor_n10_q5": "--q 5 factor --n 10 --json",
+    "factor_n20_q9": "--q 9 factor --n 20 --json",
+    "search_n7_ell1_csv": "search --n 7 --ell 1 --csv",
+    "search_n7_ell1_json": "search --n 7 --ell 1 --json",
+    "search_n15_ell0_csv": "search --n 15 --ell 0 --csv",
+    "search_n15_ell3_json": "search --n 15 --ell 3 --json",
+    "search_n21_ell0_csv": "search --n 21 --ell 0 --csv",
+    "search_n21_ell5_json": "search --n 21 --ell 5 --json",
+    "search_n31_ell0_cap_json": "search --n 31 --ell 0 --cap 4096 --json",
+    "search_n12_q2_ell4_csv": "--q 2 search --n 12 --ell 4 --csv",
+    "search_n12_q2_ell4_json": "--q 2 search --n 12 --ell 4 --json",
+    "search_n9_q3_ell3_csv": "--q 3 search --n 9 --ell 3 --csv",
+    "search_n9_q3_ell3_mind_text": "--q 3 search --n 9 --ell 3 --min-d1 3 --min-d2 3",
+    "search_n6_q4_ell2_csv": "--q 4 search --n 6 --ell 2 --csv",
+    "search_n6_q4_ell2_json": "--q 4 search --n 6 --ell 2 --json",
+}
+
+
+def cli_stdout(argv: str) -> bytes:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv.split())
+    assert code == EXIT_OK, argv
+    return buf.getvalue().encode()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_golden(name):
+    expected = (GOLDEN_DIR / f"{name}.txt").read_bytes()
+    assert cli_stdout(CASES[name]) == expected
+
+
+if __name__ == "__main__":
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for name, argv in CASES.items():
+        (GOLDEN_DIR / f"{name}.txt").write_bytes(cli_stdout(argv))
+        print(f"wrote {name}.txt", file=sys.stderr)
