@@ -50,9 +50,6 @@ def _add_globals(parser, suppress: bool) -> None:
     parser.add_argument("--cap", type=_non_negative,
                         **({"default": DEFAULT_CAP} if not suppress else kw),
                         help="max codewords enumerated per distance computation")
-    parser.add_argument("--threads", type=int,
-                        **({"default": 1} if not suppress else kw),
-                        help="worker hint; output is scheduling-independent")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -178,11 +178,23 @@ class Factorization:
     n_prime: int
     factors: tuple[FactorEntry, ...]  # ordered by (order d, coset representative)
 
-    def product(self) -> Polynomial:
+    def divisor(self, exponents) -> Polynomial:
+        """The monic divisor prod f_i^e_i of x^n - 1, e_i given in factor order.
+
+        A divisor of x^n - 1 is its exponent vector; this is the one place
+        that multiplies the vector out into a polynomial.
+        """
         out = Polynomial.one(self.field)
-        for entry in self.factors:
-            out = out * entry.poly ** entry.multiplicity
+        for e, entry in zip(exponents, self.factors, strict=True):
+            if not 0 <= e <= entry.multiplicity:
+                raise ValueError(f"exponent {e} of {entry.poly} is outside "
+                                 f"0..{entry.multiplicity}")
+            if e:
+                out = out * entry.poly ** e
         return out
+
+    def product(self) -> Polynomial:
+        return self.divisor([e.multiplicity for e in self.factors])
 
     def factor_degrees(self) -> tuple[int, ...]:
         return tuple(e.poly.degree for e in self.factors)

@@ -22,6 +22,8 @@ The arithmetic lanes all give the same results:
   multiply by one ``np.convolve`` and one matrix-vector product with a
   reduction matrix R whose row i is x^(m+i) mod the modulus.  The Rabin
   irreducibility test behind the modulus search reduces the same way.
+
+Outside the prime fields and the tables, ``inv`` is Fermat's a^(q-2).
 """
 
 from __future__ import annotations
@@ -76,33 +78,10 @@ def _gf2_mod(a: int, f: int) -> int:
     return a
 
 
-def _gf2_divmod(a: int, f: int) -> tuple[int, int]:
-    df = f.bit_length() - 1
-    q = 0
-    while a.bit_length() - 1 >= df and a:
-        shift = a.bit_length() - 1 - df
-        q |= 1 << shift
-        a ^= f << shift
-    return q, a
-
-
 def _gf2_gcd(a: int, b: int) -> int:
     while b:
         a, b = b, _gf2_mod(a, b)
     return a
-
-
-def _gf2_inv_mod(a: int, f: int) -> int:
-    # extended Euclid in GF(2)[x]
-    r0, r1 = f, a
-    s0, s1 = 0, 1
-    while r1:
-        q, r = _gf2_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 ^ _gf2_mul(q, s1)
-    if r0 != 1:
-        raise ZeroDivisionError("element is not invertible")
-    return s0
 
 
 # ---------------------------------------------------------------------------
@@ -113,12 +92,6 @@ def _ptrim(a: np.ndarray) -> np.ndarray:
     while n > 0 and a[n - 1] == 0:
         n -= 1
     return a[:n]
-
-
-def _pmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    if a.size == 0 or b.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    return np.convolve(a, b) % p
 
 
 def _reduction_matrix(f: np.ndarray, p: int) -> np.ndarray:
@@ -164,25 +137,6 @@ def _pgcd(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     if a.size:
         a = (a * pow(int(a[-1]), -1, p)) % p
     return a
-
-
-def _p_inv_mod(a: np.ndarray, f: np.ndarray, p: int) -> np.ndarray:
-    r0, r1 = f.copy(), _ptrim(a % p)
-    s0 = np.zeros(0, dtype=np.int64)
-    s1 = np.ones(1, dtype=np.int64)
-    while r1.size:
-        q, r = _pdivmod(r0, r1, p)
-        r0, r1 = r1, r
-        qs = _pmul(q, s1, p)
-        ln = max(s0.size, qs.size)
-        ns = np.zeros(ln, dtype=np.int64)
-        ns[: s0.size] += s0
-        ns[: qs.size] -= qs
-        s0, s1 = s1, _ptrim(ns % p)
-    if r0.size != 1:
-        raise ZeroDivisionError("element is not invertible")
-    inv_lead = pow(int(r0[0]), -1, p)
-    return (s0 * inv_lead) % p
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +233,7 @@ def lex_least_irreducible(p: int, m: int) -> tuple[int, ...]:
 class Field:
     """The finite field GF(p^m) with canonical integer element encoding."""
 
-    __slots__ = ("p", "m", "q", "modulus", "_mod_int", "_mod_vec", "_red", "_small",
+    __slots__ = ("p", "m", "q", "modulus", "_mod_int", "_red", "_small",
                  "_exp", "_log", "_zech", "_neg", "_add_table", "_mul_table")
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
@@ -289,8 +243,7 @@ class Field:
         self.modulus = modulus
         self._small = m > 1 and self.q <= _TABLE_LIMIT
         self._mod_int = sum(c << i for i, c in enumerate(modulus)) if p == 2 else None
-        self._mod_vec = np.array(modulus, dtype=np.int64) if p != 2 else None
-        self._red = (_reduction_matrix(self._mod_vec, p)
+        self._red = (_reduction_matrix(np.array(modulus, dtype=np.int64), p)
                      if p != 2 and m > 1 and not self._small else None)
         # log/antilog (and, for odd p, Zech and negation) lists; see _logs()
         self._exp = self._log = self._zech = self._neg = None
@@ -418,12 +371,7 @@ class Field:
         if self._small:
             log = self._log or self._logs()
             return self._exp[self.q - 1 - log[a]]
-        if self.p == 2:
-            return _gf2_inv_mod(a, self._mod_int)
-        v = _p_inv_mod(_ptrim(self._digits(a)), self._mod_vec, self.p)
-        out = np.zeros(self.m, dtype=np.int64)
-        out[: v.size] = v
-        return self._undigits(out)
+        return self.pow(a, self.q - 2)  # Fermat: a^(q-1) = 1
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 from cyclic_pairs.codes import DEFAULT_CAP, CyclicCode
 from cyclic_pairs.cyclotomic import mult_order
-from cyclic_pairs.factorization import Factorization, factor_xn1
+from cyclic_pairs.factorization import Factorization, factor_xn1, split_length
 from cyclic_pairs.fields import Field
 from cyclic_pairs.poly import Polynomial, poly_gcd, poly_lcm
 
@@ -107,11 +107,7 @@ def exists_ell(n: int, field: Field, ell: int,
                 vector.append(s)
                 remaining -= s * degrees[i]
                 break
-    witness = Polynomial.one(field)
-    for s, entry in zip(vector, fac.factors):
-        if s:
-            witness = witness * entry.poly ** s
-    return ExistenceWitness(n, field.q, ell, True, tuple(vector), witness)
+    return ExistenceWitness(n, field.q, ell, True, tuple(vector), fac.divisor(vector))
 
 
 def small_ell_predicate(n: int, field: Field, ell: int) -> tuple[bool, str]:
@@ -124,10 +120,7 @@ def small_ell_predicate(n: int, field: Field, ell: int) -> tuple[bool, str]:
         return True, "the constant 1 is a degree-0 divisor"
     if ell == 1:
         return True, "x - 1 is a degree-1 divisor"
-    nu, n_prime = 0, n
-    while n_prime % field.p == 0:
-        n_prime //= field.p
-        nu += 1
+    nu, n_prime = split_length(n, field)
     if n % 2 == 0:
         return True, "n even: x^2 - 1 divides x^n - 1"
     if nu >= 1:

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import re
 
-from cyclic_pairs.fields import Field, FieldElement, FieldMismatchError
+from cyclic_pairs.fields import (Field, FieldElement, FieldMismatchError,
+                                 _gf2_mul)
 
 
 class PolyParseError(ValueError):
@@ -128,13 +129,8 @@ class Polynomial:
         if not a or not b:
             return Polynomial.zero(f)
         if f.q == 2:
-            av = sum(c << i for i, c in enumerate(a))
-            bv = sum(c << i for i, c in enumerate(b))
-            r = 0
-            while bv:
-                lsb = bv & -bv
-                r ^= av * lsb
-                bv ^= lsb
+            r = _gf2_mul(sum(c << i for i, c in enumerate(a)),
+                         sum(c << i for i, c in enumerate(b)))
             return Polynomial(f, [(r >> i) & 1 for i in range(len(a) + len(b) - 1)])
         out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):

@@ -7,10 +7,10 @@ from dataclasses import dataclass, field as dc_field
 from itertools import product
 
 from cyclic_pairs.codes import DEFAULT_CAP, CyclicCode, EnumerationCapExceeded
-from cyclic_pairs.factorization import factor_xn1
+from cyclic_pairs.factorization import Factorization, factor_xn1
 from cyclic_pairs.fields import Field, field_from_order
 from cyclic_pairs.pairs import PairReport, exists_ell, pair_analyze
-from cyclic_pairs.poly import Polynomial, parse_poly
+from cyclic_pairs.poly import parse_poly
 
 TABLES_RESOURCE = "binary_pair_tables.txt"
 
@@ -125,16 +125,16 @@ def verify_table(rows: list[TableRow], cap: int = DEFAULT_CAP) -> VerificationSu
     return VerificationSummary([verify_row(r, cap) for r in rows])
 
 
+def _exponent_vectors(fac: Factorization):
+    """Every divisor of x^n - 1 as its exponent vector, in multiplicity-lattice order."""
+    return product(*(range(e.multiplicity + 1) for e in fac.factors))
+
+
 def all_divisors(n: int, f: Field):
     """All monic divisors of x^n - 1, in multiplicity-lattice order."""
     fac = factor_xn1(n, f)
-    ranges = [range(e.multiplicity + 1) for e in fac.factors]
-    for exps in product(*ranges):
-        g = Polynomial.one(f)
-        for e, entry in zip(exps, fac.factors):
-            if e:
-                g = g * entry.poly ** e
-        yield g
+    for v in _exponent_vectors(fac):
+        yield fac.divisor(v)
 
 
 @dataclass
@@ -152,49 +152,54 @@ def search_pairs(n: int, f: Field, ell: int, min_d1: int = 1, min_d2: int = 1,
 
     Ranked by (d1 + d2, d1 * d2) descending with a deterministic
     coefficient-order tie-break; at most ``limit`` reports are returned.
+
+    Divisors are handled as exponent vectors over the factors of x^n - 1:
+    C1 ∩ C2 is generated by lcm(g1, g2), the elementwise max of the
+    vectors, and C1 + C2 by gcd(g1, g2), the elementwise min.
     """
     if limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
-    witness = exists_ell(n, f, ell)
-    if not witness.feasible:
+    fac = factor_xn1(n, f)
+    if not exists_ell(n, f, ell, fac):
         return SearchResult([], infeasible=True,
                             reason=f"no monic divisor of x^{n} - 1 has degree {ell}")
-    divisors = list(all_divisors(n, f))
-    codes: dict[Polynomial, CyclicCode] = {}
-    dists: dict[Polynomial, int | None] = {}
+    degrees = fac.factor_degrees()
+
+    def dim(v):
+        return n - sum(e * d for e, d in zip(v, degrees))
+
+    # the zero code (dimension 0) cannot meet a distance threshold
+    vectors = [v for v in _exponent_vectors(fac) if dim(v) > 0]
+    codes: dict[tuple[int, ...], CyclicCode] = {}
+    dists: dict[tuple[int, ...], int | None] = {}
     skipped = 0
 
-    def code_for(g):
-        if g not in codes:
-            codes[g] = CyclicCode(n, f, g)
-        return codes[g]
-
-    def dist_for(g):
-        if g not in dists:
+    def dist_for(v):
+        if v not in dists:
+            codes[v] = CyclicCode(n, f, fac.divisor(v))
             try:
-                dists[g] = code_for(g).min_distance(cap).d
+                dists[v] = codes[v].min_distance(cap).d
             except EnumerationCapExceeded:
-                dists[g] = None
-        return dists[g]
+                dists[v] = None
+        return dists[v]
 
     kept = []
-    for g1 in divisors:
-        for g2 in divisors:
-            c1, c2 = code_for(g1), code_for(g2)
-            report = pair_analyze(c1, c2)
-            if report.ell != ell:
+    for v1 in vectors:
+        for v2 in vectors:
+            if dim(map(max, v1, v2)) != ell:
                 continue
-            if c1.k == 0 or c2.k == 0:
-                continue  # the zero code cannot meet a distance threshold
-            d1, d2 = dist_for(g1), dist_for(g2)
+            d1, d2 = dist_for(v1), dist_for(v2)
             if d1 is None or d2 is None:
                 skipped += 1
                 continue
             if d1 < min_d1 or d2 < min_d2:
                 continue
-            kept.append(PairReport(c1, c2, report.ell, report.sum_dim,
-                                   report.intersection_generator,
-                                   report.sum_generator, d1, d2))
-    kept.sort(key=lambda r: (-(r.d1 + r.d2), -(r.d1 * r.d2),
-                             r.c1.g.coeffs, r.c2.g.coeffs))
-    return SearchResult(kept[:limit], skipped_by_cap=skipped)
+            kept.append((v1, v2, d1, d2))
+    kept.sort(key=lambda t: (-(t[2] + t[3]), -(t[2] * t[3]),
+                             codes[t[0]].g.coeffs, codes[t[1]].g.coeffs))
+    reports = []
+    for v1, v2, d1, d2 in kept[:limit]:
+        top, low = tuple(map(max, v1, v2)), tuple(map(min, v1, v2))
+        reports.append(PairReport(codes[v1], codes[v2], ell, dim(low),
+                                  fac.divisor(top), fac.divisor(low), d1, d2))
+    return SearchResult(reports, skipped_by_cap=skipped)

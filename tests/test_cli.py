@@ -179,10 +179,3 @@ def test_unknown_subcommand_exits_2(capsys):
         main(["frobnicate"])
     assert exc.value.code == 2
 
-
-def test_threads_flag_accepted_everywhere(capsys):
-    a = run_json(["--threads", "4", "pair", "--n", "7", "--g1", "x+1",
-                  "--g2", "x+1"], capsys)
-    b = run_json(["pair", "--n", "7", "--g1", "x+1", "--g2", "x+1",
-                  "--threads", "2"], capsys)
-    assert a == b

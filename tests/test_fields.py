@@ -237,6 +237,17 @@ def test_reduction_matrix_multiply_matches_naive_reference(p, m):
             assert naive_mul(f, a, f.inv(a)) == 1
 
 
+@pytest.mark.parametrize("m", [20, 64])
+def test_bitpacked_lane_matches_naive_reference(m):
+    f = make_field(2, m, order_bound=None)
+    rng = random.Random(m)
+    for _ in range(60):
+        a, b = rng.randrange(f.q), rng.randrange(f.q)
+        _check_against_naive(f, a, b)
+        if a:
+            assert naive_mul(f, a, f.inv(a)) == 1
+
+
 def test_element_operators_follow_the_operator_protocol():
     f = make_field(3, 2)
     for op in (lambda x: x + 1.5, lambda x: 1.5 + x, lambda x: x - 1.5,

@@ -1,15 +1,18 @@
 import random
+from dataclasses import replace
 
 import pytest
 
+from cyclic_pairs.codes import CyclicCode
 from cyclic_pairs.factorization import factor_xn1
-from cyclic_pairs.fields import make_field
+from cyclic_pairs.fields import field_from_order, make_field
+from cyclic_pairs.pairs import pair_analyze
 from cyclic_pairs.poly import xn_minus_1
 from cyclic_pairs.tables import (CHECK_NAMES, TableRow, all_divisors,
                                  load_table_rows, search_pairs, verify_row,
                                  verify_table)
 
-from helpers import brute_force_divisor_degrees
+from helpers import brute_force_divisor_degrees, naive_min_distance
 
 GF2 = make_field(2)
 
@@ -114,3 +117,32 @@ def test_search_min_distance_filters():
 def test_search_cap_skip_counter():
     result = search_pairs(31, GF2, 0, limit=5, cap=1 << 8)
     assert result.skipped_by_cap > 0
+
+
+def _report_fields(r):
+    return (r.c1.n, r.c1.field.q, r.c1.k, r.c1.g.coeffs, r.d1,
+            r.c2.k, r.c2.g.coeffs, r.d2, r.ell, r.sum_dim,
+            r.intersection_generator.coeffs, r.sum_generator.coeffs)
+
+
+def _brute_force_search(n, f):
+    """ell -> every ordered divisor pair with that ell, found by pair_analyze
+    and ranked as search_pairs documents."""
+    codes = [CyclicCode(n, f, g) for g in all_divisors(n, f)]
+    dist = {c: naive_min_distance(c) for c in codes}
+    reports = [replace(pair_analyze(c1, c2), d1=dist[c1], d2=dist[c2])
+               for c1 in codes for c2 in codes if c1.k and c2.k]
+    reports.sort(key=lambda r: (-(r.d1 + r.d2), -(r.d1 * r.d2),
+                                r.c1.g.coeffs, r.c2.g.coeffs))
+    return {ell: [_report_fields(r) for r in reports if r.ell == ell]
+            for ell in range(n + 1)}
+
+
+@pytest.mark.parametrize("n, q", [(12, 2), (6, 3), (9, 3), (6, 4)])
+def test_search_matches_brute_force_pair_analysis(n, q):
+    f = field_from_order(q)
+    expected = _brute_force_search(n, f)
+    for ell in range(n + 1):
+        result = search_pairs(n, f, ell, limit=10 ** 6)
+        assert result.skipped_by_cap == 0
+        assert [_report_fields(r) for r in result.reports] == expected[ell], ell
