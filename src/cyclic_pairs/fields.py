@@ -114,26 +114,23 @@ def _mulmod(a: np.ndarray, b: np.ndarray, red: np.ndarray, p: int) -> np.ndarray
     return (c[:m] + c[m:] @ red) % p
 
 
-def _pdivmod(a: np.ndarray, f: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+def _prem(a: np.ndarray, f: np.ndarray, p: int) -> np.ndarray:
+    """Remainder of a divided by f over GF(p), trimmed."""
     r = _ptrim(a % p).copy()
     df = f.size - 1
     lead_inv = pow(int(f[-1]), -1, p)
-    if r.size - 1 < df:
-        return np.zeros(0, dtype=np.int64), r
-    q = np.zeros(r.size - df, dtype=np.int64)
     while r.size - 1 >= df:
         c = (int(r[-1]) * lead_inv) % p
         shift = r.size - 1 - df
-        q[shift] = c
         r[shift:] = (r[shift:] - c * f) % p
         r = _ptrim(r)
-    return _ptrim(q), r
+    return r
 
 
 def _pgcd(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     a, b = _ptrim(a % p), _ptrim(b % p)
     while b.size:
-        a, b = b, _pdivmod(a, b, p)[1]
+        a, b = b, _prem(a, b, p)
     if a.size:
         a = (a * pow(int(a[-1]), -1, p)) % p
     return a
