@@ -1,14 +1,20 @@
 """Cyclic codes: construction, generator matrix, dual, exact distance.
 
 Distance is exact full enumeration of all q^k codewords, guarded by a
-codeword-count cap.  Binary codes enumerate bit-packed codewords along a
-Gray-code walk (one row XOR per step); nonbinary codes run blocked
-table-lookup enumeration with numpy.
+codeword-count cap, by span tables: the span of the first generator rows
+(at most _BLOCK words) is built once by doubling, and every codeword is a
+word of that table plus one combination of the remaining rows, so one
+numpy op over the table scans a block of codewords.  Binary codes pack a
+codeword into uint64 words, combine by XOR, count weights with
+np.bitwise_count and walk the remaining rows in Gray-code order; nonbinary
+codes build the table with the field's add/mul lookup tables.  Memory is
+O(_BLOCK * n) whatever q^k is.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -101,44 +107,73 @@ class CyclicCode:
             return self._distance_binary()
         return self._distance_tables()
 
-    def _distance_binary(self) -> DistanceReport:
-        rows = [sum(c << j for j, c in enumerate(r)) for r in self.generator_matrix()]
-        best = self.n + 1
-        cur = 0
-        count = (1 << self.k) - 1
-        scanned = 0
-        for s in range(1, count + 1):
-            cur ^= rows[(s & -s).bit_length() - 1]
-            scanned += 1
-            w = cur.bit_count()
-            if w < best:
-                best = w
-                if best == 1:
-                    break
+    def _scan(self, table: np.ndarray, offsets, weights) -> DistanceReport:
+        """Least weight of table word + offset over every table column and offset.
+
+        The first offset is zero, so column 0 (the zero word) is skipped there;
+        every other sum is a distinct nonzero codeword.
+        """
+        best, scanned = self.n + 1, 0
+        for i, off in enumerate(offsets):
+            w = weights(table, off)[0 if i else 1:]
+            scanned += w.size
+            best = min(best, int(w.min()))
+            if best == 1:
+                break
         return DistanceReport(best, scanned)
 
+    def _distance_binary(self) -> DistanceReport:
+        # a codeword is ceil(n/64) uint64 words, one column of the span table
+        bits = np.array(self.generator_matrix(), dtype=np.uint8)
+        packed = np.packbits(bits, axis=1, bitorder="little")
+        nwords = -(-self.n // 64)
+        packed = np.pad(packed, ((0, 0), (0, 8 * nwords - packed.shape[1])))
+        rows = packed.view(np.uint64)[:, :, None]
+        low = _low_rows(2, self.k)
+        table = np.zeros((nwords, 1), dtype=np.uint64)
+        for r in rows[:low]:
+            table = np.concatenate([table, table ^ r], axis=1)
+
+        def gray_walk(high):
+            cur = np.zeros((nwords, 1), dtype=np.uint64)
+            yield cur
+            for s in range(1, 1 << len(high)):
+                cur = cur ^ high[(s & -s).bit_length() - 1]
+                yield cur
+
+        return self._scan(table, gray_walk(rows[low:]),
+                          lambda t, off: np.bitwise_count(t ^ off).sum(axis=0))
+
     def _distance_tables(self) -> DistanceReport:
-        add, mul = self.field.tables()
-        G = np.array(self.generator_matrix(), dtype=np.int64)
-        q, k = self.field.q, self.k
-        total = q ** k
-        best = self.n + 1
-        radix = q ** np.arange(k, dtype=object)
-        scanned = 0
-        for start in range(1, total, _BLOCK):
-            stop = min(start + _BLOCK, total)
-            idx = np.arange(start, stop, dtype=object)
-            block = np.zeros((stop - start, self.n), dtype=np.int64)
-            for i in range(k):
-                digits = ((idx // radix[i]) % q).astype(np.int64)
-                block = add[block, mul[digits[:, None], G[i][None, :]]]
-            scanned += stop - start
-            w = int((block != 0).sum(axis=1).min())
-            if w < best:
-                best = w
-                if best == 1:
-                    break
-        return DistanceReport(best, scanned)
+        n, q = self.n, self.field.q
+        add, mul = (t.astype(np.uint8 if q <= 256 else np.uint16)
+                    for t in self.field.tables())
+        G = np.array(self.generator_matrix(), dtype=np.intp)
+        multiples = mul[:, G].transpose(1, 2, 0)     # [i, j, c] = (c * row_i)_j
+        low = _low_rows(q, self.k)
+        table = np.zeros((n, 1), dtype=add.dtype)
+        for m in multiples[:low]:
+            table = add[table[:, None, :], m[:, :, None]].reshape(n, -1)
+
+        def combinations(high):
+            for parts in product(*(m.T for m in high)):
+                off = np.zeros(n, dtype=add.dtype)
+                for part in parts:
+                    off = add[off, part]
+                yield off[:, None]
+
+        # table word t minus offset h is zero exactly where t equals h, and the
+        # offsets run over the whole high span, which is closed under negation
+        return self._scan(table, combinations(multiples[low:]),
+                          lambda t, off: n - (t == off).sum(axis=0))
+
+
+def _low_rows(q: int, k: int) -> int:
+    """The most generator rows (at most k) whose span of q^a words fits a block."""
+    a = 0
+    while a < k and q ** (a + 1) <= _BLOCK:
+        a += 1
+    return a
 
 
 def make_code(n: int, field: Field, g: Polynomial) -> CyclicCode:

@@ -6,6 +6,8 @@ import importlib.resources
 from dataclasses import dataclass, field as dc_field
 from itertools import product
 
+import numpy as np
+
 from cyclic_pairs.codes import DEFAULT_CAP, CyclicCode, EnumerationCapExceeded
 from cyclic_pairs.factorization import Factorization, factor_xn1
 from cyclic_pairs.fields import Field, field_from_order
@@ -183,11 +185,12 @@ def search_pairs(n: int, f: Field, ell: int, min_d1: int = 1, min_d2: int = 1,
                 dists[v] = None
         return dists[v]
 
+    # only the v2 whose elementwise max with v1 has dimension ell
+    V = np.array(vectors)
     kept = []
     for v1 in vectors:
-        for v2 in vectors:
-            if dim(map(max, v1, v2)) != ell:
-                continue
+        for j in np.flatnonzero(n - np.maximum(V, v1) @ degrees == ell):
+            v2 = vectors[j]
             d1, d2 = dist_for(v1), dist_for(v2)
             if d1 is None or d2 is None:
                 skipped += 1

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclic_pairs.codes import CyclicCode, EnumerationCapExceeded, make_code
+from cyclic_pairs.codes import (DEFAULT_CAP, CyclicCode, EnumerationCapExceeded,
+                                make_code)
+from cyclic_pairs.constructions import construct_mds
 from cyclic_pairs.factorization import factor_xn1
 from cyclic_pairs.fields import field_from_order, make_field
 from cyclic_pairs.poly import Polynomial, parse_poly, xn_minus_1
@@ -125,6 +127,63 @@ def test_distance_matches_naive_oracle():
             report = code.min_distance()
             assert report.d == naive_min_distance(code)
             assert report.codewords_scanned >= 1
+
+
+def _bch_31(reps):
+    """Binary [31, k] code whose roots are the 2-cyclotomic cosets of reps."""
+    fac = factor_xn1(31, GF2)
+    g = fac.divisor([int(e.coset_rep in reps) for e in fac.factors])
+    return make_code(31, GF2, g)
+
+
+@pytest.mark.parametrize("reps, k, d", [((1, 3), 21, 5), ((1, 3, 5), 16, 7)])
+def test_bch_distance_past_one_block(reps, k, d):
+    # k > 14: the Gray-code walk over the high rows runs
+    code = _bch_31(reps)
+    assert code.k == k
+    assert code.min_distance().d == d
+
+
+def test_quadratic_residue_47_at_default_cap():
+    fac = factor_xn1(47, GF2)
+    g = next(e.poly for e in fac.factors if e.poly.degree == 23)
+    code = make_code(47, GF2, g)
+    assert code.k == 24 and 2 ** code.k == DEFAULT_CAP
+    assert code.min_distance().d == 11
+
+
+def test_simplex_127_longer_than_one_word():
+    # the dual of a [127, 120] Hamming code; n > 64 packs two words per codeword
+    fac = factor_xn1(127, GF2)
+    hamming = make_code(127, GF2, next(e.poly for e in fac.factors if e.poly.degree == 7))
+    simplex = hamming.dual()
+    assert simplex.k == 7
+    assert simplex.min_distance().d == 64
+
+
+@pytest.mark.parametrize("q, n, ks", [(13, 12, (4, 5, 6)), (16, 15, (4, 5))])
+def test_reed_solomon_distance_past_one_block(q, n, ks):
+    f = field_from_order(q)
+    for k in ks:
+        assert q ** k > 1 << 14
+        code = construct_mds(f, n, k, k, k).c1
+        assert code.min_distance().d == n - k + 1
+
+
+def test_codewords_scanned_counts_every_nonzero_word():
+    gf13 = field_from_order(13)
+    for code in (_bch_31((1, 3)), construct_mds(gf13, 12, 5, 5, 5).c1,
+                 C(11, "x^5 + x^4 + 2*x^3 + x^2 + 2", q=3)):
+        report = code.min_distance()
+        assert report.d > 1
+        assert report.codewords_scanned == code.field.q ** code.k - 1
+
+
+def test_weight_one_word_stops_the_scan():
+    whole = C(20, "[1]")  # every word of length 20, 2^20 of them
+    report = whole.min_distance()
+    assert report.d == 1
+    assert report.codewords_scanned < 2 ** 20 - 1
 
 
 def test_cap_enforced_and_cached_result_survives_small_cap():
