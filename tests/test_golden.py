@@ -1,9 +1,11 @@
 """CLI stdout pinned byte for byte against committed golden files.
 
 The goldens cover ``search`` (CSV and JSON, binary with simple roots,
-repeated roots, nonbinary fields, a cap that skips pairs) and
-``factor --json``.  To regenerate them after a deliberate output change,
-run ``PYTHONPATH=src python tests/test_golden.py`` from the repository root.
+repeated roots, nonbinary fields, a cap that skips pairs), ``factor
+--json`` (extension fields up to GF(2^174) and GF(3^100)) and ``exists
+--json`` (infeasible and repeated-root cases).  To regenerate them after
+a deliberate output change, run ``PYTHONPATH=src python
+tests/test_golden.py`` from the repository root.
 """
 
 import contextlib
@@ -23,6 +25,14 @@ CASES = {
     "factor_n9_q4": "--q 4 factor --n 9 --json",
     "factor_n10_q5": "--q 5 factor --n 10 --json",
     "factor_n20_q9": "--q 9 factor --n 20 --json",
+    "factor_n37_q5": "--q 5 factor --n 37 --json",
+    "factor_n59_q8": "--q 8 factor --n 59 --json",
+    "factor_n63_q4": "--q 4 factor --n 63 --json",
+    "factor_n202_q3": "--q 3 factor --n 202 --json",
+    "exists_n23_ell2_json": "exists --n 23 --ell 2 --json",
+    "exists_n54_q3_ell20_json": "--q 3 exists --n 54 --ell 20 --json",
+    "exists_n63_q9_ell31_json": "--q 9 exists --n 63 --ell 31 --json",
+    "exists_n48_ell17_json": "exists --n 48 --ell 17 --json",
     "search_n7_ell1_csv": "search --n 7 --ell 1 --csv",
     "search_n7_ell1_json": "search --n 7 --ell 1 --json",
     "search_n15_ell0_csv": "search --n 15 --ell 0 --csv",
