@@ -3,13 +3,19 @@
 x^n - 1 = (x^{n'} - 1)^{p^nu} with n = p^nu * n', and each q-cyclotomic
 coset of Z_{n'} yields one irreducible factor as the minimal polynomial
 of alpha^rep for a primitive n'-th root of unity alpha living in a
-deterministic extension field.
+deterministic extension field GF(p^(m*t)).
+
+A minimal polynomial is the first GF(q)-linear dependency among the
+powers of beta = alpha^rep, found by one linear solve over GF(p) on a
+table of the GF(p) digits of the powers of alpha.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 from cyclic_pairs.cyclotomic import (additive_order, coset_partition,
                                      mult_order)
@@ -18,10 +24,10 @@ from cyclic_pairs.poly import Polynomial
 
 
 class CoercionError(RuntimeError):
-    """A minimal-polynomial coefficient escaped the base field.
+    """A minimal polynomial has no coefficients in the base field.
 
-    This signals an internal inconsistency (wrong alpha or embedding),
-    never bad user input.
+    Either the given exponents are not a q-cyclotomic coset, or alpha and
+    the embedding are inconsistent; factor_xn1 never raises it.
     """
 
 
@@ -51,15 +57,6 @@ class FieldEmbedding:
                 acc = ext.add(acc, ext.mul(digit, power))
             power = ext.mul(power, self.gen_image)
         return acc
-
-    @property
-    def section(self) -> dict[int, int]:
-        return _embedding_section(self)
-
-
-@lru_cache(maxsize=None)
-def _embedding_section(emb: FieldEmbedding) -> dict[int, int]:
-    return {emb.embed(v): v for v in range(emb.base.q)}
 
 
 def _subfield_root(base: Field, ext: Field) -> int:
@@ -136,30 +133,62 @@ def root_of_unity(field: Field, n_prime: int) -> tuple[Field, FieldEmbedding, in
     raise RuntimeError(f"no element of order {n_prime} in {ext!r}")
 
 
-def minimal_poly(n_prime: int, field: Field, coset: tuple[int, ...]) -> Polynomial:
-    """Product over the coset of (x - alpha^j), coerced to the base field."""
+@lru_cache(maxsize=1)
+def _alpha_powers(field: Field, n_prime: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """Digits of alpha^0 .. alpha^(n'-1), and the matrix of multiplication by gamma.
+
+    gamma is the image of the base generator (None over a prime field).
+    One table is kept: factor_xn1 asks for every coset of one (field, n').
+    """
     ext, emb, alpha = root_of_unity(field, n_prime)
-    # coefficients of prod (x - alpha^j), ascending, in the extension field
-    coeffs = [1]
-    for j in coset:
-        root = ext.pow(alpha, j)
-        coeffs.append(1)
-        for i in range(len(coeffs) - 2, -1, -1):
-            below = coeffs[i - 1] if i > 0 else 0
-            coeffs[i] = ext.sub(below, ext.mul(coeffs[i], root))
-    section = emb.section if field is not ext else None
-    out = []
-    for c in coeffs:
-        if section is None:
-            out.append(c)
-        else:
-            if ext.pow(c, field.q) != c:
-                raise CoercionError(
-                    f"coefficient {c} not fixed by the order-{field.q} Frobenius")
-            if c not in section:
-                raise CoercionError(f"coefficient {c} outside the embedded base field")
-            out.append(section[c])
-    return Polynomial(field, out)
+    times_gamma = ext.times_matrix(emb.gen_image) if field.m > 1 else None
+    return ext.power_digits(alpha, n_prime), times_gamma
+
+
+def _solve_mod_p(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
+    """The unique x with a @ x = b over GF(p), or None when there is none or many."""
+    cols = a.shape[1]
+    aug = np.concatenate([a, b[:, None]], axis=1) % p
+    for c in range(cols):
+        r = c + int(aug[c:, c].argmax())  # any nonzero entry will do as the pivot
+        if not aug[r, c]:
+            return None
+        if r != c:
+            aug[[c, r]] = aug[[r, c]]
+        pivot = aug[c, c:] * pow(int(aug[c, c]), -1, p) % p
+        aug[:, c:] = (aug[:, c:] - np.outer(aug[:, c], pivot)) % p
+        aug[c, c:] = pivot
+    if aug[cols:, cols].any():
+        return None
+    return aug[:cols, cols]
+
+
+def minimal_poly(n_prime: int, field: Field, coset: tuple[int, ...]) -> Polynomial:
+    """Minimal polynomial over the field of beta = alpha^j, j = coset[0].
+
+    It is x^d + sum c_i x^i with d = |coset|, where beta^d + sum c_i beta^i
+    = 0 is the one GF(q)-linear dependency among 1, beta, ..., beta^d.
+    Writing c_i = sum_s c_(i,s) gamma^s turns it into one linear system
+    over GF(p) in the m*d digits c_(i,s), which are the base-field
+    encodings of the coefficients.  A tuple that is not a q-cyclotomic
+    coset, or a system without a unique solution, raises CoercionError.
+    """
+    q, p, d = field.q, field.p, len(coset)
+    if not coset or {coset[0] * pow(q, i, n_prime) % n_prime
+                     for i in range(d)} != set(coset) or len(set(coset)) != d:
+        raise CoercionError(f"{coset} is not a {q}-cyclotomic coset mod {n_prime}")
+    powers, times_gamma = _alpha_powers(field, n_prime)
+    beta = powers[np.arange(d + 1) * coset[0] % n_prime]  # beta^0 .. beta^d
+    # block s holds the digits of gamma^s * beta^i, i < d
+    blocks = [beta[:d]]
+    for _ in range(1, field.m):
+        blocks.append(blocks[-1] @ times_gamma % p)
+    digits = _solve_mod_p(np.concatenate(blocks).T, -beta[d] % p, p)
+    if digits is None:
+        raise CoercionError(f"alpha^{coset[0]} has no degree-{d} minimal polynomial "
+                            f"over {field!r}")
+    digits = digits.reshape(field.m, d)
+    return Polynomial(field, [field._undigits(digits[:, i]) for i in range(d)] + [1])
 
 
 @dataclass(frozen=True)

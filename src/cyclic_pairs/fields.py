@@ -20,8 +20,15 @@ The arithmetic lanes all give the same results:
   encodings directly;
 * larger fields of odd characteristic decode to coefficient vectors and
   multiply by one ``np.convolve`` and one matrix-vector product with a
-  reduction matrix R whose row i is x^(m+i) mod the modulus.  The Rabin
-  irreducibility test behind the modulus search reduces the same way.
+  reduction matrix R whose row i is x^(m+i) mod the modulus; ``pow``
+  decodes its operand once and squares and multiplies on the vectors.
+  The Rabin irreducibility test behind the modulus search reduces the
+  same way.
+
+Every lane can also give the m-by-m GF(p) matrix of multiplication by an
+element and, by doubling with it, the digit vectors of an element's
+powers; the small-field tables and the minimal polynomials of
+``factorization`` are built from these.
 
 Outside the prime fields and the tables, ``inv`` is Fermat's a^(q-2).
 """
@@ -29,7 +36,7 @@ Outside the prime fields and the tables, ``inv`` is Fermat's a^(q-2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product
 
 import numpy as np
@@ -94,17 +101,21 @@ def _ptrim(a: np.ndarray) -> np.ndarray:
     return a[:n]
 
 
+def _times_matrix(a: np.ndarray, f: np.ndarray, p: int, rows: int) -> np.ndarray:
+    """Row i is a * x^i mod f, for i < rows; f is monic of degree m."""
+    m = f.size - 1
+    x_m = (-f[:m]) % p  # x^m mod f
+    out = np.zeros((rows, m), dtype=np.int64)
+    row = a
+    for i in range(rows):
+        out[i] = row
+        row = (np.concatenate(([0], row[:-1])) + row[-1] * x_m) % p
+    return out
+
+
 def _reduction_matrix(f: np.ndarray, p: int) -> np.ndarray:
     """Row i is x^(m+i) mod f, for i < m - 1; f is monic of degree m."""
-    m = f.size - 1
-    rows = np.zeros((m - 1, m), dtype=np.int64)
-    row = (-f[:m]) % p  # x^m mod f
-    for i in range(m - 1):
-        rows[i] = row
-        top = row[-1]
-        row = np.concatenate(([0], row[:-1]))
-        row = (row + top * rows[0]) % p
-    return rows
+    return _times_matrix((-f[:-1]) % p, f, p, f.size - 2)
 
 
 def _mulmod(a: np.ndarray, b: np.ndarray, red: np.ndarray, p: int) -> np.ndarray:
@@ -267,6 +278,24 @@ class Field:
             v = v * self.p + int(c)
         return v
 
+    def times_matrix(self, a: int) -> np.ndarray:
+        """m-by-m matrix over GF(p): a row vector of digits times it is multiplied by a."""
+        f = np.array(self.modulus, dtype=np.int64)
+        return _times_matrix(self._digits(a), f, self.p, self.m)
+
+    def power_digits(self, a: int, count: int) -> np.ndarray:
+        """count-by-m array whose row i holds the digits of a^i.
+
+        Doubling: the rows of a^(k..2k-1) are those of a^(0..k-1) times a^k.
+        """
+        p, times = self.p, self.times_matrix(a)
+        powers = np.zeros((1, self.m), dtype=np.int64)
+        powers[0, 0] = 1
+        while len(powers) < count:
+            powers = np.concatenate([powers, powers @ times % p])
+            times = times @ times % p
+        return powers[:count]
+
     def _logs(self) -> list[int]:
         """Build the lookup lists of a small field on first use; returns the log list.
 
@@ -278,18 +307,8 @@ class Field:
         """
         p, m, q = self.p, self.m, self.q
         n = q - 1
-        red = _reduction_matrix(np.array(self.modulus, dtype=np.int64), p)
         for g in range(p, q):
-            # row i: digits of g * x^i, so a row vector of digits times it multiplies by g
-            times_g = np.array([_mulmod(self._digits(g), unit, red, p)
-                                for unit in np.eye(m, dtype=np.int64)])
-            # digits of g^0 .. g^(n-1), doubling: g^(k..2k-1) = g^(0..k-1) * g^k
-            powers = np.zeros((1, m), dtype=np.int64)
-            powers[0, 0] = 1
-            while len(powers) < n:
-                powers = np.concatenate([powers, powers @ times_g % p])
-                times_g = times_g @ times_g % p
-            exp = powers[:n] @ (p ** np.arange(m))
+            exp = self.power_digits(g, n) @ (p ** np.arange(m))
             if np.count_nonzero(exp == 1) == 1:
                 break  # g has order n
         log = np.zeros(q, dtype=np.int64)
@@ -379,13 +398,19 @@ class Field:
             return self._exp[log[a] * e % (self.q - 1)]
         if e < 0:
             a, e = self.inv(a), -e
-        r, base = 1, a
+        vector = self._red is not None  # odd-p vector lane: decode once, work on digits
+        if vector:
+            r, base = self._digits(1), self._digits(a)
+            mul = partial(_mulmod, red=self._red, p=self.p)
+        else:
+            r, base, mul = 1, a, self.mul
         while e:
             if e & 1:
-                r = self.mul(r, base)
-            base = self.mul(base, base)
+                r = mul(r, base)
             e >>= 1
-        return r
+            if e:
+                base = mul(base, base)
+        return self._undigits(r) if vector else r
 
     def frobenius(self, a: int) -> int:
         """The characteristic-power map a -> a^p."""

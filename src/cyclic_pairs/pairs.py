@@ -79,8 +79,9 @@ def exists_ell(n: int, field: Field, ell: int,
     """Is there a monic divisor of x^n - 1 of degree ell?
 
     Bounded subset-sum over the irreducible factor degrees, each usable
-    0..p^nu times; the witness takes the lexicographically least
-    multiplicity vector in the canonical factor order.
+    0..p^nu times, with the attainable degrees held as int bitmasks; the
+    witness takes the lexicographically least multiplicity vector in the
+    canonical factor order.
     """
     if not 0 <= ell <= n:
         raise ValueError(f"ell must satisfy 0 <= ell <= {n}, got {ell}")
@@ -88,24 +89,25 @@ def exists_ell(n: int, field: Field, ell: int,
     degrees = [e.poly.degree for e in fac.factors]
     mults = [e.multiplicity for e in fac.factors]
     nf = len(degrees)
-    # reach[i] = set of degrees attainable using factors i.. onward
-    reach = [None] * (nf + 1)
-    reach[nf] = {0}
+    # bit r of reach[i] is set when degree r <= ell is attainable with factors i..
+    below = (1 << (ell + 1)) - 1
+    reach = [0] * nf + [1]
     for i in range(nf - 1, -1, -1):
-        cur = set()
-        for r in reach[i + 1]:
-            top = r + degrees[i] * mults[i]
-            cur.update(range(r, min(top, ell) + 1, degrees[i]))
-        reach[i] = cur
-    if ell not in reach[0]:
+        acc = cur = reach[i + 1]
+        for _ in range(mults[i]):
+            cur = (cur << degrees[i]) & below
+            acc |= cur
+        reach[i] = acc
+    if not reach[0] >> ell & 1:
         return ExistenceWitness(n, field.q, ell, False, None, None)
     vector = []
     remaining = ell
     for i in range(nf):
         for s in range(mults[i] + 1):
-            if remaining - s * degrees[i] in reach[i + 1] and s * degrees[i] <= remaining:
+            rest = remaining - s * degrees[i]
+            if rest >= 0 and reach[i + 1] >> rest & 1:
                 vector.append(s)
-                remaining -= s * degrees[i]
+                remaining = rest
                 break
     return ExistenceWitness(n, field.q, ell, True, tuple(vector), fac.divisor(vector))
 

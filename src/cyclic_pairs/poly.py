@@ -144,14 +144,14 @@ class Polynomial:
     def __pow__(self, e: int) -> "Polynomial":
         if not isinstance(e, int) or e < 0:
             raise ValueError(f"polynomial exponent must be a non-negative integer, got {e!r}")
-        r = Polynomial.one(self.field)
-        base = self
+        result, base = None, self
         while e:
             if e & 1:
-                r = r * base
-            base = base * base
+                result = base if result is None else result * base
             e >>= 1
-        return r
+            if e:
+                base = base * base
+        return Polynomial.one(self.field) if result is None else result
 
     def __divmod__(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
         self._same_field(other)

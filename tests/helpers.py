@@ -2,11 +2,13 @@
 
 Everything here deliberately avoids the library's optimized paths: rank
 by plain Gaussian elimination on Field ops, distance by naive message
-enumeration, divisor existence by exhaustive lattice products.
+enumeration, divisor existence by exhaustive lattice products, minimal
+polynomials by multiplying out the coset product.
 """
 
 from itertools import product
 
+from cyclic_pairs.factorization import CoercionError, root_of_unity
 from cyclic_pairs.fields import Field
 from cyclic_pairs.poly import Polynomial
 
@@ -83,3 +85,25 @@ def random_divisor(rng, factorization, of: Polynomial | None = None) -> Polynomi
         if e:
             out = out * entry.poly ** e
     return out
+
+
+def naive_minimal_poly(n_prime: int, field: Field, coset) -> Polynomial:
+    """Product over the coset of (x - alpha^j), coerced to the base field.
+
+    The coefficients are multiplied out in the extension field of
+    ``root_of_unity`` and mapped back through the embedding's inverse,
+    tabulated by embedding every base-field element.
+    """
+    ext, emb, alpha = root_of_unity(field, n_prime)
+    coeffs = [1]  # ascending, in the extension field
+    for j in coset:
+        root = ext.pow(alpha, j)
+        coeffs.append(1)
+        for i in range(len(coeffs) - 2, -1, -1):
+            below = coeffs[i - 1] if i > 0 else 0
+            coeffs[i] = ext.sub(below, ext.mul(coeffs[i], root))
+    section = {emb.embed(v): v for v in range(field.q)}
+    if any(c not in section for c in coeffs):
+        raise CoercionError(f"a coefficient of the coset {coset} product is outside "
+                            f"the embedded base field")
+    return Polynomial(field, [section[c] for c in coeffs])

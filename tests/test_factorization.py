@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclic_pairs.cyclotomic import coset_count
-from cyclic_pairs.factorization import (factor_xn1, minimal_poly,
-                                        root_of_unity, split_length)
+from cyclic_pairs.cyclotomic import coset_count, coset_partition
+from cyclic_pairs.factorization import (CoercionError, factor_xn1,
+                                        minimal_poly, root_of_unity,
+                                        split_length)
 from cyclic_pairs.fields import field_from_order, is_irreducible, make_field
 from cyclic_pairs.poly import parse_poly, poly_gcd, xn_minus_1
+from helpers import naive_minimal_poly
 
 GF2 = make_field(2)
 
@@ -63,6 +65,25 @@ def test_minimal_poly_is_irreducible_with_matching_degree():
             assert len(
                 [j for j in range(n_prime)
                  if _in_coset(n_prime, q, e.coset_rep, j)]) == e.poly.degree
+
+
+def test_minimal_poly_matches_coset_product():
+    # sympy covers prime q; these need GF(q) embedded in the extension
+    cases = [(n, q) for q in (4, 8, 9) for n in range(1, 65)
+             if n % field_from_order(q).p] + [(202, 3)]
+    for n_prime, q in cases:
+        f = field_from_order(q)
+        for coset in coset_partition(n_prime, q).cosets:
+            assert minimal_poly(n_prime, f, coset) == naive_minimal_poly(n_prime, f, coset), \
+                (n_prime, q, coset)
+
+
+def test_minimal_poly_refuses_a_non_coset():
+    with pytest.raises(CoercionError):
+        naive_minimal_poly(7, GF2, (1,))  # alpha is not in GF(2)
+    for coset in [(1,), (1, 3), (1, 1, 1), (0, 0), ()]:
+        with pytest.raises(CoercionError):
+            minimal_poly(7, GF2, coset)
 
 
 def _in_coset(n_prime, q, rep, j):

@@ -259,3 +259,29 @@ def test_element_operators_follow_the_operator_protocol():
     assert (f.one + 1).value == 2 and (2 * f.one).value == 2 and (1 - f.one).value == 0
     with pytest.raises(ValueError):
         f.one + 9  # not a canonical element of GF(9)
+
+
+@pytest.mark.parametrize("p, m", [(3, 40), (5, 52)])
+def test_vector_lane_pow_matches_repeated_naive_multiply(p, m):
+    f = make_field(p, m, order_bound=None)
+    rng = random.Random(p + m)
+    for _ in range(8):
+        a = rng.randrange(1, f.q)
+        power = 1
+        for e in range(13):
+            assert f.pow(a, e) == power
+            power = naive_mul(f, power, a)
+        e1, e2 = rng.randrange(f.q), rng.randrange(f.q)
+        assert f.pow(a, e1 + e2) == naive_mul(f, f.pow(a, e1), f.pow(a, e2))
+        assert f.pow(a, f.q - 1) == 1
+
+
+@pytest.mark.parametrize("p, m", [(2, 20), (3, 40), (3, 2), (2, 1)])
+def test_power_digits_rows_are_successive_powers(p, m):
+    f = make_field(p, m, order_bound=None)
+    a = random.Random(m).randrange(1, f.q)
+    rows = f.power_digits(a, 40)
+    power = 1
+    for row in rows:
+        assert _undigits(f, row.tolist()) == power
+        power = naive_mul(f, power, a)

@@ -128,6 +128,16 @@ def test_lcm_times_gcd_is_the_product_up_to_a_unit(q, data):
                                    for c in (g * l).coeffs]) == prod
 
 
+@settings(max_examples=60)
+@given(st.sampled_from([2, 3, 4, 9]), st.integers(0, 9), st.data())
+def test_pow_equals_repeated_product(q, e, data):
+    f = data.draw(poly_over(q, max_degree=8))
+    expected = Polynomial.one(f.field)
+    for _ in range(e):
+        expected = expected * f
+    assert f ** e == expected
+
+
 def test_negative_pow_rejected():
     with pytest.raises(ValueError):
         P("x") ** -1
