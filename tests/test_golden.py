@@ -3,9 +3,12 @@
 The goldens cover ``search`` (CSV and JSON, binary with simple roots,
 repeated roots, nonbinary fields, a cap that skips pairs), ``factor
 --json`` (extension fields up to GF(2^174) and GF(3^100)) and ``exists
---json`` (infeasible and repeated-root cases).  To regenerate them after
-a deliberate output change, run ``PYTHONPATH=src python
-tests/test_golden.py`` from the repository root.
+--json`` (infeasible and repeated-root cases).  A further golden pins
+the lex-least modulus of every field ``factor_xn1(n, GF(q))`` builds for
+n <= 64 and q in {2, 3, 4, 5, 8, 9}: the modulus fixes alpha and with it
+the whole factor labelling.  To regenerate them after a deliberate
+output change, run ``PYTHONPATH=src python tests/test_golden.py`` from
+the repository root.
 """
 
 import contextlib
@@ -16,6 +19,8 @@ import sys
 import pytest
 
 from cyclic_pairs.cli import EXIT_OK, main
+from cyclic_pairs.cyclotomic import mult_order
+from cyclic_pairs.fields import field_from_order, lex_least_irreducible
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -57,10 +62,38 @@ def cli_stdout(argv: str) -> bytes:
     return buf.getvalue().encode()
 
 
+MODULI_GOLDEN = GOLDEN_DIR / "lex_least_moduli.txt"
+MODULI_QS = (2, 3, 4, 5, 8, 9)
+MODULI_MAX_N = 64
+
+
+def swept_field_degrees() -> list[tuple[int, int]]:
+    """(p, m) of GF(q) and of the root-of-unity extension GF(q^t), t = ord_n'(q)."""
+    out = set()
+    for q in MODULI_QS:
+        f = field_from_order(q)
+        for n in range(1, MODULI_MAX_N + 1):
+            n_prime = n
+            while n_prime % f.p == 0:
+                n_prime //= f.p
+            out.update({(f.p, f.m), (f.p, f.m * mult_order(q, n_prime))})
+    return sorted(out)
+
+
+def moduli_text() -> bytes:
+    """One line "p m: c0 c1 ... cm" per field, coefficients ascending."""
+    return "".join(f"{p} {m}: {' '.join(map(str, lex_least_irreducible(p, m)))}\n"
+                   for p, m in swept_field_degrees()).encode()
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_matches_golden(name):
     expected = (GOLDEN_DIR / f"{name}.txt").read_bytes()
     assert cli_stdout(CASES[name]) == expected
+
+
+def test_lex_least_moduli_match_golden():
+    assert moduli_text() == MODULI_GOLDEN.read_bytes()
 
 
 if __name__ == "__main__":
@@ -68,3 +101,5 @@ if __name__ == "__main__":
     for name, argv in CASES.items():
         (GOLDEN_DIR / f"{name}.txt").write_bytes(cli_stdout(argv))
         print(f"wrote {name}.txt", file=sys.stderr)
+    MODULI_GOLDEN.write_bytes(moduli_text())
+    print(f"wrote {MODULI_GOLDEN.name}", file=sys.stderr)
