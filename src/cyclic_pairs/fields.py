@@ -25,6 +25,14 @@ The arithmetic lanes all give the same results:
   The Rabin irreducibility test behind the modulus search reduces the
   same way.
 
+The modulus search tests candidates in lexicographic order with Rabin's
+test.  When p <= m + 1 it first drops a candidate with a root in GF(p),
+found by Horner evaluation at every nonzero point in plain ints; that
+costs at most about m^2 integer operations, less than one Rabin pass.
+For larger p (extension fields of a large prime) evaluating at every
+point would cost more than Rabin, so the sieve is skipped.  Rabin still
+confirms every survivor.
+
 Every lane can also give the m-by-m GF(p) matrix of multiplication by an
 element and, by doubling with it, the digit vectors of an element's
 powers; the small-field tables and the minimal polynomials of
@@ -166,8 +174,6 @@ def _prime_divisors(n: int) -> list[int]:
 
 def _is_irreducible_gf2(f: int, m: int) -> bool:
     # Rabin: x^(2^m) = x mod f, and gcd(x^(2^(m/r)) - x, f) = 1 for primes r | m
-    if m == 1:
-        return True
     checkpoints = {m // r for r in _prime_divisors(m)}
     t = 2  # the polynomial x
     for j in range(1, m + 1):
@@ -179,8 +185,6 @@ def _is_irreducible_gf2(f: int, m: int) -> bool:
 
 
 def _is_irreducible_gfp(coeffs: np.ndarray, m: int, p: int) -> bool:
-    if m == 1:
-        return True
     f = coeffs
     red = _reduction_matrix(f, p)
     checkpoints = {m // r for r in _prime_divisors(m)}
@@ -203,13 +207,35 @@ def _is_irreducible_gfp(coeffs: np.ndarray, m: int, p: int) -> bool:
     return np.array_equal(t, x)
 
 
+def _has_root(coeffs: tuple[int, ...], p: int) -> bool:
+    """True when the polynomial vanishes at some nonzero a in GF(p) (Horner)."""
+    for a in range(1, p):
+        acc = 0
+        for c in reversed(coeffs):
+            acc = (acc * a + c) % p
+        if acc == 0:
+            return True
+    return False
+
+
 def is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
-    """Rabin irreducibility test for a monic polynomial over GF(p)."""
+    """Rabin irreducibility test for a monic polynomial over GF(p).
+
+    Coefficients are integers taken mod p, ascending.  When p <= m + 1 a
+    candidate with a root in GF(p) is rejected before any Rabin step.
+    """
+    if not isinstance(p, int) or not is_prime(p):
+        raise ValueError(f"characteristic must be prime, got {p!r}")
+    if not all(isinstance(c, int) for c in coeffs):
+        raise ValueError(f"coefficients must be integers, got {coeffs!r}")
+    coeffs = tuple(c % p for c in coeffs)
     m = len(coeffs) - 1
     if m < 1 or coeffs[-1] != 1:
         raise ValueError("expected a monic polynomial of degree >= 1")
-    if coeffs[0] == 0:
-        return m == 1
+    if m == 1:
+        return True
+    if coeffs[0] == 0 or (p <= m + 1 and _has_root(coeffs, p)):
+        return False
     if p == 2:
         f = sum(c << i for i, c in enumerate(coeffs))
         return _is_irreducible_gf2(f, m)

@@ -4,6 +4,19 @@ Coefficients are stored as canonical integer encodings, ascending by
 degree, with no trailing zeros (the zero polynomial has an empty
 coefficient tuple and degree ``None``).  gcd/lcm outputs are monic so
 generator polynomials are canonical.
+
+Products take one lane per field, all giving the same coefficients:
+
+* GF(2): one carry-less product of the bit-packed operands;
+* prime fields: Python-int products summed per coefficient, reduced mod p
+  once at the end;
+* extension fields with log tables (``Field._small``): each term is
+  ``exp[log a + log b]``, XORed in for p = 2 and added by the Zech
+  logarithm table for odd p (Lidl & Niederreiter, §10.1);
+* larger extension fields: ``Field.mul`` and ``Field.add`` per term.
+
+Products are canonical by construction and skip the constructor's
+per-coefficient check.
 """
 
 from __future__ import annotations
@@ -37,6 +50,14 @@ class Polynomial:
         self.coeffs = _trim([field._check(c) for c in coeffs])
 
     # -- constructors ---------------------------------------------------------
+
+    @classmethod
+    def _trimmed(cls, field: Field, coeffs: list[int]) -> "Polynomial":
+        """From coefficients already canonical in ``field``: trims, checks nothing."""
+        poly = object.__new__(cls)
+        poly.field = field
+        poly.coeffs = _trim(coeffs)
+        return poly
 
     @classmethod
     def zero(cls, field: Field) -> "Polynomial":
@@ -131,15 +152,47 @@ class Polynomial:
         if f.q == 2:
             r = _gf2_mul(sum(c << i for i, c in enumerate(a)),
                          sum(c << i for i, c in enumerate(b)))
-            return Polynomial(f, [(r >> i) & 1 for i in range(len(a) + len(b) - 1)])
+            return Polynomial._trimmed(f, [(r >> i) & 1 for i in range(len(a) + len(b) - 1)])
         out = [0] * (len(a) + len(b) - 1)
+        if f.m == 1:
+            for i, ca in enumerate(a):
+                if ca:
+                    for j, cb in enumerate(b):
+                        out[i + j] += ca * cb
+            p = f.p
+            return Polynomial._trimmed(f, [c % p for c in out])
+        if f._small:
+            log = f._log or f._logs()
+            exp = f._exp
+            b_logs = [(j, log[cb]) for j, cb in enumerate(b) if cb]
+            if f.p == 2:
+                for i, ca in enumerate(a):
+                    if ca:
+                        la = log[ca]
+                        for j, lb in b_logs:
+                            out[i + j] ^= exp[la + lb]
+            else:
+                zech = f._zech
+                for i, ca in enumerate(a):
+                    if ca:
+                        la = log[ca]
+                        for j, lb in b_logs:
+                            k = i + j
+                            acc = out[k]
+                            if acc:
+                                # log(acc + g^t) = log(acc) + zech[t - log(acc)], t = la + lb
+                                lacc = log[acc]
+                                out[k] = exp[lacc + zech[la + lb - lacc]]
+                            else:
+                                out[k] = exp[la + lb]
+            return Polynomial._trimmed(f, out)
         for i, ca in enumerate(a):
             if ca == 0:
                 continue
             for j, cb in enumerate(b):
                 if cb:
                     out[i + j] = f.add(out[i + j], f.mul(ca, cb))
-        return Polynomial(f, out)
+        return Polynomial._trimmed(f, out)
 
     def __pow__(self, e: int) -> "Polynomial":
         if not isinstance(e, int) or e < 0:

@@ -3,7 +3,8 @@
 Everything here deliberately avoids the library's optimized paths: rank
 by plain Gaussian elimination on Field ops, distance by naive message
 enumeration, divisor existence by exhaustive lattice products, minimal
-polynomials by multiplying out the coset product.
+polynomials by multiplying out the coset product, polynomial products by
+the schoolbook double loop.
 """
 
 from itertools import product
@@ -35,6 +36,18 @@ def rank_over_field(rows, f: Field) -> int:
                 mat[r] = [f.sub(a, f.mul(c, b)) for a, b in zip(mat[r], mat[rank])]
         rank += 1
     return rank
+
+
+def naive_poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:
+    """Schoolbook product using only Field.mul and Field.add per coefficient pair."""
+    f = a.field
+    if not a.coeffs or not b.coeffs:
+        return Polynomial.zero(f)
+    out = [0] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, ca in enumerate(a.coeffs):
+        for j, cb in enumerate(b.coeffs):
+            out[i + j] = f.add(out[i + j], f.mul(ca, cb))
+    return Polynomial(f, out)
 
 
 def naive_min_distance(code) -> int | None:

@@ -81,6 +81,61 @@ def test_lex_least_moduli_are_irreducible_and_least():
             assert not is_irreducible(cand + (1,), p)
 
 
+def test_is_irreducible_validates_its_input():
+    for p in (0, 1, 4, 9):
+        with pytest.raises(ValueError, match="characteristic"):
+            is_irreducible((1, 1, 1), p)
+    with pytest.raises(ValueError, match="integers"):
+        is_irreducible((1, 1.0, 1), 3)
+    for bad in ((1,), (1, 1, 0), (1, 1, 2)):
+        with pytest.raises(ValueError, match="monic"):
+            is_irreducible(bad, 2)
+    # coefficients are taken mod p in every lane: (1, 3, 1) over GF(2) is
+    # x^2 + x + 1, not the bit-packed cubic 1 + 3x + x^2 = x^3 + 1
+    assert is_irreducible((1, 3, 1), 2) and is_irreducible((1, 1, 1), 2)
+    assert is_irreducible((5, 4, 1), 3) == is_irreducible((2, 1, 1), 3) is True
+    assert not is_irreducible((-1, 0, 1), 3)  # x^2 - 1
+
+
+def _gauss_count(p, m):
+    """Monic irreducible polynomials of degree m over GF(p): (1/m) sum mu(d) p^(m/d)."""
+    def mobius(d):
+        out = 1
+        for r in range(2, d + 1):
+            if d % r == 0:
+                d //= r
+                if d % r == 0:
+                    return 0
+                out = -out
+        return out
+    return sum(mobius(d) * p ** (m // d) for d in range(1, m + 1) if m % d == 0) // m
+
+
+# degrees checked exhaustively per p; both sides of the root sieve's
+# p <= m + 1 selection occur, e.g. p = 5 skips it at m = 3 and runs it at m = 4
+SIEVE_ORACLE_DEGREES = {2: range(1, 11), 3: range(1, 6), 5: range(1, 5), 7: range(1, 4)}
+
+
+def _monic_hits(p, m):
+    return [c + (1,) for c in product(range(p), repeat=m) if is_irreducible(c + (1,), p)]
+
+
+@pytest.mark.parametrize("p", sorted(SIEVE_ORACLE_DEGREES))
+def test_irreducible_count_matches_gauss_formula(p):
+    for m in SIEVE_ORACLE_DEGREES[p]:
+        assert len(_monic_hits(p, m)) == _gauss_count(p, m), m
+
+
+@pytest.mark.parametrize("p", sorted(SIEVE_ORACLE_DEGREES))
+def test_irreducible_hits_match_sympy_exhaustively(p):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    for m in SIEVE_ORACLE_DEGREES[p]:
+        expected = [c + (1,) for c in product(range(p), repeat=m)
+                    if sympy.Poly([1] + list(reversed(c)), x, modulus=p).is_irreducible]
+        assert _monic_hits(p, m) == expected, m
+
+
 def test_elem_op_examples():
     gf2, gf4, gf7 = make_field(2), make_field(2, 2), make_field(7)
     assert gf2.add(1, 1) == 0

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from cyclic_pairs.fields import field_from_order, make_field
 from cyclic_pairs.poly import (Polynomial, PolyParseError, parse_poly,
                                poly_gcd, poly_lcm, xn_minus_1)
+from helpers import naive_poly_mul
 
 GF2 = make_field(2)
 
@@ -79,6 +80,44 @@ def test_degree_sentinel():
     assert Polynomial.zero(GF2).degree is None
     assert Polynomial.one(GF2).degree == 0
     assert P("x^5+x").degree == 5
+
+
+# every multiply lane: GF(2), prime fields, log tables in characteristic 2 and
+# odd, and the fields above the table limit (bit-packed 2^13, vector 3^9)
+MUL_ORDERS = [2, 3, 4, 5, 7, 8, 9, 16, 27, 2 ** 13, 3 ** 9]
+
+
+@st.composite
+def sparse_poly_over(draw, q, max_len=12):
+    """Nonzero length 1..max_len, about half the coefficients zero."""
+    f = field_from_order(q)
+    coeff = st.one_of(st.just(0), st.integers(1, q - 1))
+    coeffs = draw(st.lists(coeff, min_size=1, max_size=max_len))
+    coeffs[-1] = draw(st.integers(1, q - 1))
+    return Polynomial(f, coeffs)
+
+
+@settings(max_examples=150)
+@given(st.sampled_from(MUL_ORDERS), st.data())
+def test_mul_matches_naive_double_loop(q, data):
+    a = data.draw(sparse_poly_over(q))
+    b = data.draw(sparse_poly_over(q))
+    assert a * b == naive_poly_mul(a, b)
+    assert b * a == naive_poly_mul(b, a)
+
+
+@pytest.mark.parametrize("q", MUL_ORDERS)
+def test_mul_of_constants_and_interior_zeros(q):
+    f = field_from_order(q)
+    c, d = q - 1, q // 2 or 1
+    gappy = Polynomial(f, [c, 0, 0, d, 0, 1])
+    for a, b in [(Polynomial(f, [c]), Polynomial(f, [d])), (Polynomial(f, [c]), gappy),
+                 (gappy, gappy), (gappy, Polynomial(f, [0, 0, c])),
+                 (gappy, Polynomial.zero(f))]:
+        assert a * b == naive_poly_mul(a, b) == b * a
+    # (x + c)(x - c): the two x terms cancel, which the Zech lane marks by a log past 2(q - 1)
+    prod = Polynomial(f, [c, 1]) * Polynomial(f, [f.neg(c), 1])
+    assert prod == Polynomial(f, [f.neg(f.mul(c, c)), 0, 1])
 
 
 @settings(max_examples=60)
