@@ -2,8 +2,10 @@
 
 The goldens cover ``search`` (CSV and JSON, binary with simple roots,
 repeated roots, nonbinary fields, a cap that skips pairs), ``factor
---json`` (extension fields up to GF(2^174) and GF(3^100)) and ``exists
---json`` (infeasible and repeated-root cases).  A further golden pins
+--json`` (extension fields up to GF(2^174) and GF(3^100)), ``exists
+--json`` (infeasible and repeated-root cases), and, over GF(2), GF(3)
+and GF(4), ``code --dual``, ``pair --distances``, the three ``construct``
+modes (exact and inexact L) and ``verify-tables``, all as JSON.  A further golden pins
 the lex-least modulus of every field ``factor_xn1(n, GF(q))`` builds for
 n <= 64 and q in {2, 3, 4, 5, 8, 9}: the modulus fixes alpha and with it
 the whole factor labelling.  To regenerate them after a deliberate
@@ -51,6 +53,36 @@ CASES = {
     "search_n9_q3_ell3_mind_text": "--q 3 search --n 9 --ell 3 --min-d1 3 --min-d2 3",
     "search_n6_q4_ell2_csv": "--q 4 search --n 6 --ell 2 --csv",
     "search_n6_q4_ell2_json": "--q 4 search --n 6 --ell 2 --json",
+    "code_n15_dual_json": "code --n 15 --g x^4+x+1 --dual --min-distance --json",
+    "code_n14_dual_json": "code --n 14 --g x^6+x^2+1 --dual --json",
+    "code_n8_q3_dual_json": "--q 3 code --n 8 --g x^2+x+2 --dual --min-distance --json",
+    "code_n8_q3_nonmonic_dual_json": "--q 3 code --n 8 --g 2*x^2+2*x+1 --dual --json",
+    "code_n15_q4_dual_json": "--q 4 code --n 15 --g x^2+2*x+2 --dual --min-distance --json",
+    "code_n6_q4_dual_json": "--q 4 code --n 6 --g x^2+1 --dual --min-distance --json",
+    "pair_n7_json": "pair --n 7 --g1 x^3+x+1 --g2 x^3+x^2+1 --distances --json",
+    "pair_n14_json": "pair --n 14 --g1 x^6+x^2+1 --g2 x^4+x^2+x+1 --distances --json",
+    "pair_n8_q3_json": "--q 3 pair --n 8 --g1 x^2+x+2 --g2 x^3+x+2 --distances --json",
+    "pair_n9_q4_json": "--q 4 pair --n 9 --g1 x^3+2 --g2 x^4+2*x^3+3*x+1 --distances --json",
+    "construct_L_n7_json": "construct --mode L --n 7 --L x+1 --g1 x^3+x+1 --g2 x^3+x+1 --json",
+    "construct_L_n18_inexact_json":
+        "construct --mode L --n 18 --L x+1 --g1 x^2+x+1 --g2 1 --distances --json",
+    "construct_L_n8_q3_json":
+        "--q 3 construct --mode L --n 8 --L x+2 --g1 x^2+x+2 --g2 x^2+x+2 --json",
+    "construct_L_n6_q4_inexact_json": "--q 4 construct --mode L --n 6 --L x+1 --g1 x+2 --g2 1 --json",
+    "construct_repeated_n7_json": "construct --mode repeated --n-prime 7 --nu 1 --L x+1 "
+                                  "--g1 x^3+x+1 --g2 x^3+x+1 --s 2 --distances --json",
+    "construct_repeated_n8_q3_json": "--q 3 construct --mode repeated --n-prime 8 --nu 1 "
+                                     "--L x+2 --g1 x^2+x+2 --g2 x^2+x+2 --s 3 --json",
+    "construct_repeated_n3_q4_json": "--q 4 construct --mode repeated --n-prime 3 --nu 1 "
+                                     "--L x+1 --g1 x+2 --g2 x^2+3 --s 2 --json",
+    "construct_mds_n1_q2_json": "construct --mode mds --n 1 --k1 1 --k2 1 --ell 1 --distances --json",
+    "construct_mds_n2_q3_json":
+        "--q 3 construct --mode mds --n 2 --k1 1 --k2 1 --ell 0 --distances --json",
+    "construct_mds_n3_q4_json":
+        "--q 4 construct --mode mds --n 3 --k1 1 --k2 2 --ell 1 --distances --json",
+    "construct_mds_n7_q8_json":
+        "--q 8 construct --mode mds --n 7 --k1 2 --k2 3 --ell 1 --distances --json",
+    "verify_tables_json": "verify-tables --json",
 }
 
 
