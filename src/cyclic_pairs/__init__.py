@@ -8,7 +8,7 @@ MDS pairs) and a bundled corpus of optimal binary pairs.
 """
 
 from cyclic_pairs.codes import (DEFAULT_CAP, CyclicCode, DistanceReport,
-                                EnumerationCapExceeded, make_code)
+                                EnumerationCapExceeded)
 from cyclic_pairs.constructions import (ConstructionResult, DivisibilityError,
                                         construct_L, construct_even_2s,
                                         construct_mds,
@@ -27,8 +27,7 @@ from cyclic_pairs.fields import (Field, FieldElement, FieldMismatchError,
                                  field_from_order, make_field)
 from cyclic_pairs.pairs import (ExistenceWitness, PairReport, exists_ell,
                                 hull_dim, pair_analyze, small_ell_predicate)
-from cyclic_pairs.poly import (Polynomial, PolyParseError, parse_poly,
-                               poly_gcd, poly_lcm, xn_minus_1)
+from cyclic_pairs.poly import Polynomial, PolyParseError, parse_poly, xn_minus_1
 from cyclic_pairs.tables import (SearchResult, TableRow, VerificationOutcome,
                                  all_divisors, load_table_rows, search_pairs,
                                  verify_table)

@@ -1,5 +1,8 @@
 """Cyclic codes: construction, generator matrix, dual, exact distance.
 
+A code keeps its generator both as a polynomial and as an exponent vector
+over the factors of x^n - 1; the dual is a permutation of that vector.
+
 Distance is exact full enumeration of all q^k codewords, guarded by a
 codeword-count cap, by span tables: the span of the first generator rows
 (at most _BLOCK words) is built once by doubling, and every codeword is a
@@ -18,8 +21,9 @@ from itertools import product
 
 import numpy as np
 
-from cyclic_pairs.fields import Field, FieldMismatchError
-from cyclic_pairs.poly import Polynomial, xn_minus_1
+from cyclic_pairs.factorization import Factorization, factor_xn1
+from cyclic_pairs.fields import Field
+from cyclic_pairs.poly import Polynomial
 
 DEFAULT_CAP = 1 << 24
 _BLOCK = 1 << 14
@@ -37,24 +41,29 @@ class DistanceReport:
 
 
 class CyclicCode:
-    """A cyclic code of length n over a field, given by its monic generator."""
+    """A cyclic code of length n over a field, given by its monic generator
+    and by its exponent vector over the factors of ``factor_xn1(n, field)``."""
 
-    __slots__ = ("n", "field", "g", "k", "_distance")
+    __slots__ = ("n", "field", "g", "k", "vector", "_distance")
 
     def __init__(self, n: int, field: Field, g: Polynomial):
-        if g.field is not field:
-            raise FieldMismatchError("generator polynomial is over a different field")
         if g.is_zero():
             raise ValueError("the zero polynomial generates no cyclic code")
-        g = g.monic()
-        rem = xn_minus_1(field, n) % g
-        if not rem.is_zero():
-            raise ValueError(
-                f"{g} does not divide x^{n} - 1 over {field!r} (remainder {rem})")
+        self._set(n, field, g.monic(), factor_xn1(n, field).vector(g))
+
+    @classmethod
+    def _from_vector(cls, fac: Factorization, vector) -> "CyclicCode":
+        """The code generated by a divisor the factorization gives; nothing to check."""
+        vector, code = tuple(vector), object.__new__(cls)
+        code._set(fac.n, fac.field, fac.divisor(vector), vector)
+        return code
+
+    def _set(self, n: int, field: Field, g: Polynomial, vector: tuple[int, ...]) -> None:
         self.n = n
         self.field = field
         self.g = g
         self.k = n - g.degree
+        self.vector = vector
         self._distance = None
 
     def __eq__(self, other):
@@ -79,14 +88,8 @@ class CyclicCode:
 
     def dual(self) -> "CyclicCode":
         """Generator = monic reciprocal of the check polynomial (x^n-1)/g."""
-        h = xn_minus_1(self.field, self.n) // self.g
-        return CyclicCode(self.n, self.field, h.reciprocal().monic())
-
-    def contains(self, word: Polynomial) -> bool:
-        """Membership: the word's polynomial is divisible by the generator."""
-        return self.g.divides(word % xn_minus_1(self.field, self.n)
-                              if word.degree is not None and word.degree >= self.n
-                              else word)
+        fac = factor_xn1(self.n, self.field)
+        return CyclicCode._from_vector(fac, fac.dual(self.vector))
 
     def min_distance(self, cap: int = DEFAULT_CAP) -> DistanceReport:
         # an exact distance, once computed, is valid whatever the cap
@@ -175,6 +178,3 @@ def _low_rows(q: int, k: int) -> int:
         a += 1
     return a
 
-
-def make_code(n: int, field: Field, g: Polynomial) -> CyclicCode:
-    return CyclicCode(n, field, g)

@@ -9,26 +9,38 @@ pairs for lengths dividing q - 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, gt, sub
 
 from cyclic_pairs.codes import DEFAULT_CAP, CyclicCode
-from cyclic_pairs.factorization import factor_xn1, root_of_unity
-from cyclic_pairs.fields import Field, FieldElement
+from cyclic_pairs.factorization import Factorization, factor_xn1, root_of_unity
+from cyclic_pairs.fields import Field, FieldElement, FieldMismatchError
 from cyclic_pairs.pairs import PairReport, pair_analyze
-from cyclic_pairs.poly import Polynomial, poly_gcd, xn_minus_1
+from cyclic_pairs.poly import Polynomial
 
 
 class DivisibilityError(ValueError):
     """A divisibility link in a construction precondition fails."""
 
 
-def _require_divides(a: Polynomial, b: Polynomial, link: str) -> None:
-    if not a.divides(b):
-        raise DivisibilityError(f"precondition violated: {link} ({a} does not divide {b})")
+# longest ambient length p^nu * n' construct_repeated builds; its generators
+# have degree up to that length, so longer ones are refused before any product
+MAX_REPEATED_LENGTH = 1 << 12
 
 
-def _require_monic(p: Polynomial, name: str) -> None:
+def _require_vector(fac: Factorization, p: Polynomial, name: str, bound,
+                    link: str) -> tuple[int, ...]:
+    """Exponent vector of the monic p, which must be at most ``bound`` elementwise."""
     if not p.is_monic():
         raise DivisibilityError(f"{name} must be monic, got {p}")
+    try:
+        v = fac.vector(p)
+    except FieldMismatchError:
+        raise
+    except ValueError:
+        v = None
+    if v is None or any(map(gt, v, bound)):
+        raise DivisibilityError(f"precondition violated: {link} ({name} = {p})")
+    return v
 
 
 @dataclass(frozen=True)
@@ -59,20 +71,19 @@ def construct_L(n: int, field: Field, L: Polynomial, g1: Polynomial,
 
     Requires L | x^n - 1, g1 | (x^n - 1)/L and g2 | g1; the intersection
     dimension equals deg L exactly when gcd(g1, (x^n-1)/(L*g1)) = 1.
+    All three are checked on exponent vectors over the factors of x^n - 1:
+    v_L + v_g1 <= mult, v_g2 <= v_g1, and the gcd is min(v_g1, v_cofactor).
     """
-    for p, name in ((L, "L"), (g1, "g1"), (g2, "g2")):
-        _require_monic(p, name)
-    xn1 = xn_minus_1(field, n)
-    _require_divides(L, xn1, "L | x^n - 1")
-    quotient = xn1 // L
-    _require_divides(g1, quotient, "g1 | (x^n - 1)/L")
-    _require_divides(g2, g1, "g2 | g1")
-    cofactor = quotient // g1
-    k_poly = g2 * cofactor
+    fac = factor_xn1(n, field)
+    mult = [e.multiplicity for e in fac.factors]
+    vL = _require_vector(fac, L, "L", mult, "L | x^n - 1")
+    v1 = _require_vector(fac, g1, "g1", list(map(sub, mult, vL)), "g1 | (x^n - 1)/L")
+    v2 = _require_vector(fac, g2, "g2", v1, "g2 | g1")
+    cofactor = [m - a - b for m, a, b in zip(mult, vL, v1)]
     ell = L.degree
-    c1 = CyclicCode(n, field, g1)
-    c2 = CyclicCode(n, field, k_poly)
-    exact = poly_gcd(g1, cofactor).is_one()
+    c1 = CyclicCode._from_vector(fac, v1)
+    c2 = CyclicCode._from_vector(fac, list(map(add, v2, cofactor)))
+    exact = not any(map(min, v1, cofactor))
     report = pair_analyze(c1, c2)
     return ConstructionResult(c1, c2, ell, (ell, ell + g1.degree), exact,
                               report.ell, report)
@@ -85,27 +96,31 @@ def construct_repeated(n_prime: int, field: Field, L: Polynomial, g1: Polynomial
     Works at ambient length n = p^nu * n' with p not dividing n':
     c1 = <g1^(p^nu)>, c2 = <g2 * (x^n - 1)/(L^s * g1^(p^nu))> for any
     0 <= s <= p^nu; L | x^{n'} - 1, g1 | (x^{n'} - 1)/L, g2 | g1^(p^nu).
+    n above MAX_REPEATED_LENGTH (4096) is refused with ValueError.  The
+    factors of x^n - 1 are those of x^{n'} - 1 with multiplicity p^nu, so
+    the links are checked on exponent vectors, those of L and g1 at most 1.
     """
     if nu < 0:
         raise ValueError(f"nu must be >= 0, got {nu}")
+    # p^nu >= 2^nu, so a nu this large is refused before p^nu is computed
+    if (nu >= MAX_REPEATED_LENGTH.bit_length()
+            or n_prime * field.p ** nu > MAX_REPEATED_LENGTH):
+        raise ValueError(f"length p^nu * n' = {field.p}^{nu} * {n_prime} exceeds "
+                         f"{MAX_REPEATED_LENGTH}")
     if n_prime % field.p == 0:
         raise DivisibilityError(f"n' = {n_prime} must be coprime to p = {field.p}")
     pnu = field.p ** nu
     if not 0 <= s <= pnu:
         raise ValueError(f"s must satisfy 0 <= s <= p^nu = {pnu}, got {s}")
-    for p, name in ((L, "L"), (g1, "g1"), (g2, "g2")):
-        _require_monic(p, name)
-    xnp1 = xn_minus_1(field, n_prime)
-    _require_divides(L, xnp1, "L | x^{n'} - 1")
-    _require_divides(g1, xnp1 // L, "g1 | (x^{n'} - 1)/L")
-    g1_pnu = g1 ** pnu
-    _require_divides(g2, g1_pnu, "g2 | g1^(p^nu)")
-    n = pnu * n_prime
-    xn1 = xn_minus_1(field, n)
-    k_poly = g2 * (xn1 // (L ** s * g1_pnu))
+    fac = factor_xn1(pnu * n_prime, field)
+    ones = [1] * len(fac.factors)
+    vL = _require_vector(fac, L, "L", ones, "L | x^{n'} - 1")
+    v1 = _require_vector(fac, g1, "g1", list(map(sub, ones, vL)), "g1 | (x^{n'} - 1)/L")
+    v1 = [pnu * e for e in v1]
+    v2 = _require_vector(fac, g2, "g2", v1, "g2 | g1^(p^nu)")
     target = L.degree * s
-    c1 = CyclicCode(n, field, g1_pnu)
-    c2 = CyclicCode(n, field, k_poly)
+    c1 = CyclicCode._from_vector(fac, v1)
+    c2 = CyclicCode._from_vector(fac, [b + pnu - s * a - c for a, b, c in zip(vL, v2, v1)])
     report = pair_analyze(c1, c2)
     return ConstructionResult(c1, c2, target, (target, target), True,
                               report.ell, report)
@@ -160,18 +175,11 @@ def construct_mds(field: Field, n: int, k1: int, k2: int, ell: int,
     if (field.q - 1) % n != 0:
         raise ValueError(f"n = {n} does not divide q - 1 = {field.q - 1}")
     alpha = root_of_unity(field, n)[2]  # t = 1: alpha lies in the field itself
-
-    def root_product(lo: int, hi: int) -> Polynomial:
-        out = Polynomial.one(field)
-        for i in range(lo, hi):
-            root = field.pow(alpha, i)
-            out = out * Polynomial(field, (field.neg(root), 1))
-        return out
-
-    g1 = root_product(0, n - k1)
-    g2 = root_product(k2 - ell, n - ell)
-    c1 = CyclicCode(n, field, g1)
-    c2 = CyclicCode(n, field, g2)
+    # the cosets are singletons, and the factor of coset {i} is x - alpha^i
+    fac = factor_xn1(n, field)
+    reps = [e.coset_rep for e in fac.factors]
+    c1 = CyclicCode._from_vector(fac, [int(i < n - k1) for i in reps])
+    c2 = CyclicCode._from_vector(fac, [int(k2 - ell <= i < n - ell) for i in reps])
     report = pair_analyze(c1, c2, with_distances=with_distances, cap=cap)
     return ConstructionResult(c1, c2, ell, (ell, ell), True, report.ell, report,
                               alpha=FieldElement(field, alpha))

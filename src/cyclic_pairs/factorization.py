@@ -17,9 +17,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from cyclic_pairs.cyclotomic import (additive_order, coset_partition,
-                                     mult_order)
-from cyclic_pairs.fields import Field, make_field
+from cyclic_pairs.cyclotomic import (additive_order, coset_of,
+                                     coset_partition, mult_order)
+from cyclic_pairs.fields import Field, FieldMismatchError, make_field
 from cyclic_pairs.poly import Polynomial
 
 
@@ -43,20 +43,6 @@ class FieldEmbedding:
     base: Field
     ext: Field
     gen_image: int
-
-    def embed(self, v: int) -> int:
-        base, ext = self.base, self.ext
-        if base is ext:
-            return v
-        if base.m == 1:
-            return v  # constants encode identically
-        acc, power = 0, 1
-        while v:
-            v, digit = divmod(v, base.p)
-            if digit:
-                acc = ext.add(acc, ext.mul(digit, power))
-            power = ext.mul(power, self.gen_image)
-        return acc
 
 
 def _subfield_root(base: Field, ext: Field) -> int:
@@ -213,14 +199,52 @@ class Factorization:
         A divisor of x^n - 1 is its exponent vector; this is the one place
         that multiplies the vector out into a polynomial.
         """
-        out = Polynomial.one(self.field)
+        out = None
         for e, entry in zip(exponents, self.factors, strict=True):
             if not 0 <= e <= entry.multiplicity:
                 raise ValueError(f"exponent {e} of {entry.poly} is outside "
                                  f"0..{entry.multiplicity}")
             if e:
-                out = out * entry.poly ** e
-        return out
+                power = entry.poly ** e
+                out = power if out is None else out * power
+        return Polynomial.one(self.field) if out is None else out
+
+    def vector(self, g: Polynomial) -> tuple[int, ...]:
+        """The exponent vector of g up to a unit, the inverse of ``divisor``.
+
+        Found by trial division by each factor; a g that does not divide
+        x^n - 1 raises ValueError.
+        """
+        if g.field is not self.field:
+            raise FieldMismatchError(f"{g} is over {g.field!r}, not {self.field!r}")
+        rest, out = g.monic(), []
+        for entry in self.factors:
+            e = 0
+            while e < entry.multiplicity and rest.degree:
+                quo, rem = divmod(rest, entry.poly)
+                if not rem.is_zero():
+                    break
+                rest, e = quo, e + 1
+            out.append(e)
+        if not rest.is_one():
+            raise ValueError(f"{g} does not divide x^{self.n} - 1 over {self.field!r}")
+        return tuple(out)
+
+    def degree(self, exponents) -> int:
+        """Degree of the divisor with the given exponent vector."""
+        return sum(e * entry.poly.degree for e, entry in zip(exponents, self.factors))
+
+    def dual(self, exponents) -> tuple[int, ...]:
+        """Exponent vector of the dual code's generator.
+
+        The dual of <g> is generated by the reciprocal of (x^n - 1)/g, and
+        the reciprocal of the factor of the coset of r is the factor of
+        the coset of -r: e_i becomes mult_i - e_sigma(i).
+        """
+        n_prime, q = self.n_prime, self.field.q
+        index = {entry.coset_rep: i for i, entry in enumerate(self.factors)}
+        sigma = [index[coset_of(n_prime, q, -e.coset_rep % n_prime)[0]] for e in self.factors]
+        return tuple(e.multiplicity - exponents[j] for e, j in zip(self.factors, sigma))
 
     def product(self) -> Polynomial:
         return self.divisor([e.multiplicity for e in self.factors])

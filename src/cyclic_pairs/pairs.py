@@ -1,4 +1,5 @@
-"""Pair analysis: intersection/sum dimensions, hulls, existence of a
+"""Pair analysis: intersection/sum dimensions and hulls as elementwise
+max/min of exponent vectors over the factors of x^n - 1, existence of a
 degree-ell divisor of x^n - 1 by bounded subset-sum over the factor
 degrees, and the small-ell feasibility shortcuts.
 """
@@ -11,7 +12,7 @@ from cyclic_pairs.codes import DEFAULT_CAP, CyclicCode
 from cyclic_pairs.cyclotomic import mult_order
 from cyclic_pairs.factorization import Factorization, factor_xn1, split_length
 from cyclic_pairs.fields import Field
-from cyclic_pairs.poly import Polynomial, poly_gcd, poly_lcm
+from cyclic_pairs.poly import Polynomial
 
 
 @dataclass(frozen=True)
@@ -37,16 +38,19 @@ def pair_analyze(c1: CyclicCode, c2: CyclicCode, with_distances: bool = False,
                  cap: int = DEFAULT_CAP) -> PairReport:
     """Intersection and sum of two same-length cyclic codes.
 
-    dim(C1 ∩ C2) = n - deg lcm(g1, g2) and the sum code is generated by
-    gcd(g1, g2); distances are filled only on request since they are the
-    expensive part.
+    With a and b the exponent vectors of g1 and g2 over the factors f_i
+    of x^n - 1, C1 ∩ C2 is generated by prod f_i^max(a_i, b_i), the lcm,
+    and C1 + C2 by prod f_i^min(a_i, b_i), the gcd; so
+    dim(C1 ∩ C2) = n - sum deg f_i * max(a_i, b_i).  Distances are
+    filled only on request since they are the expensive part.
     """
     if c1.field is not c2.field:
         raise ValueError("codes live over different fields")
     if c1.n != c2.n:
         raise ValueError(f"length mismatch: {c1.n} vs {c2.n}")
-    inter = poly_lcm(c1.g, c2.g)
-    summ = poly_gcd(c1.g, c2.g)
+    fac = factor_xn1(c1.n, c1.field)
+    inter = fac.divisor(map(max, c1.vector, c2.vector))
+    summ = fac.divisor(map(min, c1.vector, c2.vector))
     ell = c1.n - inter.degree
     sum_dim = c1.n - summ.degree
     d1 = d2 = None
@@ -57,8 +61,9 @@ def pair_analyze(c1: CyclicCode, c2: CyclicCode, with_distances: bool = False,
 
 
 def hull_dim(c: CyclicCode) -> int:
-    """Dimension of C ∩ C-dual."""
-    return pair_analyze(c, c.dual()).ell
+    """Dimension of C ∩ C-dual: n - sum deg f_i * max(e_i, e-dual_i)."""
+    fac = factor_xn1(c.n, c.field)
+    return c.n - fac.degree(map(max, c.vector, fac.dual(c.vector)))
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,9 @@
 
 Coefficients are stored as canonical integer encodings, ascending by
 degree, with no trailing zeros (the zero polynomial has an empty
-coefficient tuple and degree ``None``).  gcd/lcm outputs are monic so
-generator polynomials are canonical.
+coefficient tuple and degree ``None``).  Divisors of x^n - 1 are worked
+with as exponent vectors (``Factorization``); polynomials are their
+output form, so this module has no gcd or lcm.
 
 Products take one lane per field, all giving the same coefficients:
 
@@ -105,10 +106,6 @@ class Polynomial:
             return self
         inv = self.field.inv(self.coeffs[-1])
         return Polynomial(self.field, [self.field.mul(c, inv) for c in self.coeffs])
-
-    def reciprocal(self) -> "Polynomial":
-        """x^deg * p(1/x): the coefficient sequence reversed."""
-        return Polynomial(self.field, tuple(reversed(self.coeffs)))
 
     def _same_field(self, other: "Polynomial") -> None:
         if other.field is not self.field:
@@ -233,12 +230,6 @@ class Polynomial:
     def __mod__(self, other: "Polynomial") -> "Polynomial":
         return divmod(self, other)[1]
 
-    def divides(self, other: "Polynomial") -> bool:
-        """True when self | other."""
-        if self.is_zero():
-            return other.is_zero()
-        return (other % self).is_zero()
-
     def __eq__(self, other):
         return (isinstance(other, Polynomial) and other.field is self.field
                 and other.coeffs == self.coeffs)
@@ -248,29 +239,24 @@ class Polynomial:
 
     # -- evaluation -------------------------------------------------------------
 
-    def __call__(self, pt: FieldElement, embed=None) -> FieldElement:
-        return self.evaluate(pt, embed=embed)
+    def __call__(self, pt: FieldElement) -> FieldElement:
+        return self.evaluate(pt)
 
-    def evaluate(self, pt: FieldElement, embed=None) -> FieldElement:
+    def evaluate(self, pt: FieldElement) -> FieldElement:
         """Horner evaluation at ``pt``.
 
-        ``pt`` may live in an extension field: pass ``embed`` mapping
-        coefficient encodings into that field; prime-subfield
-        coefficients embed canonically without it.
+        ``pt`` lies in the polynomial's field, or, for a polynomial over a
+        prime field, in any field of the same characteristic.
         """
         target = pt.field
-        if target is self.field:
-            lift = lambda c: c
-        elif embed is not None:
-            lift = embed
-        elif self.field.m == 1 and target.p == self.field.p:
-            lift = lambda c: c  # constants encode identically
-        else:
+        if target is not self.field and not (self.field.m == 1
+                                             and target.p == self.field.p):
             raise FieldMismatchError(
                 f"no embedding of {self.field!r} into {target!r}")
         acc = 0
         for c in reversed(self.coeffs):
-            acc = target.add(target.mul(acc, pt.value), lift(c))
+            # prime-field constants encode identically in every extension
+            acc = target.add(target.mul(acc, pt.value), c)
         return FieldElement(target, acc)
 
     # -- text form ----------------------------------------------------------------
@@ -372,24 +358,6 @@ def parse_poly(text: str, field: Field) -> Polynomial:
         return Polynomial.zero(field)
     top = max(coeffs)
     return Polynomial(field, [coeffs.get(k, 0) for k in range(top + 1)])
-
-
-def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic greatest common divisor."""
-    a._same_field(b)
-    if a.is_zero() and b.is_zero():
-        raise ValueError("gcd(0, 0) is undefined")
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
-
-
-def poly_lcm(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic least common multiple; lcm with the zero polynomial is zero."""
-    a._same_field(b)
-    if a.is_zero() or b.is_zero():
-        return Polynomial.zero(a.field)
-    return ((a * b) // poly_gcd(a, b)).monic()
 
 
 def xn_minus_1(field: Field, n: int) -> Polynomial:

@@ -166,19 +166,15 @@ def search_pairs(n: int, f: Field, ell: int, min_d1: int = 1, min_d2: int = 1,
         return SearchResult([], infeasible=True,
                             reason=f"no monic divisor of x^{n} - 1 has degree {ell}")
     degrees = fac.factor_degrees()
-
-    def dim(v):
-        return n - sum(e * d for e, d in zip(v, degrees))
-
     # the zero code (dimension 0) cannot meet a distance threshold
-    vectors = [v for v in _exponent_vectors(fac) if dim(v) > 0]
+    vectors = [v for v in _exponent_vectors(fac) if fac.degree(v) < n]
     codes: dict[tuple[int, ...], CyclicCode] = {}
     dists: dict[tuple[int, ...], int | None] = {}
     skipped = 0
 
     def dist_for(v):
         if v not in dists:
-            codes[v] = CyclicCode(n, f, fac.divisor(v))
+            codes[v] = CyclicCode._from_vector(fac, v)
             try:
                 dists[v] = codes[v].min_distance(cap).d
             except EnumerationCapExceeded:
@@ -200,9 +196,7 @@ def search_pairs(n: int, f: Field, ell: int, min_d1: int = 1, min_d2: int = 1,
             kept.append((v1, v2, d1, d2))
     kept.sort(key=lambda t: (-(t[2] + t[3]), -(t[2] * t[3]),
                              codes[t[0]].g.coeffs, codes[t[1]].g.coeffs))
-    reports = []
-    for v1, v2, d1, d2 in kept[:limit]:
-        top, low = tuple(map(max, v1, v2)), tuple(map(min, v1, v2))
-        reports.append(PairReport(codes[v1], codes[v2], ell, dim(low),
-                                  fac.divisor(top), fac.divisor(low), d1, d2))
+    # the distances are cached on the codes, so the cap plays no part here
+    reports = [pair_analyze(codes[v1], codes[v2], with_distances=True)
+               for v1, v2, _, _ in kept[:limit]]
     return SearchResult(reports, skipped_by_cap=skipped)

@@ -4,14 +4,72 @@ Everything here deliberately avoids the library's optimized paths: rank
 by plain Gaussian elimination on Field ops, distance by naive message
 enumeration, divisor existence by exhaustive lattice products, minimal
 polynomials by multiplying out the coset product, polynomial products by
-the schoolbook double loop.
+the schoolbook double loop, and intersections, sums and duals of cyclic
+codes by polynomial gcd, lcm, division and reciprocal instead of
+exponent vectors.
 """
 
 from itertools import product
 
-from cyclic_pairs.factorization import CoercionError, root_of_unity
+from cyclic_pairs.factorization import CoercionError, FieldEmbedding, root_of_unity
 from cyclic_pairs.fields import Field
-from cyclic_pairs.poly import Polynomial
+from cyclic_pairs.poly import Polynomial, xn_minus_1
+
+
+def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
+    """Monic greatest common divisor, by Euclid's algorithm."""
+    a._same_field(b)
+    if a.is_zero() and b.is_zero():
+        raise ValueError("gcd(0, 0) is undefined")
+    while not b.is_zero():
+        a, b = b, a % b
+    return a.monic()
+
+
+def poly_lcm(a: Polynomial, b: Polynomial) -> Polynomial:
+    """Monic least common multiple; lcm with the zero polynomial is zero."""
+    a._same_field(b)
+    if a.is_zero() or b.is_zero():
+        return Polynomial.zero(a.field)
+    return ((a * b) // poly_gcd(a, b)).monic()
+
+
+def divides(a: Polynomial, b: Polynomial) -> bool:
+    """True when a | b."""
+    if a.is_zero():
+        return b.is_zero()
+    return (b % a).is_zero()
+
+
+def code_contains(code, word: Polynomial) -> bool:
+    """Membership: the word reduced mod x^n - 1 is divisible by the generator."""
+    return divides(code.g, word % xn_minus_1(code.field, code.n))
+
+
+def poly_pair_analysis(c1, c2) -> tuple[int, int, Polynomial, Polynomial]:
+    """(ell, sum_dim, lcm, gcd) of two codes' generators, by polynomial gcd/lcm."""
+    inter, summ = poly_lcm(c1.g, c2.g), poly_gcd(c1.g, c2.g)
+    return c1.n - inter.degree, c1.n - summ.degree, inter, summ
+
+
+def poly_dual_generator(code) -> Polynomial:
+    """Monic reciprocal (coefficients reversed) of the check polynomial (x^n - 1)/g."""
+    h = xn_minus_1(code.field, code.n) // code.g
+    return Polynomial(code.field, h.coeffs[::-1]).monic()
+
+
+def embed(emb: FieldEmbedding, v: int) -> int:
+    """Image of the base-field encoding v in the extension field of emb."""
+    base, ext = emb.base, emb.ext
+    if base is ext or base.m == 1:
+        return v  # constants encode identically
+    acc, power = 0, 1
+    while v:
+        v, digit = divmod(v, base.p)
+        if digit:
+            acc = ext.add(acc, ext.mul(digit, power))
+        power = ext.mul(power, emb.gen_image)
+    return acc
 
 
 def rank_over_field(rows, f: Field) -> int:
@@ -115,7 +173,7 @@ def naive_minimal_poly(n_prime: int, field: Field, coset) -> Polynomial:
         for i in range(len(coeffs) - 2, -1, -1):
             below = coeffs[i - 1] if i > 0 else 0
             coeffs[i] = ext.sub(below, ext.mul(coeffs[i], root))
-    section = {emb.embed(v): v for v in range(field.q)}
+    section = {embed(emb, v): v for v in range(field.q)}
     if any(c not in section for c in coeffs):
         raise CoercionError(f"a coefficient of the coset {coset} product is outside "
                             f"the embedded base field")

@@ -12,11 +12,12 @@ from cyclic_pairs.cyclotomic import coset_count, mult_order
 from cyclic_pairs.factorization import factor_xn1, split_length
 from cyclic_pairs.fields import field_from_order, make_field
 from cyclic_pairs.pairs import exists_ell, pair_analyze, small_ell_predicate
-from cyclic_pairs.poly import Polynomial, poly_gcd, xn_minus_1
+from cyclic_pairs.codes import CyclicCode
+from cyclic_pairs.poly import Polynomial, xn_minus_1
 from cyclic_pairs.tables import load_table_rows, verify_table
 
-from helpers import (brute_force_divisor_degrees, random_divisor,
-                     rank_over_field)
+from helpers import (brute_force_divisor_degrees, divides, poly_gcd,
+                     random_divisor, rank_over_field)
 
 
 def _verdict(num, ok, detail):
@@ -106,7 +107,7 @@ def test_criterion_3_existence_oracle_equivalence():
                 failures.append((n, q, ell))
             elif w.feasible:
                 deg = w.witness.degree or 0
-                if deg != ell or not w.witness.divides(xn_minus_1(f, n)):
+                if deg != ell or not divides(w.witness, xn_minus_1(f, n)):
                     failures.append((n, q, ell, "bad witness"))
     _verdict(3, not failures,
              f"existence oracle matches brute-force divisor enumeration on "
@@ -225,9 +226,8 @@ def test_criterion_8_rank_oracle_equivalence():
             for _ in range(200):
                 c1_g = random_divisor(rng, fac)
                 c2_g = random_divisor(rng, fac)
-                from cyclic_pairs.codes import make_code
-                c1 = make_code(n, f, c1_g)
-                c2 = make_code(n, f, c2_g)
+                c1 = CyclicCode(n, f, c1_g)
+                c2 = CyclicCode(n, f, c2_g)
                 rep = pair_analyze(c1, c2)
                 stacked = c1.generator_matrix() + c2.generator_matrix()
                 rank = rank_over_field(stacked, f) if stacked else 0

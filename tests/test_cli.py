@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from cyclic_pairs import constructions
 from cyclic_pairs.cli import (CSV_HEADER, EXIT_CAP, EXIT_OK, EXIT_USAGE,
                               EXIT_VERIFY_FAILED, main)
 
@@ -99,6 +100,27 @@ def test_construct_mds(capsys):
     assert data["exact"] is True and data["ell"] == 1
     assert [c["d"] for c in data["codes"]] == [6, 5]
     assert "alpha" in data["construction"]
+
+
+@pytest.mark.parametrize("n_prime, nu", [(1, 13), (4097, 0), (1, 10 ** 6)])
+def test_construct_repeated_refuses_a_length_past_the_bound(n_prime, nu, capsys,
+                                                            monkeypatch):
+    # p^nu * n' > MAX_REPEATED_LENGTH = 4096 is refused before anything is built
+    assert constructions.MAX_REPEATED_LENGTH == 4096
+    monkeypatch.setattr(constructions, "factor_xn1",
+                        lambda *args: pytest.fail("a factorization was built"))
+    code, out, err = run(["construct", "--mode", "repeated", "--n-prime", str(n_prime),
+                          "--nu", str(nu), "--L", "1", "--g1", "1", "--g2", "1",
+                          "--json"], capsys)
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error:") and "exceeds 4096" in err
+
+
+def test_construct_repeated_at_the_length_bound(capsys):
+    data = run_json(["construct", "--mode", "repeated", "--n-prime", "1", "--nu", "12",
+                     "--L", "1", "--g1", "1", "--g2", "1"], capsys)
+    assert data["n"] == 4096 and data["ell"] == 0
+    assert [c["g"] for c in data["codes"]] == ["1", "x^4096 + 1"]
 
 
 def test_construct_missing_argument_is_usage_error(capsys):

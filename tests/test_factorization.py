@@ -1,4 +1,5 @@
 import random
+from itertools import product
 from math import gcd
 
 import pytest
@@ -9,9 +10,10 @@ from cyclic_pairs.cyclotomic import coset_count, coset_partition
 from cyclic_pairs.factorization import (CoercionError, factor_xn1,
                                         minimal_poly, root_of_unity,
                                         split_length)
-from cyclic_pairs.fields import field_from_order, is_irreducible, make_field
-from cyclic_pairs.poly import parse_poly, poly_gcd, xn_minus_1
-from helpers import naive_minimal_poly
+from cyclic_pairs.fields import (FieldMismatchError, field_from_order, is_irreducible,
+                                 make_field)
+from cyclic_pairs.poly import parse_poly, xn_minus_1
+from helpers import embed, naive_minimal_poly, poly_gcd
 
 GF2 = make_field(2)
 
@@ -35,7 +37,7 @@ def test_root_of_unity_deterministic():
         cur = ext.mul(cur, alpha)
         seen.add(cur)
     assert cur == 1 and len(seen) == 7
-    assert emb.embed(0) == 0 and emb.embed(1) == 1
+    assert embed(emb, 0) == 0 and embed(emb, 1) == 1
     # same call again hits the cache and returns the identical objects
     assert root_of_unity(GF2, 7) == (ext, emb, alpha)
 
@@ -61,7 +63,14 @@ def test_minimal_poly_is_irreducible_with_matching_degree():
         fact = factor_xn1(n_prime, f)
         for e in fact.factors:
             assert e.poly.is_monic()
-            assert is_irreducible(tuple(e.poly.coeffs), f.p) or f.m > 1
+            if f.m == 1:
+                assert is_irreducible(tuple(e.poly.coeffs), f.p)
+            else:
+                # a reducible polynomial of degree 2 or 3 has a linear factor,
+                # so for these degrees having no root in GF(q) is irreducibility
+                assert e.poly.degree <= 3
+                assert e.poly.degree == 1 or all(
+                    e.poly.evaluate(f.element(a)).value != 0 for a in range(q))
             assert len(
                 [j for j in range(n_prime)
                  if _in_coset(n_prime, q, e.coset_rep, j)]) == e.poly.degree
@@ -171,3 +180,33 @@ def test_factor_xn1_matches_sympy(q):
                           for g, k in factors)
         got = sorted((e.poly.coeffs, e.multiplicity) for e in factor_xn1(n, f).factors)
         assert got == expected, n
+
+
+VECTOR_CASES = [(7, 2), (12, 2), (15, 2), (6, 3), (9, 3), (13, 3), (6, 4), (15, 4), (10, 5),
+                (20, 9)]
+
+
+@pytest.mark.parametrize("n, q", VECTOR_CASES)
+def test_vector_inverts_divisor_on_every_divisor(n, q):
+    fac = factor_xn1(n, field_from_order(q))
+    vectors = list(product(*(range(e.multiplicity + 1) for e in fac.factors)))
+    for v in vectors:
+        g = fac.divisor(v)
+        assert fac.vector(g) == v
+        assert fac.degree(v) == (g.degree or 0)
+
+
+def test_vector_refuses_a_non_divisor_and_a_foreign_field():
+    fac = factor_xn1(7, GF2)
+    for text in ("x^2+1", "x", "x^3+x+1 + x^4", "x^8+1"):
+        g = parse_poly(text, GF2)
+        with pytest.raises(ValueError, match=r"does not divide x\^7 - 1") as exc:
+            fac.vector(g)
+        assert str(g) in str(exc.value)
+    with pytest.raises(FieldMismatchError):
+        fac.vector(parse_poly("x+1", make_field(3)))
+    # a unit multiple of a divisor has the divisor's vector
+    gf3 = make_field(3)
+    fac3 = factor_xn1(8, gf3)
+    assert fac3.vector(parse_poly("2*x^2+2*x+1", gf3)) == \
+        fac3.vector(parse_poly("x^2+x+2", gf3))

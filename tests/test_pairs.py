@@ -5,14 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclic_pairs.codes import make_code
+from cyclic_pairs.codes import CyclicCode
 from cyclic_pairs.factorization import factor_xn1
 from cyclic_pairs.fields import field_from_order, make_field
 from cyclic_pairs.pairs import (exists_ell, hull_dim, pair_analyze,
                                 small_ell_predicate)
-from cyclic_pairs.poly import parse_poly, poly_gcd, xn_minus_1
+from cyclic_pairs.poly import parse_poly, xn_minus_1
+from cyclic_pairs.tables import all_divisors
 
-from helpers import (brute_force_divisor_degrees, random_divisor,
+from helpers import (brute_force_divisor_degrees, code_contains, divides,
+                     poly_dual_generator, poly_pair_analysis, random_divisor,
                      rank_over_field)
 
 GF2 = make_field(2)
@@ -20,7 +22,7 @@ GF2 = make_field(2)
 
 def C(n, g_text, q=2):
     f = field_from_order(q)
-    return make_code(n, f, parse_poly(g_text, f))
+    return CyclicCode(n, f, parse_poly(g_text, f))
 
 
 # -- pair_analyze --------------------------------------------------------------
@@ -58,7 +60,7 @@ def test_pair_mismatch_errors():
         pair_analyze(C(7, "x+1"), C(9, "x+1"))
     gf3 = make_field(3)
     with pytest.raises(ValueError):
-        pair_analyze(C(8, "x+1"), make_code(8, gf3, parse_poly("x-1", gf3)))
+        pair_analyze(C(8, "x+1"), CyclicCode(8, gf3, parse_poly("x-1", gf3)))
 
 
 def test_pair_dimensions_match_rank_oracle():
@@ -67,8 +69,8 @@ def test_pair_dimensions_match_rank_oracle():
         f = field_from_order(q)
         fact = factor_xn1(n, f)
         for _ in range(6):
-            c1 = make_code(n, f, random_divisor(rng, fact))
-            c2 = make_code(n, f, random_divisor(rng, fact))
+            c1 = CyclicCode(n, f, random_divisor(rng, fact))
+            c2 = CyclicCode(n, f, random_divisor(rng, fact))
             rep = pair_analyze(c1, c2)
             stacked = c1.generator_matrix() + c2.generator_matrix()
             sum_rank = rank_over_field(stacked, f) if stacked else 0
@@ -77,12 +79,39 @@ def test_pair_dimensions_match_rank_oracle():
             assert rep.ell == c1.k + c2.k - sum_rank
             # and the claimed generators really generate codes of those sizes
             if rep.ell:
-                inter = make_code(n, f, rep.intersection_generator)
+                inter = CyclicCode(n, f, rep.intersection_generator)
                 assert inter.k == rep.ell
                 from cyclic_pairs.poly import Polynomial
                 for row in inter.generator_matrix():
                     word = Polynomial(f, row)
-                    assert c1.contains(word) and c2.contains(word)
+                    assert code_contains(c1, word) and code_contains(c2, word)
+
+
+# the (n, q) set of test_tables.py::test_search_matches_brute_force_pair_analysis
+ORACLE_CASES = [(12, 2), (6, 3), (9, 3), (6, 4)]
+
+
+@pytest.mark.parametrize("n, q", ORACLE_CASES)
+def test_vector_pair_analysis_matches_polynomial_oracle(n, q):
+    f = field_from_order(q)
+    codes = [CyclicCode(n, f, g) for g in all_divisors(n, f)]
+    for c1 in codes:
+        for c2 in codes:
+            rep = pair_analyze(c1, c2)
+            assert (rep.ell, rep.sum_dim, rep.intersection_generator,
+                    rep.sum_generator) == poly_pair_analysis(c1, c2), (c1, c2)
+
+
+@pytest.mark.parametrize("n, q", ORACLE_CASES + [(7, 2), (15, 2), (21, 2), (13, 3),
+                                                 (15, 4), (9, 4), (10, 9)])
+def test_vector_dual_and_hull_match_polynomial_oracle(n, q):
+    f = field_from_order(q)
+    for g in all_divisors(n, f):
+        c = CyclicCode(n, f, g)
+        dual = c.dual()
+        assert dual.g == poly_dual_generator(c), c
+        assert dual.vector == CyclicCode(n, f, dual.g).vector
+        assert hull_dim(c) == poly_pair_analysis(c, dual)[0], c
 
 
 def test_hull_examples():
@@ -123,7 +152,7 @@ def test_exists_matches_brute_force():
             assert w.feasible == (ell in attainable), (n, q, ell)
             if w.feasible:
                 assert w.witness.degree == (ell if ell else None) or ell == 0
-                assert w.witness.divides(xn_minus_1(f, n))
+                assert divides(w.witness, xn_minus_1(f, n))
                 assert sum(s * e.poly.degree for s, e in
                            zip(w.multiplicity_vector, fact.factors)) == ell
 
@@ -166,12 +195,12 @@ def test_pair_identities_property(n, q, data):
     f = field_from_order(q)
     fact = factor_xn1(n, f)
     rng = random.Random(data.draw(st.integers(0, 2 ** 30)))
-    c1 = make_code(n, f, random_divisor(rng, fact))
-    c2 = make_code(n, f, random_divisor(rng, fact))
+    c1 = CyclicCode(n, f, random_divisor(rng, fact))
+    c2 = CyclicCode(n, f, random_divisor(rng, fact))
     rep = pair_analyze(c1, c2)
     assert rep.ell + rep.sum_dim == c1.k + c2.k
     assert 0 <= rep.ell <= min(c1.k, c2.k)
     assert max(c1.k, c2.k) <= rep.sum_dim <= n
-    assert rep.sum_generator.divides(c1.g) and rep.sum_generator.divides(c2.g)
-    assert c1.g.divides(rep.intersection_generator)
-    assert rep.intersection_generator.divides(xn_minus_1(f, n))
+    assert divides(rep.sum_generator, c1.g) and divides(rep.sum_generator, c2.g)
+    assert divides(c1.g, rep.intersection_generator)
+    assert divides(rep.intersection_generator, xn_minus_1(f, n))
