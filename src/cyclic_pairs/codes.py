@@ -49,7 +49,8 @@ class CyclicCode:
     def __init__(self, n: int, field: Field, g: Polynomial):
         if g.is_zero():
             raise ValueError("the zero polynomial generates no cyclic code")
-        self._set(n, field, g.monic(), factor_xn1(n, field).vector(g))
+        g = g.monic()
+        self._set(n, field, g, factor_xn1(n, field).vector(g))
 
     @classmethod
     def _from_vector(cls, fac: Factorization, vector) -> "CyclicCode":

@@ -235,6 +235,6 @@ def test_criterion_8_rank_oracle_equivalence():
                     mismatches.append((n, q))
                 checked += 1
     _verdict(8, not mismatches,
-             f"lcm-based intersection dimension matched independent rank "
+             f"vector (elementwise max) intersection dimension matched independent rank "
              f"elimination on {checked} random pairs "
              f"(mismatches: {mismatches[:3] or 'none'})")
