@@ -20,9 +20,8 @@ from cyclic_pairs.cyclotomic import (CosetPartition, additive_order,
                                      coset_count, coset_of, coset_partition,
                                      euler_phi, mult_order)
 from cyclic_pairs.factorization import (Factorization, FactorEntry,
-                                        FieldEmbedding, factor_xn1,
-                                        minimal_poly, root_of_unity,
-                                        split_length)
+                                        factor_xn1, minimal_poly,
+                                        root_of_unity, split_length)
 from cyclic_pairs.fields import (Field, FieldElement, FieldMismatchError,
                                  field_from_order, make_field)
 from cyclic_pairs.pairs import (ExistenceWitness, PairReport, exists_ell,

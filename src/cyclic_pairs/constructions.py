@@ -15,16 +15,17 @@ from cyclic_pairs.codes import DEFAULT_CAP, CyclicCode
 from cyclic_pairs.factorization import Factorization, factor_xn1, root_of_unity
 from cyclic_pairs.fields import Field, FieldElement, FieldMismatchError
 from cyclic_pairs.pairs import PairReport, pair_analyze
-from cyclic_pairs.poly import Polynomial
+from cyclic_pairs.poly import MAX_LENGTH, Polynomial
 
 
 class DivisibilityError(ValueError):
     """A divisibility link in a construction precondition fails."""
 
 
-# longest ambient length p^nu * n' construct_repeated builds; its generators
-# have degree up to that length, so longer ones are refused before any product
-MAX_REPEATED_LENGTH = 1 << 12
+# longest ambient length p^nu * n' construct_repeated builds, the bound
+# factor_xn1 keeps too; its generators have degree up to that length, so
+# longer ones are refused before any product
+MAX_REPEATED_LENGTH = MAX_LENGTH
 
 
 def _require_vector(fac: Factorization, p: Polynomial, name: str, bound,

@@ -3,7 +3,11 @@
 x^n - 1 = (x^{n'} - 1)^{p^nu} with n = p^nu * n', and each q-cyclotomic
 coset of Z_{n'} yields one irreducible factor as the minimal polynomial
 of alpha^rep for a primitive n'-th root of unity alpha living in a
-deterministic extension field GF(p^(m*t)).
+deterministic extension field GF(p^(m*t)), t = ord_n'(q).  alpha, and the
+generator of the copy of GF(q) in which the image gamma of GF(q)'s own
+generator is sought, both come from ``Field.element_of_order``.  Lengths
+above ``MAX_LENGTH`` and degrees m*t above ``MAX_EXTENSION_DEGREE`` are
+refused up front.
 
 A minimal polynomial is the first GF(q)-linear dependency among the
 powers of beta = alpha^rep, found by one linear solve over GF(p) on a
@@ -20,7 +24,10 @@ import numpy as np
 from cyclic_pairs.cyclotomic import (additive_order, coset_of,
                                      coset_partition, mult_order)
 from cyclic_pairs.fields import Field, FieldMismatchError, make_field
-from cyclic_pairs.poly import Polynomial
+from cyclic_pairs.poly import MAX_LENGTH, Polynomial
+
+# largest extension degree m*t root_of_unity builds a field for
+MAX_EXTENSION_DEGREE = 512
 
 
 class CoercionError(RuntimeError):
@@ -31,92 +38,44 @@ class CoercionError(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
-class FieldEmbedding:
-    """Embedding of GF(q) = GF(p^m) into an extension GF(p^(m*t)).
-
-    The base generator (the class of x, encoded as the integer p) maps
-    to ``gen_image``, a root of the base modulus in the extension;
-    prime fields embed canonically as constants.
-    """
-
-    base: Field
-    ext: Field
-    gen_image: int
-
-
 def _subfield_root(base: Field, ext: Field) -> int:
     """Deterministic root of the base modulus inside the extension.
 
-    The roots lie in the copy of GF(q) inside ext, enumerated as powers
-    of an element of multiplicative order q - 1; the least power index
-    wins, making the embedding reproducible.
+    The roots lie in the copy of GF(q) inside ext, the powers of
+    w = ext.element_of_order(q - 1); the least power index wins, making
+    the embedding reproducible.
     """
-    q = base.q
-    target = (ext.q - 1) // (q - 1)
-    for beta in range(2, ext.q):
-        w = ext.pow(beta, target)
-        if w == 1:
-            continue
-        if _mult_order_exact(ext, w, q - 1):
-            break
-    else:
-        raise RuntimeError("no generator of the subfield found")
-    mod_poly = base.modulus
+    w = ext.element_of_order(base.q - 1)
+    modulus = Polynomial(make_field(base.p), base.modulus)
     u = 1
-    for _ in range(q - 1):
-        # evaluate the base modulus at u; coefficients are prime-field constants
-        acc = 0
-        for c in reversed(mod_poly):
-            acc = ext.add(ext.mul(acc, u), c)
-        if acc == 0:
+    for _ in range(base.q - 1):
+        if not modulus.evaluate(ext.element(u)):
             return u
         u = ext.mul(u, w)
     raise RuntimeError("base modulus has no root in the extension")
 
 
-def _mult_order_exact(f: Field, a: int, n: int) -> bool:
-    """True when a has multiplicative order exactly n (a^n is known to be 1)."""
-    if f.pow(a, n) != 1:
-        return False
-    m = n
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            if f.pow(a, n // d) == 1:
-                return False
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1 and f.pow(a, n // m) == 1:
-        return False
-    return True
-
-
 @lru_cache(maxsize=None)
-def root_of_unity(field: Field, n_prime: int) -> tuple[Field, FieldEmbedding, int]:
-    """(extension, embedding, alpha) with alpha of multiplicative order n'.
+def root_of_unity(field: Field, n_prime: int) -> tuple[Field, int, int]:
+    """(ext, gamma, alpha) with alpha of multiplicative order n' in ext.
 
-    alpha is the first gamma = beta^((Q-1)/n') of exact order n' with
-    beta ranging over nonzero extension elements in ascending canonical
-    order, so the factor labelling is implementation-independent.
+    ext is GF(p^(m*t)), t = ord_n'(q); a degree m*t above
+    MAX_EXTENSION_DEGREE is refused with ValueError before ext is built.
+    gamma, the image of the base generator (the class of x, encoded as
+    p), is a root of the base modulus in ext; prime-field constants embed
+    as themselves and gamma is 0.  alpha is ext.element_of_order(n'), so
+    the factor labelling is implementation-independent.
     """
     t = mult_order(field.q, n_prime)
+    if field.m * t > MAX_EXTENSION_DEGREE:
+        raise ValueError(f"a root of unity of order {n_prime} over {field!r} needs "
+                         f"GF({field.p}^{field.m * t}), past degree {MAX_EXTENSION_DEGREE}")
     if t == 1:
-        ext = field
-        emb = FieldEmbedding(field, field, 0 if field.m == 1 else field.p)
+        ext, gamma = field, field.p if field.m > 1 else 0
     else:
         ext = make_field(field.p, field.m * t, order_bound=None)
-        emb = FieldEmbedding(field, ext,
-                             _subfield_root(field, ext) if field.m > 1 else 0)
-    if n_prime == 1:
-        return ext, emb, 1
-    cofactor = (ext.q - 1) // n_prime
-    for beta in range(1, ext.q):
-        gamma = ext.pow(beta, cofactor)
-        if _mult_order_exact(ext, gamma, n_prime):
-            return ext, emb, gamma
-    raise RuntimeError(f"no element of order {n_prime} in {ext!r}")
+        gamma = _subfield_root(field, ext) if field.m > 1 else 0
+    return ext, gamma, ext.element_of_order(n_prime)
 
 
 @lru_cache(maxsize=1)
@@ -126,8 +85,8 @@ def _alpha_powers(field: Field, n_prime: int) -> tuple[np.ndarray, np.ndarray | 
     gamma is the image of the base generator (None over a prime field).
     One table is kept: factor_xn1 asks for every coset of one (field, n').
     """
-    ext, emb, alpha = root_of_unity(field, n_prime)
-    times_gamma = ext.times_matrix(emb.gen_image) if field.m > 1 else None
+    ext, gamma, alpha = root_of_unity(field, n_prime)
+    times_gamma = ext.times_matrix(gamma) if field.m > 1 else None
     return ext.power_digits(alpha, n_prime), times_gamma
 
 
@@ -255,8 +214,8 @@ class Factorization:
 
 def split_length(n: int, field: Field) -> tuple[int, int]:
     """n = p^nu * n' with p not dividing n'."""
-    if n < 1:
-        raise ValueError(f"length must be >= 1, got {n}")
+    if not 1 <= n <= MAX_LENGTH:
+        raise ValueError(f"length must be in 1..{MAX_LENGTH}, got {n}")
     nu, n_prime = 0, n
     while n_prime % field.p == 0:
         n_prime //= field.p

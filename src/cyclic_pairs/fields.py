@@ -36,7 +36,8 @@ confirms every survivor.
 Every lane can also give the m-by-m GF(p) matrix of multiplication by an
 element and, by doubling with it, the digit vectors of an element's
 powers; the small-field tables and the minimal polynomials of
-``factorization`` are built from these.
+``factorization`` are built from these, and its roots of unity come from
+``element_of_order``, the one search for an element of given order.
 
 Outside the prime fields and the tables, ``inv`` is Fermat's a^(q-2).
 """
@@ -441,6 +442,21 @@ class Field:
     def frobenius(self, a: int) -> int:
         """The characteristic-power map a -> a^p."""
         return self.pow(a, self.p)
+
+    def element_of_order(self, n: int) -> int:
+        """The first gamma = beta^((q-1)/n), beta = 1, 2, ..., of order exactly n.
+
+        gamma^n = 1 holds by construction, so gamma has order n when
+        gamma^(n/r) != 1 for every prime r | n.  ValueError unless n | q - 1.
+        """
+        if n < 1 or (self.q - 1) % n:
+            raise ValueError(f"{self!r} has no element of order {n}")
+        cofactor, primes = (self.q - 1) // n, _prime_divisors(n)
+        for beta in range(1, self.q):
+            gamma = self.pow(beta, cofactor)
+            if all(self.pow(gamma, n // r) != 1 for r in primes):
+                return gamma
+        raise RuntimeError(f"no element of order {n} in {self!r}")  # GF(q)* is cyclic
 
     # -- lookup tables for vectorized codeword enumeration -------------------
 

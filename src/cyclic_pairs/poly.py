@@ -27,6 +27,10 @@ import re
 from cyclic_pairs.fields import (Field, FieldElement, FieldMismatchError,
                                  _gf2_mul)
 
+# longest code length x^n - 1 is built or factored for; longer ones are
+# refused before anything is allocated
+MAX_LENGTH = 1 << 12
+
 
 class PolyParseError(ValueError):
     """Polynomial text that does not match the grammar."""
@@ -67,18 +71,6 @@ class Polynomial:
     @classmethod
     def one(cls, field: Field) -> "Polynomial":
         return cls(field, (1,))
-
-    @classmethod
-    def x(cls, field: Field) -> "Polynomial":
-        return cls(field, (0, 1))
-
-    @classmethod
-    def constant(cls, field: Field, c: int) -> "Polynomial":
-        return cls(field, (c,))
-
-    @classmethod
-    def monomial(cls, field: Field, degree: int, c: int = 1) -> "Polynomial":
-        return cls(field, (0,) * degree + (c,))
 
     # -- basic structure ------------------------------------------------------
 
@@ -361,8 +353,8 @@ def parse_poly(text: str, field: Field) -> Polynomial:
 
 
 def xn_minus_1(field: Field, n: int) -> Polynomial:
-    if n < 1:
-        raise ValueError(f"length must be >= 1, got {n}")
+    if not 1 <= n <= MAX_LENGTH:
+        raise ValueError(f"length must be in 1..{MAX_LENGTH}, got {n}")
     coeffs = [0] * (n + 1)
     coeffs[0] = field.neg(1)
     coeffs[n] = 1

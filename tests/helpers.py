@@ -11,7 +11,7 @@ exponent vectors.
 
 from itertools import product
 
-from cyclic_pairs.factorization import CoercionError, FieldEmbedding, root_of_unity
+from cyclic_pairs.factorization import CoercionError, root_of_unity
 from cyclic_pairs.fields import Field
 from cyclic_pairs.poly import Polynomial, xn_minus_1
 
@@ -58,9 +58,8 @@ def poly_dual_generator(code) -> Polynomial:
     return Polynomial(code.field, h.coeffs[::-1]).monic()
 
 
-def embed(emb: FieldEmbedding, v: int) -> int:
-    """Image of the base-field encoding v in the extension field of emb."""
-    base, ext = emb.base, emb.ext
+def embed(base: Field, ext: Field, gamma: int, v: int) -> int:
+    """Image of the base-field encoding v in ext, the base generator going to gamma."""
     if base is ext or base.m == 1:
         return v  # constants encode identically
     acc, power = 0, 1
@@ -68,7 +67,7 @@ def embed(emb: FieldEmbedding, v: int) -> int:
         v, digit = divmod(v, base.p)
         if digit:
             acc = ext.add(acc, ext.mul(digit, power))
-        power = ext.mul(power, emb.gen_image)
+        power = ext.mul(power, gamma)
     return acc
 
 
@@ -165,7 +164,7 @@ def naive_minimal_poly(n_prime: int, field: Field, coset) -> Polynomial:
     ``root_of_unity`` and mapped back through the embedding's inverse,
     tabulated by embedding every base-field element.
     """
-    ext, emb, alpha = root_of_unity(field, n_prime)
+    ext, gamma, alpha = root_of_unity(field, n_prime)
     coeffs = [1]  # ascending, in the extension field
     for j in coset:
         root = ext.pow(alpha, j)
@@ -173,7 +172,7 @@ def naive_minimal_poly(n_prime: int, field: Field, coset) -> Polynomial:
         for i in range(len(coeffs) - 2, -1, -1):
             below = coeffs[i - 1] if i > 0 else 0
             coeffs[i] = ext.sub(below, ext.mul(coeffs[i], root))
-    section = {embed(emb, v): v for v in range(field.q)}
+    section = {embed(field, ext, gamma, v): v for v in range(field.q)}
     if any(c not in section for c in coeffs):
         raise CoercionError(f"a coefficient of the coset {coset} product is outside "
                             f"the embedded base field")

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from cyclic_pairs import constructions
+from cyclic_pairs import cli, constructions, factorization
 from cyclic_pairs.cli import (CSV_HEADER, EXIT_CAP, EXIT_OK, EXIT_USAGE,
                               EXIT_VERIFY_FAILED, main)
 
@@ -114,6 +114,34 @@ def test_construct_repeated_refuses_a_length_past_the_bound(n_prime, nu, capsys,
                           "--json"], capsys)
     assert code == EXIT_USAGE and out == ""
     assert err.startswith("error:") and "exceeds 4096" in err
+
+
+@pytest.mark.parametrize("argv", [["factor", "--n", "4097"], ["cosets", "--n", "4097"],
+                                  ["code", "--n", "4097", "--g", "1"],
+                                  ["exists", "--n", "4097", "--ell", "3"],
+                                  ["--q", "3", "factor", "--n", str(3 ** 20)]])
+def test_lengths_past_the_bound_are_refused(argv, capsys, monkeypatch):
+    # n > MAX_LENGTH = 4096 is refused before cosets or fields are built
+    for mod in (factorization, cli):
+        monkeypatch.setattr(mod, "coset_partition",
+                            lambda *args: pytest.fail("cosets were built"))
+    monkeypatch.setattr(factorization, "make_field",
+                        lambda *args, **kwargs: pytest.fail("a field was built"))
+    code, out, err = run(argv, capsys)
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error:") and "1..4096" in err
+
+
+@pytest.mark.parametrize("argv", [["--q", "5", "factor", "--n", "3079"],
+                                  ["code", "--n", "1031", "--g", "1"],
+                                  ["pair", "--n", "1031", "--g1", "1", "--g2", "1"]])
+def test_extension_degree_past_the_bound_is_refused(argv, capsys, monkeypatch):
+    # ord_3079(5) = 513 and ord_1031(2) = 515: one past degree 512 is not built
+    monkeypatch.setattr(factorization, "make_field",
+                        lambda *args, **kwargs: pytest.fail("a field was built"))
+    code, out, err = run(argv, capsys)
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error:") and "past degree 512" in err
 
 
 def test_construct_repeated_at_the_length_bound(capsys):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cyclic_pairs import factorization
 from cyclic_pairs.cyclotomic import coset_count, coset_partition
 from cyclic_pairs.factorization import (CoercionError, factor_xn1,
                                         minimal_poly, root_of_unity,
@@ -29,7 +30,7 @@ def test_split_length():
 
 
 def test_root_of_unity_deterministic():
-    ext, emb, alpha = root_of_unity(GF2, 7)
+    ext, gamma, alpha = root_of_unity(GF2, 7)
     assert ext.q == 8
     # the chosen root has exact order 7 and the embedding fixes GF(2)
     cur, seen = 1, set()
@@ -37,14 +38,14 @@ def test_root_of_unity_deterministic():
         cur = ext.mul(cur, alpha)
         seen.add(cur)
     assert cur == 1 and len(seen) == 7
-    assert embed(emb, 0) == 0 and embed(emb, 1) == 1
+    assert embed(GF2, ext, gamma, 0) == 0 and embed(GF2, ext, gamma, 1) == 1
     # same call again hits the cache and returns the identical objects
-    assert root_of_unity(GF2, 7) == (ext, emb, alpha)
+    assert root_of_unity(GF2, 7) == (ext, gamma, alpha)
 
 
 def test_root_of_unity_stays_inside_field_when_possible():
     gf8 = make_field(2, 3)
-    ext, emb, alpha = root_of_unity(gf8, 7)
+    ext, gamma, alpha = root_of_unity(gf8, 7)
     assert ext.q == 8  # 7 | 8 - 1, no extension needed
 
 
@@ -210,3 +211,44 @@ def test_vector_refuses_a_non_divisor_and_a_foreign_field():
     fac3 = factor_xn1(8, gf3)
     assert fac3.vector(parse_poly("2*x^2+2*x+1", gf3)) == \
         fac3.vector(parse_poly("x^2+x+2", gf3))
+
+
+@pytest.mark.parametrize("q, n_prime", [(4, 7), (4, 5), (8, 3), (9, 5), (9, 7), (8, 59)])
+def test_embedding_preserves_sums_and_products(q, n_prime):
+    # gamma, found through the order-(q-1) generator of GF(q)'s copy in ext,
+    # makes the embedding a one-to-one ring homomorphism GF(q) -> ext
+    f = field_from_order(q)
+    ext, gamma, _ = root_of_unity(f, n_prime)
+    assert ext.m > f.m
+    image = [embed(f, ext, gamma, v) for v in range(q)]
+    assert len(set(image)) == q
+    for a, b in product(range(q), repeat=2):
+        assert image[f.add(a, b)] == ext.add(image[a], image[b])
+        assert image[f.mul(a, b)] == ext.mul(image[a], image[b])
+
+
+def test_root_of_unity_is_the_first_element_of_its_order():
+    for q, n_prime in [(2, 7), (4, 5), (8, 3), (9, 7), (5, 4), (3, 1)]:
+        f = field_from_order(q)
+        ext, _, alpha = root_of_unity(f, n_prime)
+        assert alpha == ext.element_of_order(n_prime)
+        assert ext.pow(alpha, n_prime) == 1
+
+
+def test_lengths_past_the_bound_are_refused():
+    assert split_length(4096, GF2) == (12, 1)
+    assert xn_minus_1(GF2, 4096).degree == 4096
+    for n in (4097, 10 ** 9):
+        with pytest.raises(ValueError, match="4096"):
+            split_length(n, GF2)
+        with pytest.raises(ValueError, match="4096"):
+            xn_minus_1(GF2, n)
+
+
+def test_root_of_unity_refuses_an_extension_degree_past_the_bound(monkeypatch):
+    # ord_3079(5) = 513 and ord_1031(2) = 515, just past degree 512
+    monkeypatch.setattr(factorization, "make_field",
+                        lambda *args, **kwargs: pytest.fail("a field was built"))
+    for q, n_prime in [(5, 3079), (2, 1031), (4, 1031)]:
+        with pytest.raises(ValueError, match="past degree 512"):
+            root_of_unity(field_from_order(q), n_prime)

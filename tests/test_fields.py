@@ -340,3 +340,64 @@ def test_power_digits_rows_are_successive_powers(p, m):
     for row in rows:
         assert _undigits(f, row.tolist()) == power
         power = naive_mul(f, power, a)
+
+
+def _prime_powers(limit):
+    out = []
+    for q in range(2, limit + 1):
+        p, rest = next(d for d in range(2, q + 1) if q % d == 0), q
+        while rest % p == 0:
+            rest //= p
+        if rest == 1:
+            out.append(q)
+    return out
+
+
+def _naive_orders(f):
+    """Multiplicative order of every nonzero element, by repeated mul."""
+    orders = {}
+    for a in range(1, f.q):
+        power, k = a, 1
+        while power != 1:
+            power, k = f.mul(power, a), k + 1
+        orders[a] = k
+    return orders
+
+
+def _naive_pow(f, a, e):
+    out = 1
+    for _ in range(e):
+        out = f.mul(out, a)
+    return out
+
+
+@pytest.mark.parametrize("q", _prime_powers(256))
+def test_element_of_order_matches_a_brute_force_scan(q):
+    f = field_from_order(q)
+    orders = _naive_orders(f)
+    for n in range(1, q):
+        if (q - 1) % n:
+            continue
+        cofactor = (q - 1) // n
+        first = next(gamma for gamma in (_naive_pow(f, beta, cofactor) for beta in range(1, q))
+                     if orders[gamma] == n)
+        assert f.element_of_order(n) == first, n
+
+
+@pytest.mark.parametrize("q", [2, 4, 7, 9, 64, 3 ** 40])
+def test_element_of_order_refuses_orders_not_dividing_q_minus_1(q):
+    f = field_from_order(q, order_bound=None)
+    for n in [0, -1, q, q + 1] + [n for n in range(2, 40) if (q - 1) % n]:
+        with pytest.raises(ValueError):
+            f.element_of_order(n)
+
+
+def test_log_tables_take_the_same_primitive_element():
+    # the table build scans for its primitive element on its own; both scans
+    # pick the least g of order q - 1, on all 40 table-sized extension fields
+    orders = [q for q in _prime_powers(4096) if field_from_order(q).m > 1]
+    assert len(orders) == 40
+    for q in orders:
+        f = field_from_order(q)
+        f._logs()
+        assert f._exp[1] == f.element_of_order(q - 1), q
