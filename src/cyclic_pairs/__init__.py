@@ -22,8 +22,8 @@ from cyclic_pairs.cyclotomic import (CosetPartition, additive_order,
 from cyclic_pairs.factorization import (Factorization, FactorEntry,
                                         factor_xn1, minimal_poly,
                                         root_of_unity, split_length)
-from cyclic_pairs.fields import (Field, FieldElement, FieldMismatchError,
-                                 field_from_order, make_field)
+from cyclic_pairs.fields import (Field, FieldMismatchError, field_from_order,
+                                 make_field)
 from cyclic_pairs.pairs import (ExistenceWitness, PairReport, exists_ell,
                                 hull_dim, pair_analyze, small_ell_predicate)
 from cyclic_pairs.poly import Polynomial, PolyParseError, parse_poly, xn_minus_1

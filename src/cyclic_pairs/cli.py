@@ -223,7 +223,7 @@ def cmd_construct(args, field) -> int:
                 raise ValueError(f"--{name} is required for --mode mds")
         result = construct_mds(field, args.n, args.k1, args.k2, args.ell,
                                with_distances=args.distances, cap=args.cap)
-        info = {"mode": "mds", "alpha": result.alpha.value}
+        info = {"mode": "mds", "alpha": result.alpha}
     report = result.report
     if args.distances and report.d1 is None:
         report = pair_analyze(result.c1, result.c2, with_distances=True, cap=args.cap)

@@ -13,7 +13,7 @@ from operator import add, gt, sub
 
 from cyclic_pairs.codes import DEFAULT_CAP, CyclicCode
 from cyclic_pairs.factorization import Factorization, factor_xn1, root_of_unity
-from cyclic_pairs.fields import Field, FieldElement, FieldMismatchError
+from cyclic_pairs.fields import Field, FieldMismatchError
 from cyclic_pairs.pairs import PairReport, pair_analyze
 from cyclic_pairs.poly import MAX_LENGTH, Polynomial
 
@@ -53,7 +53,7 @@ class ConstructionResult:
     exact: bool                           # gcd condition certifies lo = hi = target
     measured_ell: int
     report: PairReport
-    alpha: FieldElement | None = None     # root of unity used by the MDS builder
+    alpha: int | None = None              # root of unity used by the MDS builder
 
     def __post_init__(self):
         lo, hi = self.guaranteed_range
@@ -101,6 +101,8 @@ def construct_repeated(n_prime: int, field: Field, L: Polynomial, g1: Polynomial
     factors of x^n - 1 are those of x^{n'} - 1 with multiplicity p^nu, so
     the links are checked on exponent vectors, those of L and g1 at most 1.
     """
+    if n_prime < 1:
+        raise ValueError(f"n' must be >= 1, got {n_prime}")
     if nu < 0:
         raise ValueError(f"nu must be >= 0, got {nu}")
     # p^nu >= 2^nu, so a nu this large is refused before p^nu is computed
@@ -169,6 +171,8 @@ def construct_mds(field: Field, n: int, k1: int, k2: int, ell: int,
     alpha^(k2-ell)..alpha^(n-ell-1) for a deterministic alpha of order
     n | q - 1; needs 0 <= ell <= k1 <= k2 <= n and k1 + k2 - ell <= n.
     """
+    if n < 1:
+        raise ValueError(f"length n must be >= 1, got {n}")
     if not 0 <= ell <= k1 <= k2 <= n:
         raise ValueError(f"need 0 <= ell <= k1 <= k2 <= n, got {(ell, k1, k2, n)}")
     if k1 + k2 - ell > n:
@@ -183,4 +187,4 @@ def construct_mds(field: Field, n: int, k1: int, k2: int, ell: int,
     c2 = CyclicCode._from_vector(fac, [int(k2 - ell <= i < n - ell) for i in reps])
     report = pair_analyze(c1, c2, with_distances=with_distances, cap=cap)
     return ConstructionResult(c1, c2, ell, (ell, ell), True, report.ell, report,
-                              alpha=FieldElement(field, alpha))
+                              alpha=alpha)

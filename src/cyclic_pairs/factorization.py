@@ -23,11 +23,9 @@ import numpy as np
 
 from cyclic_pairs.cyclotomic import (additive_order, coset_of,
                                      coset_partition, mult_order)
-from cyclic_pairs.fields import Field, FieldMismatchError, make_field
+from cyclic_pairs.fields import (MAX_EXTENSION_DEGREE, Field,
+                                 FieldMismatchError, make_field)
 from cyclic_pairs.poly import MAX_LENGTH, Polynomial
-
-# largest extension degree m*t root_of_unity builds a field for
-MAX_EXTENSION_DEGREE = 512
 
 
 class CoercionError(RuntimeError):
@@ -46,10 +44,11 @@ def _subfield_root(base: Field, ext: Field) -> int:
     the embedding reproducible.
     """
     w = ext.element_of_order(base.q - 1)
-    modulus = Polynomial(make_field(base.p), base.modulus)
+    # prime-field constants encode identically in ext
+    modulus = Polynomial(ext, base.modulus)
     u = 1
     for _ in range(base.q - 1):
-        if not modulus.evaluate(ext.element(u)):
+        if not modulus.evaluate(u):
             return u
         u = ext.mul(u, w)
     raise RuntimeError("base modulus has no root in the extension")
@@ -73,7 +72,7 @@ def root_of_unity(field: Field, n_prime: int) -> tuple[Field, int, int]:
     if t == 1:
         ext, gamma = field, field.p if field.m > 1 else 0
     else:
-        ext = make_field(field.p, field.m * t, order_bound=None)
+        ext = make_field(field.p, field.m * t)
         gamma = _subfield_root(field, ext) if field.m > 1 else 0
     return ext, gamma, ext.element_of_order(n_prime)
 

@@ -4,15 +4,18 @@ A field is identified by its characteristic ``p`` and extension degree
 ``m``; the modulus is always the lexicographically least monic
 irreducible polynomial of degree ``m`` over GF(p), coefficients compared
 ascending from the constant term, so field presentations are
-reproducible across runs.  Elements are encoded as integers in
-``[0, p^m)`` whose base-p digits are the coefficients (ascending) of the
-representative polynomial.
+reproducible across runs.  Elements are plain integers in ``[0, p^m)``
+whose base-p digits are the coefficients (ascending) of the
+representative polynomial; every method takes and returns them.
+``make_field`` builds degrees m up to ``MAX_EXTENSION_DEGREE`` and
+``field_from_order``, the entry for user input, orders up to
+``MAX_ORDER``.
 
 The arithmetic lanes all give the same results:
 
 * prime fields (m = 1) reduce integers mod p;
-* fields with m > 1 and at most ``_TABLE_LIMIT`` elements build, on their
-  first use, log/antilog tables over a primitive element, so ``mul``,
+* fields with m > 1 and at most ``_TABLE_LIMIT`` elements build, at
+  construction, log/antilog tables over a primitive element, so ``mul``,
   ``inv`` and ``pow`` are list lookups; in odd characteristic ``add``,
   ``sub`` and ``neg`` use a Zech logarithm table (Lidl & Niederreiter,
   *Finite Fields*, §10.1), in characteristic 2 ``add`` is XOR;
@@ -21,9 +24,9 @@ The arithmetic lanes all give the same results:
 * larger fields of odd characteristic decode to coefficient vectors and
   multiply by one ``np.convolve`` and one matrix-vector product with a
   reduction matrix R whose row i is x^(m+i) mod the modulus; ``pow``
-  decodes its operand once and squares and multiplies on the vectors.
-  The Rabin irreducibility test behind the modulus search reduces the
-  same way.
+  decodes its operand once and squares and multiplies on the vectors
+  (``_powmod``).  The Rabin irreducibility test behind the modulus search
+  reduces the same way and takes its t -> t^p steps with ``_powmod``.
 
 The modulus search tests candidates in lexicographic order with Rabin's
 test.  When p <= m + 1 it first drops a candidate with a root in GF(p),
@@ -44,13 +47,15 @@ Outside the prime fields and the tables, ``inv`` is Fermat's a^(q-2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
 
-DEFAULT_ORDER_BOUND = 1 << 20
+# largest extension degree make_field builds
+MAX_EXTENSION_DEGREE = 512
+# largest field order field_from_order accepts
+MAX_ORDER = 1 << 20
 
 # log/antilog and add/mul lookup tables are only built for fields this small
 _TABLE_LIMIT = 1 << 12
@@ -58,21 +63,6 @@ _TABLE_LIMIT = 1 << 12
 
 class FieldMismatchError(ValueError):
     """Operands belong to different fields."""
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +124,20 @@ def _mulmod(a: np.ndarray, b: np.ndarray, red: np.ndarray, p: int) -> np.ndarray
     return (c[:m] + c[m:] @ red) % p
 
 
+def _powmod(a: np.ndarray, e: int, red: np.ndarray, p: int) -> np.ndarray:
+    """a^e mod f for a length-m coefficient vector and e >= 1.
+
+    Left-to-right square-and-multiply from the leading bit of e, so no
+    product is by 1.
+    """
+    r = a
+    for bit in bin(e)[3:]:
+        r = _mulmod(r, r, red, p)
+        if bit == "1":
+            r = _mulmod(r, a, red, p)
+    return r
+
+
 def _prem(a: np.ndarray, f: np.ndarray, p: int) -> np.ndarray:
     """Remainder of a divided by f over GF(p), trimmed."""
     r = _ptrim(a % p).copy()
@@ -191,14 +195,9 @@ def _is_irreducible_gfp(coeffs: np.ndarray, m: int, p: int) -> bool:
     checkpoints = {m // r for r in _prime_divisors(m)}
     x = np.zeros(m, dtype=np.int64)
     x[1] = 1
-    bits = bin(p)[3:]  # square-and-multiply steps of t -> t^p after the leading bit
     t = x
     for j in range(1, m + 1):
-        base = t
-        for bit in bits:
-            t = _mulmod(t, t, red, p)
-            if bit == "1":
-                t = _mulmod(t, base, red, p)
+        t = _powmod(t, p, red, p)
         if j in checkpoints:
             diff = t.copy()
             diff[1] = (diff[1] - 1) % p
@@ -225,7 +224,7 @@ def is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
     Coefficients are integers taken mod p, ascending.  When p <= m + 1 a
     candidate with a root in GF(p) is rejected before any Rabin step.
     """
-    if not isinstance(p, int) or not is_prime(p):
+    if not isinstance(p, int) or _prime_divisors(p) != [p]:
         raise ValueError(f"characteristic must be prime, got {p!r}")
     if not all(isinstance(c, int) for c in coeffs):
         raise ValueError(f"coefficients must be integers, got {coeffs!r}")
@@ -243,7 +242,11 @@ def is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
     return _is_irreducible_gfp(np.array(coeffs, dtype=np.int64), m, p)
 
 
-def _search_lex_least_irreducible(p: int, m: int) -> tuple[int, ...]:
+@lru_cache(maxsize=None)
+def lex_least_irreducible(p: int, m: int) -> tuple[int, ...]:
+    """Deterministic field modulus: lex-least monic irreducible of degree m."""
+    if m == 1:
+        return (0, 1)  # the polynomial x
     # candidates ordered lexicographically by (c0, c1, ..., c_{m-1});
     # c0 = 0 gives a polynomial divisible by x, skipped outright
     for c0 in range(1, p):
@@ -254,16 +257,8 @@ def _search_lex_least_irreducible(p: int, m: int) -> tuple[int, ...]:
     raise RuntimeError(f"no irreducible polynomial of degree {m} over GF({p})")
 
 
-@lru_cache(maxsize=None)
-def lex_least_irreducible(p: int, m: int) -> tuple[int, ...]:
-    """Deterministic field modulus: lex-least monic irreducible of degree m."""
-    if m == 1:
-        return (0, 1)  # the polynomial x
-    return _search_lex_least_irreducible(p, m)
-
-
 # ---------------------------------------------------------------------------
-# Field and elements
+# Field
 
 class Field:
     """The finite field GF(p^m) with canonical integer element encoding."""
@@ -284,6 +279,8 @@ class Field:
         self._exp = self._log = self._zech = self._neg = None
         self._add_table = None
         self._mul_table = None
+        if self._small:
+            self._logs()
 
     # -- encoding helpers ---------------------------------------------------
 
@@ -323,8 +320,8 @@ class Field:
             times = times @ times % p
         return powers[:count]
 
-    def _logs(self) -> list[int]:
-        """Build the lookup lists of a small field on first use; returns the log list.
+    def _logs(self) -> None:
+        """Build the lookup lists of a small field.
 
         With g the least primitive element and n = q - 1: ``_exp[i]`` is
         g^(i mod n) for i < 2n and 0 beyond, ``_log[g^i] = i``; for odd p
@@ -348,7 +345,6 @@ class Field:
             neg[exp] = np.roll(exp, -(n // 2))  # -1 = g^(n/2)
             self._neg = neg.tolist()
         self._log = log.tolist()
-        return self._log
 
     # -- arithmetic on integer encodings ------------------------------------
 
@@ -362,7 +358,7 @@ class Field:
                 return b
             if not b:
                 return a
-            log = self._log or self._logs()
+            log = self._log
             la = log[a]
             return self._exp[la + self._zech[log[b] - la]]
         return self._undigits((self._digits(a) + self._digits(b)) % self.p)
@@ -373,12 +369,12 @@ class Field:
         if self.p == 2:
             return a ^ b
         if self._small:
-            log = self._log or self._logs()
             b = self._neg[b]
             if not a:
                 return b
             if not b:
                 return a
+            log = self._log
             la = log[a]
             return self._exp[la + self._zech[log[b] - la]]
         return self._undigits((self._digits(a) - self._digits(b)) % self.p)
@@ -389,8 +385,6 @@ class Field:
         if self.p == 2:
             return a
         if self._small:
-            if self._log is None:
-                self._logs()
             return self._neg[a]
         return self._undigits((-self._digits(a)) % self.p)
 
@@ -399,7 +393,7 @@ class Field:
             return (a * b) % self.p
         if self._small:
             if a and b:
-                log = self._log or self._logs()
+                log = self._log
                 return self._exp[log[a] + log[b]]
             return 0
         if self.p == 2:
@@ -412,8 +406,7 @@ class Field:
         if self.m == 1:
             return pow(a, -1, self.p)
         if self._small:
-            log = self._log or self._logs()
-            return self._exp[self.q - 1 - log[a]]
+            return self._exp[self.q - 1 - self._log[a]]
         return self.pow(a, self.q - 2)  # Fermat: a^(q-1) = 1
 
     def div(self, a: int, b: int) -> int:
@@ -421,23 +414,19 @@ class Field:
 
     def pow(self, a: int, e: int) -> int:
         if self._small and a:
-            log = self._log or self._logs()
-            return self._exp[log[a] * e % (self.q - 1)]
+            return self._exp[self._log[a] * e % (self.q - 1)]
         if e < 0:
             a, e = self.inv(a), -e
-        vector = self._red is not None  # odd-p vector lane: decode once, work on digits
-        if vector:
-            r, base = self._digits(1), self._digits(a)
-            mul = partial(_mulmod, red=self._red, p=self.p)
-        else:
-            r, base, mul = 1, a, self.mul
+        if self._red is not None and e:  # odd-p vector lane: decode once, work on digits
+            return self._undigits(_powmod(self._digits(a), e, self._red, self.p))
+        r = 1
         while e:
             if e & 1:
-                r = mul(r, base)
+                r = self.mul(r, a)
             e >>= 1
             if e:
-                base = mul(base, base)
-        return self._undigits(r) if vector else r
+                a = self.mul(a, a)
+        return r
 
     def frobenius(self, a: int) -> int:
         """The characteristic-power map a -> a^p."""
@@ -478,7 +467,7 @@ class Field:
                     for i in range(self.m):
                         digit = v // p ** i % p
                         add += np.add.outer(digit, digit) % p * p ** i
-                log = np.array(self._log or self._logs())
+                log = np.array(self._log)
                 mul = np.array(self._exp)[np.add.outer(log, log)]
                 mul[0, :] = 0
                 mul[:, 0] = 0
@@ -486,21 +475,7 @@ class Field:
             self._mul_table = mul
         return self._add_table, self._mul_table
 
-    # -- element interface ----------------------------------------------------
-
-    def element(self, v: int) -> "FieldElement":
-        return FieldElement(self, self._check(v))
-
-    @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
-    def elements(self):
-        return (FieldElement(self, v) for v in range(self.q))
+    # -- text form ------------------------------------------------------------
 
     def modulus_str(self) -> str:
         from cyclic_pairs.poly import format_coeffs
@@ -513,87 +488,28 @@ class Field:
         return f"{self!r}, modulus={self.modulus_str()}"
 
 
-@dataclass(frozen=True)
-class FieldElement:
-    """An element of a Field, carried as its canonical integer encoding."""
-
-    field: Field
-    value: int
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, FieldElement):
-            if other.field is not self.field:
-                raise FieldMismatchError(
-                    f"cannot mix elements of {self.field!r} and {other.field!r}")
-            return other.value
-        if isinstance(other, int):
-            return self.field._check(other)
-        return NotImplemented
-
-    def _binary(op):
-        # op(field, self's value, the other operand's value); anything that
-        # is neither an element nor an int defers to Python's operator protocol
-        def method(self, other):
-            v = self._coerce(other)
-            if v is NotImplemented:
-                return NotImplemented
-            return FieldElement(self.field, op(self.field, self.value, v))
-        return method
-
-    __add__ = __radd__ = _binary(lambda f, a, b: f.add(a, b))
-    __sub__ = _binary(lambda f, a, b: f.sub(a, b))
-    __rsub__ = _binary(lambda f, a, b: f.sub(b, a))
-    __mul__ = __rmul__ = _binary(lambda f, a, b: f.mul(a, b))
-    __truediv__ = _binary(lambda f, a, b: f.div(a, b))
-    del _binary
-
-    def __pow__(self, e: int):
-        return FieldElement(self.field, self.field.pow(self.value, e))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.value))
-
-    def inv(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.inv(self.value))
-
-    def frobenius(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.frobenius(self.value))
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __int__(self):
-        return self.value
-
-    def __repr__(self):
-        return str(self.value)
-
-
 @lru_cache(maxsize=None)
 def _field_cached(p: int, m: int) -> Field:
     return Field(p, m, lex_least_irreducible(p, m))
 
 
-def make_field(p: int, m: int = 1, *, order_bound: int | None = DEFAULT_ORDER_BOUND) -> Field:
+def make_field(p: int, m: int = 1) -> Field:
     """GF(p^m) with the deterministic (lex-least irreducible) modulus.
 
-    ``order_bound`` guards against accidentally huge requests; pass None
-    to lift it (internal extension fields for root-of-unity work can
-    legitimately exceed the default).
+    Degrees m above MAX_EXTENSION_DEGREE are refused before any modulus
+    search.
     """
-    if not isinstance(p, int) or not is_prime(p):
+    if not isinstance(p, int) or _prime_divisors(p) != [p]:
         raise ValueError(f"characteristic must be prime, got {p!r}")
-    if not isinstance(m, int) or m < 1:
-        raise ValueError(f"extension degree must be >= 1, got {m!r}")
-    if order_bound is not None and p ** m > order_bound:
-        raise ValueError(f"field order {p}^{m} exceeds the bound {order_bound}")
+    if not isinstance(m, int) or not 1 <= m <= MAX_EXTENSION_DEGREE:
+        raise ValueError(f"extension degree must be in 1..{MAX_EXTENSION_DEGREE}, got {m!r}")
     return _field_cached(p, m)
 
 
-def field_from_order(q: int, *, order_bound: int | None = DEFAULT_ORDER_BOUND) -> Field:
-    """GF(q) for a prime power q."""
-    if q < 2:
-        raise ValueError(f"field order must be a prime power >= 2, got {q}")
+def field_from_order(q: int) -> Field:
+    """GF(q) for a prime power q, at most MAX_ORDER."""
+    if not 2 <= q <= MAX_ORDER:
+        raise ValueError(f"field order must be a prime power in 2..{MAX_ORDER}, got {q}")
     p = min(_prime_divisors(q))
     m = 0
     t = q
@@ -602,4 +518,4 @@ def field_from_order(q: int, *, order_bound: int | None = DEFAULT_ORDER_BOUND) -
         m += 1
     if t != 1:
         raise ValueError(f"{q} is not a prime power")
-    return make_field(p, m, order_bound=order_bound)
+    return make_field(p, m)

@@ -1,7 +1,7 @@
 """Univariate polynomials over a Field.
 
-Coefficients are stored as canonical integer encodings, ascending by
-degree, with no trailing zeros (the zero polynomial has an empty
+Coefficients are stored as the field's plain integer elements, ascending
+by degree, with no trailing zeros (the zero polynomial has an empty
 coefficient tuple and degree ``None``).  Divisors of x^n - 1 are worked
 with as exponent vectors (``Factorization``); polynomials are their
 output form, so this module has no gcd or lcm.
@@ -11,9 +11,9 @@ Products take one lane per field, all giving the same coefficients:
 * GF(2): one carry-less product of the bit-packed operands;
 * prime fields: Python-int products summed per coefficient, reduced mod p
   once at the end;
-* extension fields with log tables (``Field._small``): each term is
-  ``exp[log a + log b]``, XORed in for p = 2 and added by the Zech
-  logarithm table for odd p (Lidl & Niederreiter, §10.1);
+* extension fields with log tables (``Field._small``, built with the
+  field): each term is ``exp[log a + log b]``, XORed in for p = 2 and
+  added by the Zech logarithm table for odd p (Lidl & Niederreiter, §10.1);
 * larger extension fields: ``Field.mul`` and ``Field.add`` per term.
 
 Products are canonical by construction and skip the constructor's
@@ -24,8 +24,7 @@ from __future__ import annotations
 
 import re
 
-from cyclic_pairs.fields import (Field, FieldElement, FieldMismatchError,
-                                 _gf2_mul)
+from cyclic_pairs.fields import Field, FieldMismatchError, _gf2_mul
 
 # longest code length x^n - 1 is built or factored for; longer ones are
 # refused before anything is allocated
@@ -151,8 +150,7 @@ class Polynomial:
             p = f.p
             return Polynomial._trimmed(f, [c % p for c in out])
         if f._small:
-            log = f._log or f._logs()
-            exp = f._exp
+            log, exp = f._log, f._exp
             b_logs = [(j, log[cb]) for j, cb in enumerate(b) if cb]
             if f.p == 2:
                 for i, ca in enumerate(a):
@@ -231,25 +229,12 @@ class Polynomial:
 
     # -- evaluation -------------------------------------------------------------
 
-    def __call__(self, pt: FieldElement) -> FieldElement:
-        return self.evaluate(pt)
-
-    def evaluate(self, pt: FieldElement) -> FieldElement:
-        """Horner evaluation at ``pt``.
-
-        ``pt`` lies in the polynomial's field, or, for a polynomial over a
-        prime field, in any field of the same characteristic.
-        """
-        target = pt.field
-        if target is not self.field and not (self.field.m == 1
-                                             and target.p == self.field.p):
-            raise FieldMismatchError(
-                f"no embedding of {self.field!r} into {target!r}")
-        acc = 0
+    def evaluate(self, v: int) -> int:
+        """Horner evaluation at the element ``v`` of the polynomial's field."""
+        f, acc = self.field, 0
         for c in reversed(self.coeffs):
-            # prime-field constants encode identically in every extension
-            acc = target.add(target.mul(acc, pt.value), c)
-        return FieldElement(target, acc)
+            acc = f.add(f.mul(acc, v), c)
+        return acc
 
     # -- text form ----------------------------------------------------------------
 

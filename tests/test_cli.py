@@ -144,6 +144,17 @@ def test_extension_degree_past_the_bound_is_refused(argv, capsys, monkeypatch):
     assert err.startswith("error:") and "past degree 512" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["construct", "--mode", "mds", "--n", "0", "--k1", "0", "--k2", "0", "--ell", "0"],
+     "length n must be >= 1, got 0"),
+    (["construct", "--mode", "repeated", "--n-prime", "0", "--L", "1", "--g1", "1",
+      "--g2", "1"], "n' must be >= 1, got 0")])
+def test_construct_refuses_a_zero_length(argv, message, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error:") and message in err
+
+
 def test_construct_repeated_at_the_length_bound(capsys):
     data = run_json(["construct", "--mode", "repeated", "--n-prime", "1", "--nu", "12",
                      "--L", "1", "--g1", "1", "--g2", "1"], capsys)

@@ -172,7 +172,7 @@ def test_mds_example_gf8():
     assert (res.c2.k, res.report.d2) == (3, 5)
     # both codes meet the Singleton bound
     assert res.report.d1 == 7 - 2 + 1 and res.report.d2 == 7 - 3 + 1
-    assert res.alpha is not None and res.alpha.field is gf8
+    assert res.alpha == gf8.element_of_order(7)
 
 
 def test_mds_validation():

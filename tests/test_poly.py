@@ -67,12 +67,20 @@ def test_gcd_is_monic_over_nonbinary_fields():
 
 
 def test_eval_examples():
-    assert P("x+1").evaluate(GF2.one).value == 0
+    assert P("x+1").evaluate(1) == 0
     gf4 = make_field(2, 2)
-    alpha = gf4.element(2)
-    # x^2+x+1 has GF(2) coefficients; alpha is a root of its own modulus
-    assert P("x^2+x+1").evaluate(alpha).value == 0
-    assert P("x^3+x^2+1").evaluate(GF2.zero).value == 1
+    # alpha, encoded as 2, is a root of its own modulus x^2+x+1
+    assert P("x^2+x+1", gf4).evaluate(2) == 0
+    assert P("x^3+x^2+1").evaluate(0) == 1
+
+
+@pytest.mark.parametrize("p, m", [(2, 2), (3, 2), (2, 20), (3, 40)])
+def test_the_class_of_x_is_a_root_of_the_modulus(p, m):
+    # table lane (GF(4), GF(9)), bit-packed lane (GF(2^20)) and vector lane (GF(3^40))
+    f = make_field(p, m)
+    modulus = Polynomial(f, f.modulus)
+    assert modulus.evaluate(f.p) == 0
+    assert modulus.evaluate(1) != 0  # irreducible of degree >= 2: no root in GF(p)
 
 
 def test_degree_sentinel():
