@@ -29,8 +29,12 @@ def main():
     for n in range(2, args.n_max + 1):
         if n % f.p == 0:
             continue  # stick to simple-root lengths
-        result = search_pairs(n, f, args.ell, min_d1=args.min_d,
-                              min_d2=args.min_d, limit=args.top)
+        try:
+            result = search_pairs(n, f, args.ell, min_d1=args.min_d,
+                                  min_d2=args.min_d, limit=args.top)
+        except ValueError as exc:  # too many divisors to list
+            print(f"n={n}: refused ({exc})")
+            continue
         if result.infeasible:
             print(f"n={n}: infeasible ({result.reason})")
             continue

@@ -11,14 +11,14 @@ representative polynomial; every method takes and returns them.
 ``field_from_order``, the entry for user input, orders up to
 ``MAX_ORDER``.
 
-The arithmetic lanes all give the same results:
+The arithmetic lanes of ``add``, ``mul`` and ``pow`` all give the same results:
 
 * prime fields (m = 1) reduce integers mod p;
 * fields with m > 1 and at most ``_TABLE_LIMIT`` elements build, at
-  construction, log/antilog tables over a primitive element, so ``mul``,
-  ``inv`` and ``pow`` are list lookups; in odd characteristic ``add``,
-  ``sub`` and ``neg`` use a Zech logarithm table (Lidl & Niederreiter,
-  *Finite Fields*, §10.1), in characteristic 2 ``add`` is XOR;
+  construction, log/antilog tables over a primitive element, so ``mul``
+  and ``pow`` are list lookups; in odd characteristic ``add`` uses a Zech
+  logarithm table (Lidl & Niederreiter, *Finite Fields*, §10.1), in
+  characteristic 2 it is XOR;
 * larger fields of characteristic 2 work on the bit-packed integer
   encodings directly;
 * larger fields of odd characteristic decode to coefficient vectors and
@@ -27,6 +27,9 @@ The arithmetic lanes all give the same results:
   decodes its operand once and squares and multiplies on the vectors
   (``_powmod``).  The Rabin irreducibility test behind the modulus search
   reduces the same way and takes its t -> t^p steps with ``_powmod``.
+
+Every lane composes ``neg`` (times p - 1, the prime-field constant -1),
+``sub`` (add the negation) and ``inv`` (Fermat's a^(q-2)) from these three.
 
 The modulus search tests candidates in lexicographic order with Rabin's
 test.  When p <= m + 1 it first drops a candidate with a root in GF(p),
@@ -41,8 +44,6 @@ element and, by doubling with it, the digit vectors of an element's
 powers; the small-field tables and the minimal polynomials of
 ``factorization`` are built from these, and its roots of unity come from
 ``element_of_order``, the one search for an element of given order.
-
-Outside the prime fields and the tables, ``inv`` is Fermat's a^(q-2).
 """
 
 from __future__ import annotations
@@ -264,7 +265,7 @@ class Field:
     """The finite field GF(p^m) with canonical integer element encoding."""
 
     __slots__ = ("p", "m", "q", "modulus", "_mod_int", "_red", "_small",
-                 "_exp", "_log", "_zech", "_neg", "_add_table", "_mul_table")
+                 "_exp", "_log", "_zech", "_add_table", "_mul_table")
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
         self.p = p
@@ -275,8 +276,8 @@ class Field:
         self._mod_int = sum(c << i for i, c in enumerate(modulus)) if p == 2 else None
         self._red = (_reduction_matrix(np.array(modulus, dtype=np.int64), p)
                      if p != 2 and m > 1 and not self._small else None)
-        # log/antilog (and, for odd p, Zech and negation) lists; see _logs()
-        self._exp = self._log = self._zech = self._neg = None
+        # log/antilog (and, for odd p, Zech) lists; see _logs()
+        self._exp = self._log = self._zech = None
         self._add_table = None
         self._mul_table = None
         if self._small:
@@ -326,8 +327,7 @@ class Field:
         With g the least primitive element and n = q - 1: ``_exp[i]`` is
         g^(i mod n) for i < 2n and 0 beyond, ``_log[g^i] = i``; for odd p
         ``_zech[k]`` is log(1 + g^k), or 2n when 1 + g^k = 0, repeated
-        twice so that differences of logs index it directly, and
-        ``_neg[a]`` is -a.
+        twice so that differences of logs index it directly.
         """
         p, m, q = self.p, self.m, self.q
         n = q - 1
@@ -341,9 +341,6 @@ class Field:
         if p != 2:
             one_plus = exp - exp % p + (exp + 1) % p
             self._zech = np.where(one_plus == 0, 2 * n, log[one_plus]).tolist() * 2
-            neg = np.zeros(q, dtype=np.int64)
-            neg[exp] = np.roll(exp, -(n // 2))  # -1 = g^(n/2)
-            self._neg = neg.tolist()
         self._log = log.tolist()
 
     # -- arithmetic on integer encodings ------------------------------------
@@ -364,29 +361,10 @@ class Field:
         return self._undigits((self._digits(a) + self._digits(b)) % self.p)
 
     def sub(self, a: int, b: int) -> int:
-        if self.m == 1:
-            return (a - b) % self.p
-        if self.p == 2:
-            return a ^ b
-        if self._small:
-            b = self._neg[b]
-            if not a:
-                return b
-            if not b:
-                return a
-            log = self._log
-            la = log[a]
-            return self._exp[la + self._zech[log[b] - la]]
-        return self._undigits((self._digits(a) - self._digits(b)) % self.p)
+        return self.add(a, self.neg(b))
 
     def neg(self, a: int) -> int:
-        if self.m == 1:
-            return (-a) % self.p
-        if self.p == 2:
-            return a
-        if self._small:
-            return self._neg[a]
-        return self._undigits((-self._digits(a)) % self.p)
+        return self.mul(a, self.p - 1)  # -1 is the prime-field constant p - 1
 
     def mul(self, a: int, b: int) -> int:
         if self.m == 1:
@@ -403,10 +381,6 @@ class Field:
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inversion of zero field element")
-        if self.m == 1:
-            return pow(a, -1, self.p)
-        if self._small:
-            return self._exp[self.q - 1 - self._log[a]]
         return self.pow(a, self.q - 2)  # Fermat: a^(q-1) = 1
 
     def div(self, a: int, b: int) -> int:

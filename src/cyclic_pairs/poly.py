@@ -8,23 +8,23 @@ output form, so this module has no gcd or lcm.
 
 Products take one lane per field, all giving the same coefficients:
 
-* GF(2): one carry-less product of the bit-packed operands;
-* prime fields: Python-int products summed per coefficient, reduced mod p
-  once at the end;
+* prime fields, GF(2) among them: Python-int products summed per
+  coefficient, reduced mod p once at the end;
 * extension fields with log tables (``Field._small``, built with the
   field): each term is ``exp[log a + log b]``, XORed in for p = 2 and
   added by the Zech logarithm table for odd p (Lidl & Niederreiter, §10.1);
 * larger extension fields: ``Field.mul`` and ``Field.add`` per term.
 
 Products are canonical by construction and skip the constructor's
-per-coefficient check.
+per-coefficient check.  Subtraction adds the negation, and ``divmod``
+negates each quotient coefficient once and then adds.
 """
 
 from __future__ import annotations
 
 import re
 
-from cyclic_pairs.fields import Field, FieldMismatchError, _gf2_mul
+from cyclic_pairs.fields import Field, FieldMismatchError
 
 # longest code length x^n - 1 is built or factored for; longer ones are
 # refused before anything is allocated
@@ -117,15 +117,7 @@ class Polynomial:
         return Polynomial(f, out)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        self._same_field(other)
-        f = self.field
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = []
-        for i in range(n):
-            a = self.coeffs[i] if i < len(self.coeffs) else 0
-            b = other.coeffs[i] if i < len(other.coeffs) else 0
-            out.append(f.sub(a, b))
-        return Polynomial(f, out)
+        return self + (-other)
 
     def __neg__(self) -> "Polynomial":
         f = self.field
@@ -137,10 +129,6 @@ class Polynomial:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Polynomial.zero(f)
-        if f.q == 2:
-            r = _gf2_mul(sum(c << i for i, c in enumerate(a)),
-                         sum(c << i for i, c in enumerate(b)))
-            return Polynomial._trimmed(f, [(r >> i) & 1 for i in range(len(a) + len(b) - 1)])
         out = [0] * (len(a) + len(b) - 1)
         if f.m == 1:
             for i, ca in enumerate(a):
@@ -209,9 +197,10 @@ class Polynomial:
             if c == 0:
                 continue
             quo[shift] = c
+            c = f.neg(c)
             for j, cb in enumerate(other.coeffs):
                 if cb:
-                    rem[shift + j] = f.sub(rem[shift + j], f.mul(c, cb))
+                    rem[shift + j] = f.add(rem[shift + j], f.mul(c, cb))
         return Polynomial(f, quo), Polynomial(f, rem)
 
     def __floordiv__(self, other: "Polynomial") -> "Polynomial":
@@ -274,7 +263,8 @@ def parse_poly(text: str, field: Field) -> Polynomial:
     Accepted term forms: "x^k", "x", "c", "c*x^k" (also "c*x" and "cx^k");
     terms joined with "+" or "-".  Coefficients at or above the field
     order are rejected rather than reduced.  The "[c0,c1,...]" list form
-    is ascending by degree.
+    is ascending by degree.  Degrees above MAX_LENGTH are refused before
+    anything is allocated.
     """
     s = text.strip()
     if not s:
@@ -284,6 +274,8 @@ def parse_poly(text: str, field: Field) -> Polynomial:
             raise PolyParseError(text, len(text) - 1, "unterminated coefficient list")
         body = s[1:-1].strip()
         items = [] if not body else [part.strip() for part in body.split(",")]
+        if len(items) > MAX_LENGTH + 1:
+            raise PolyParseError(text, text.index("["), f"more than {MAX_LENGTH + 1} coefficients")
         coeffs = []
         for part in items:
             if not re.fullmatch(r"\d+", part):
@@ -324,6 +316,8 @@ def parse_poly(text: str, field: Field) -> Polynomial:
             k = 1
         else:
             k = int(m.group("exp"))
+            if k > MAX_LENGTH:
+                raise PolyParseError(text, pos, f"exponent {k} > {MAX_LENGTH}")
         if sign == -1:
             c = field.neg(c)
         coeffs[k] = field.add(coeffs.get(k, 0), c)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib.resources
 from dataclasses import dataclass, field as dc_field
 from itertools import product
+from math import prod
 
 import numpy as np
 
@@ -15,6 +16,9 @@ from cyclic_pairs.pairs import PairReport, exists_ell, pair_analyze
 from cyclic_pairs.poly import parse_poly
 
 TABLES_RESOURCE = "binary_pair_tables.txt"
+
+# most divisors of x^n - 1 search_pairs lists; x^63 - 1 over GF(2) has exactly this many
+MAX_SEARCH_DIVISORS = 1 << 13
 
 CHECK_NAMES = ("divisibility_c", "divisibility_d", "dim_c", "dim_d",
                "dist_c", "dist_d", "ell")
@@ -157,11 +161,16 @@ def search_pairs(n: int, f: Field, ell: int, min_d1: int = 1, min_d2: int = 1,
 
     Divisors are handled as exponent vectors over the factors of x^n - 1:
     C1 ∩ C2 is generated by lcm(g1, g2), the elementwise max of the
-    vectors, and C1 + C2 by gcd(g1, g2), the elementwise min.
+    vectors, and C1 + C2 by gcd(g1, g2), the elementwise min.  ValueError
+    when x^n - 1 has more than MAX_SEARCH_DIVISORS divisors.
     """
     if limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
     fac = factor_xn1(n, f)
+    count = prod(e.multiplicity + 1 for e in fac.factors)
+    if count > MAX_SEARCH_DIVISORS:
+        raise ValueError(f"x^{n} - 1 has {count} divisors over {f!r}, "
+                         f"more than the {MAX_SEARCH_DIVISORS} that search lists")
     if not exists_ell(n, f, ell, fac):
         return SearchResult([], infeasible=True,
                             reason=f"no monic divisor of x^{n} - 1 has degree {ell}")

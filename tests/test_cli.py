@@ -184,6 +184,15 @@ def test_search_infeasible(capsys):
     assert code == EXIT_OK and out.startswith("infeasible")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["search", "--n", "255", "--ell", "0"], "has 34359738368 divisors"),
+    (["code", "--n", "7", "--g", "x^1000000000"], "exponent 1000000000 > 4096")])
+def test_inputs_too_large_to_list_are_refused(argv, message, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error:") and message in err
+
+
 def test_verify_tables_bundled(capsys):
     code, out, _ = run(["verify-tables"], capsys)
     assert code == EXIT_OK

@@ -127,8 +127,18 @@ def test_mul_of_constants_and_interior_zeros(q):
     assert prod == Polynomial(f, [f.neg(f.mul(c, c)), 0, 1])
 
 
+@settings(max_examples=100)
+@given(st.sampled_from(MUL_ORDERS), st.data())
+def test_sub_and_neg_undo_add(q, data):
+    a = data.draw(poly_over(q, max_degree=16))
+    b = data.draw(poly_over(q, max_degree=16))
+    assert (a - b) + b == a
+    assert (a + (-a)).is_zero()
+    assert -(-a) == a
+
+
 @settings(max_examples=60)
-@given(st.sampled_from([2, 3, 4, 5, 7, 8, 9]), st.data())
+@given(st.sampled_from(MUL_ORDERS), st.data())
 def test_divmod_round_trip(q, data):
     a = data.draw(poly_over(q))
     b = data.draw(poly_over(q))
@@ -230,6 +240,17 @@ def test_parse_syntax_errors_carry_position():
         P("")
     with pytest.raises(PolyParseError):
         P("x^2 y")
+
+
+def test_parse_refuses_degrees_past_the_length_bound():
+    # no divisor of x^n - 1 with n <= MAX_LENGTH = 4096 has a higher degree
+    assert P("x^4096 + 1").degree == 4096
+    assert P("[" + "0," * 4096 + "1]").degree == 4096
+    with pytest.raises(PolyParseError, match="exponent 4097 > 4096") as exc:
+        P("x + x^4097")
+    assert exc.value.pos == 4
+    with pytest.raises(PolyParseError, match="more than 4097 coefficients"):
+        P("[" + "0," * 4097 + "1]")
 
 
 def test_format_canonical_descending():

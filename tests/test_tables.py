@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 
+from cyclic_pairs import tables
 from cyclic_pairs.codes import CyclicCode
 from cyclic_pairs.factorization import factor_xn1
 from cyclic_pairs.fields import field_from_order, make_field
@@ -98,6 +99,17 @@ def test_search_refuses_a_negative_limit():
     assert search_pairs(7, GF2, 0, limit=0).reports == []
     with pytest.raises(ValueError, match="limit"):
         search_pairs(7, GF2, 0, limit=-1)
+
+
+def test_search_refuses_too_many_divisors_before_listing_any(monkeypatch):
+    # x^63 - 1 over GF(2), the largest length search targets, has exactly the bound
+    assert tables.MAX_SEARCH_DIVISORS == 8192
+    assert len(list(tables._exponent_vectors(factor_xn1(63, GF2)))) == 8192
+    monkeypatch.setattr(tables, "exists_ell", lambda *args: pytest.fail("ell was checked"))
+    monkeypatch.setattr(tables, "_exponent_vectors",
+                        lambda *args: pytest.fail("divisors were listed"))
+    with pytest.raises(ValueError, match="x\\^105 - 1 has 32768 divisors"):
+        search_pairs(105, GF2, 0)
 
 
 def test_search_infeasible_reports_reason():
