@@ -24,6 +24,8 @@ def main():
     ap.add_argument("--min-d", type=int, default=2,
                     help="minimum distance required of both codes")
     args = ap.parse_args()
+    if args.top < 0:  # a usage error, not one of the per-length refusals below
+        ap.error(f"--top must be >= 0, got {args.top}")
     f = field_from_order(args.q)
 
     for n in range(2, args.n_max + 1):

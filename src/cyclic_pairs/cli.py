@@ -49,7 +49,8 @@ def _add_globals(parser, suppress: bool) -> None:
     parser.add_argument("--json", action="store_true", **kw, help="emit JSON")
     parser.add_argument("--cap", type=_non_negative,
                         **({"default": DEFAULT_CAP} if not suppress else kw),
-                        help="max codewords enumerated per distance computation")
+                        help="largest code, in codewords, whose distance is "
+                             "computed or reused")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -202,31 +203,24 @@ def cmd_exists(args, field) -> int:
 
 
 def cmd_construct(args, field) -> int:
-    if args.mode == "L":
-        for name in ("n", "L", "g1", "g2"):
-            if getattr(args, name) is None:
-                raise ValueError(f"--{name} is required for --mode L")
-        result = construct_L(args.n, field, parse_poly(args.L, field),
-                             parse_poly(args.g1, field), parse_poly(args.g2, field))
-        info = {"mode": "L", "L": args.L}
-    elif args.mode == "repeated":
-        for name in ("n_prime", "L", "g1", "g2"):
-            if getattr(args, name) is None:
-                raise ValueError(f"--{name.replace('_', '-')} is required for --mode repeated")
-        result = construct_repeated(args.n_prime, field, parse_poly(args.L, field),
-                                    parse_poly(args.g1, field),
-                                    parse_poly(args.g2, field), args.s, args.nu)
-        info = {"mode": "repeated", "L": args.L, "s": args.s, "nu": args.nu}
-    else:
-        for name in ("n", "k1", "k2", "ell"):
-            if getattr(args, name) is None:
-                raise ValueError(f"--{name} is required for --mode mds")
-        result = construct_mds(field, args.n, args.k1, args.k2, args.ell,
-                               with_distances=args.distances, cap=args.cap)
+    required = {"L": ("n", "L", "g1", "g2"), "repeated": ("n_prime", "L", "g1", "g2"),
+                "mds": ("n", "k1", "k2", "ell")}[args.mode]
+    for name in required:
+        if getattr(args, name) is None:
+            raise ValueError(f"--{name.replace('_', '-')} is required for --mode {args.mode}")
+    if args.mode == "mds":
+        result = construct_mds(field, args.n, args.k1, args.k2, args.ell)
         info = {"mode": "mds", "alpha": result.alpha}
-    report = result.report
-    if args.distances and report.d1 is None:
-        report = pair_analyze(result.c1, result.c2, with_distances=True, cap=args.cap)
+    else:
+        L, g1, g2 = (parse_poly(text, field) for text in (args.L, args.g1, args.g2))
+        if args.mode == "L":
+            result = construct_L(args.n, field, L, g1, g2)
+            info = {"mode": "L", "L": args.L}
+        else:
+            result = construct_repeated(args.n_prime, field, L, g1, g2, args.s, args.nu)
+            info = {"mode": "repeated", "L": args.L, "s": args.s, "nu": args.nu}
+    report = (pair_analyze(result.c1, result.c2, with_distances=True, cap=args.cap)
+              if args.distances else result.report)
     lo, hi = result.guaranteed_range
     info.update({"target_ell": result.target_ell, "range": [lo, hi],
                  "measured_ell": result.measured_ell})

@@ -3,15 +3,17 @@
 A code keeps its generator both as a polynomial and as an exponent vector
 over the factors of x^n - 1; the dual is a permutation of that vector.
 
-Distance is exact full enumeration of all q^k codewords, guarded by a
-codeword-count cap, by span tables: the span of the first generator rows
-(at most _BLOCK words) is built once by doubling, and every codeword is a
-word of that table plus one combination of the remaining rows, so one
-numpy op over the table scans a block of codewords.  Binary codes pack a
-codeword into uint64 words, combine by XOR, count weights with
-np.bitwise_count and walk the remaining rows in Gray-code order; nonbinary
-codes build the table with the field's add/mul lookup tables.  Memory is
-O(_BLOCK * n) whatever q^k is.
+Distance is exact full enumeration of all q^k codewords.  The cap on q^k
+is checked first; then the report is looked up, by exponent vector, in
+the distance store of ``factor_xn1(n, field)``, shared by every code of
+that length and field, and computed on a miss by span tables: the span
+of the first generator rows (at most _BLOCK words) is built once by
+doubling, and every codeword is a word of that table plus one
+combination of the remaining rows, so one numpy op over the table scans
+a block of codewords.  Binary codes pack a codeword into uint64 words,
+combine by XOR, count weights with np.bitwise_count and walk the
+remaining rows in Gray-code order; nonbinary codes build the table with
+the field's add/mul lookup tables.  Memory is O(_BLOCK * n) for any q^k.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ class CyclicCode:
     """A cyclic code of length n over a field, given by its monic generator
     and by its exponent vector over the factors of ``factor_xn1(n, field)``."""
 
-    __slots__ = ("n", "field", "g", "k", "vector", "_distance")
+    __slots__ = ("n", "field", "g", "k", "vector")
 
     def __init__(self, n: int, field: Field, g: Polynomial):
         if g.is_zero():
@@ -65,7 +67,6 @@ class CyclicCode:
         self.g = g
         self.k = n - g.degree
         self.vector = vector
-        self._distance = None
 
     def __eq__(self, other):
         return (isinstance(other, CyclicCode) and other.n == self.n
@@ -93,23 +94,19 @@ class CyclicCode:
         return CyclicCode._from_vector(fac, fac.dual(self.vector))
 
     def min_distance(self, cap: int = DEFAULT_CAP) -> DistanceReport:
-        # an exact distance, once computed, is valid whatever the cap
-        if self._distance is None:
-            self._distance = self._compute_distance(cap)
-        return self._distance
-
-    def _compute_distance(self, cap: int) -> DistanceReport:
-        q, k, n = self.field.q, self.k, self.n
+        """Exact distance; q^k above the cap raises whatever the store holds."""
+        q, k = self.field.q, self.k
         if k == 0:
             return DistanceReport(None, 0)
-        total = q ** k
-        if total > cap:
+        if q ** k > cap:
             raise EnumerationCapExceeded(
-                f"{q}^{k} = {total} codewords exceed the cap {cap}; "
+                f"{q}^{k} = {q ** k} codewords exceed the cap {cap}; "
                 "use a smaller instance or raise the cap")
-        if q == 2:
-            return self._distance_binary()
-        return self._distance_tables()
+        store = factor_xn1(self.n, self.field).distances
+        if self.vector not in store:
+            store[self.vector] = (self._distance_binary() if q == 2
+                                  else self._distance_tables())
+        return store[self.vector]
 
     def _scan(self, table: np.ndarray, offsets, weights) -> DistanceReport:
         """Least weight of table word + offset over every table column and offset.

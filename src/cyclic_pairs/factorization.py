@@ -16,7 +16,7 @@ table of the GF(p) digits of the powers of alpha.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 
 import numpy as np
@@ -150,6 +150,8 @@ class Factorization:
     nu: int
     n_prime: int
     factors: tuple[FactorEntry, ...]  # ordered by (order d, coset representative)
+    # DistanceReport by exponent vector, shared by every code of the cached factor_xn1
+    distances: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
     def divisor(self, exponents) -> Polynomial:
         """The monic divisor prod f_i^e_i of x^n - 1, e_i given in factor order.

@@ -29,13 +29,16 @@ from cyclic_pairs.fields import Field, FieldMismatchError
 # longest code length x^n - 1 is built or factored for; longer ones are
 # refused before anything is allocated
 MAX_LENGTH = 1 << 12
+_QUOTE_SPAN = 40  # most characters a parse error quotes on each side of its position
 
 
 class PolyParseError(ValueError):
     """Polynomial text that does not match the grammar."""
 
     def __init__(self, text: str, pos: int, why: str):
-        super().__init__(f"cannot parse {text!r} at position {pos}: {why}")
+        lo, hi = max(0, pos - _QUOTE_SPAN), pos + _QUOTE_SPAN
+        quoted = ("..." if lo else "") + text[lo:hi] + ("..." if hi < len(text) else "")
+        super().__init__(f"cannot parse {quoted!r} at position {pos}: {why}")
         self.pos = pos
 
 
@@ -257,6 +260,15 @@ _TERM_RE = re.compile(
     r"\s*(?:(?P<coeff>\d+)\s*\*?\s*)?(?:(?P<x>x)(?:\s*\^\s*(?P<exp>\d+))?)?\s*")
 
 
+def _bounded_int(digits: str, bound: int, text: str, pos: int, why: str) -> int:
+    """A digit string's value, or PolyParseError above bound; long ones never reach int()."""
+    digits = digits.lstrip("0") or "0"
+    if len(digits) > len(str(bound)) or int(digits) > bound:
+        shown = digits if len(digits) <= _QUOTE_SPAN else f"of {len(digits)} digits"
+        raise PolyParseError(text, pos, why.format(shown))
+    return int(digits)
+
+
 def parse_poly(text: str, field: Field) -> Polynomial:
     """Parse polynomial text or a compact ascending coefficient list.
 
@@ -266,6 +278,7 @@ def parse_poly(text: str, field: Field) -> Polynomial:
     is ascending by degree.  Degrees above MAX_LENGTH are refused before
     anything is allocated.
     """
+    too_big = f"coefficient {{}} >= field order {field.q}"
     s = text.strip()
     if not s:
         raise PolyParseError(text, 0, "empty input")
@@ -280,11 +293,7 @@ def parse_poly(text: str, field: Field) -> Polynomial:
         for part in items:
             if not re.fullmatch(r"\d+", part):
                 raise PolyParseError(text, text.find(part), f"bad coefficient {part!r}")
-            c = int(part)
-            if c >= field.q:
-                raise PolyParseError(text, text.find(part),
-                                     f"coefficient {c} >= field order {field.q}")
-            coeffs.append(c)
+            coeffs.append(_bounded_int(part, field.q - 1, text, text.find(part), too_big))
         return Polynomial(field, coeffs)
 
     coeffs: dict[int, int] = {}
@@ -307,17 +316,14 @@ def parse_poly(text: str, field: Field) -> Polynomial:
         m = _TERM_RE.match(s, pos)
         if not m or (m.group("coeff") is None and m.group("x") is None):
             raise PolyParseError(text, pos, "expected a term")
-        c = 1 if m.group("coeff") is None else int(m.group("coeff"))
-        if c >= field.q:
-            raise PolyParseError(text, pos, f"coefficient {c} >= field order {field.q}")
+        c = _bounded_int(m.group("coeff") or "1", field.q - 1, text, pos, too_big)
         if m.group("x") is None:
             k = 0
         elif m.group("exp") is None:
             k = 1
         else:
-            k = int(m.group("exp"))
-            if k > MAX_LENGTH:
-                raise PolyParseError(text, pos, f"exponent {k} > {MAX_LENGTH}")
+            k = _bounded_int(m.group("exp"), MAX_LENGTH, text, pos,
+                             f"exponent {{}} > {MAX_LENGTH}")
         if sign == -1:
             c = field.neg(c)
         coeffs[k] = field.add(coeffs.get(k, 0), c)

@@ -186,14 +186,35 @@ def test_weight_one_word_stops_the_scan():
     assert report.codewords_scanned < 2 ** 20 - 1
 
 
-def test_cap_enforced_and_cached_result_survives_small_cap():
+def test_cap_is_checked_before_the_distance_store():
     code = C(31, "x+1")  # 2^30 codewords
     with pytest.raises(EnumerationCapExceeded):
         code.min_distance(cap=1 << 10)
     small = C(7, "x^3+x+1")
     assert small.min_distance(cap=1 << 20).d == 3
-    # the exact answer is cached, so a tighter cap no longer matters
-    assert small.min_distance(cap=1).d == 3
+    # the exact answer is stored, but a tighter cap still refuses the code
+    with pytest.raises(EnumerationCapExceeded):
+        small.min_distance(cap=1)
+
+
+def test_codes_with_one_generator_share_one_distance_report():
+    a, b = C(15, "x^4+x+1"), C(15, "x^4+x+1")
+    assert a is not b
+    assert a.min_distance() is b.min_distance()
+    # the store is keyed by exponent vector, so a dual built twice shares it too
+    assert a.dual().min_distance() is b.dual().min_distance()
+
+
+def test_repeated_construction_computes_no_distance(monkeypatch):
+    gf11 = field_from_order(11)
+    first = construct_mds(gf11, 10, 4, 6, 2, with_distances=True)
+
+    def fail(self):
+        raise AssertionError(f"{self} recomputed its distance")
+
+    monkeypatch.setattr(CyclicCode, "_distance_tables", fail)
+    again = construct_mds(gf11, 10, 4, 6, 2, with_distances=True)
+    assert (again.report.d1, again.report.d2) == (first.report.d1, first.report.d2) == (7, 5)
 
 
 def test_singleton_bound_property():

@@ -253,6 +253,31 @@ def test_parse_refuses_degrees_past_the_length_bound():
         P("[" + "0," * 4097 + "1]")
 
 
+def test_parse_refuses_huge_digit_strings_before_converting_them():
+    nines = "9" * 5000  # past Python's 4300-digit limit on int(str)
+    for text, pos, why in ((f"x^{nines}", 0, "exponent of 5000 digits > 4096"),
+                           (nines, 0, "coefficient of 5000 digits >= field order 2"),
+                           (f"[{nines}]", 1, "coefficient of 5000 digits >= field order 2")):
+        with pytest.raises(PolyParseError, match=why) as exc:
+            P(text)
+        assert exc.value.pos == pos
+    # leading zeros do not count towards the bound
+    assert P("0" * 5000 + "1*x^" + "0" * 5000 + "3").coeffs == (0, 0, 0, 1)
+
+
+def test_parse_error_quotes_a_window_around_the_position():
+    text = "[" + "0," * 4097 + "1]"
+    with pytest.raises(PolyParseError) as exc:
+        P(text)
+    message = str(exc.value)
+    assert len(message.encode()) < 300
+    assert "at position 0: more than 4097 coefficients" in message
+    assert message.startswith("cannot parse '[0,0,") and "...'" in message
+    with pytest.raises(PolyParseError, match=r"cannot parse '\.\.\.0,0,") as exc:
+        P("[" + "0," * 100 + "7]")
+    assert exc.value.pos == 201
+
+
 def test_format_canonical_descending():
     assert str(P("[1,1,1,0,1]")) == "x^4 + x^2 + x + 1"
     assert str(Polynomial.zero(GF2)) == "0"

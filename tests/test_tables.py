@@ -131,6 +131,19 @@ def test_search_cap_skip_counter():
     assert result.skipped_by_cap > 0
 
 
+def test_cap_skips_do_not_depend_on_earlier_searches():
+    before = search_pairs(31, GF2, 0, limit=5, cap=1 << 8).skipped_by_cap
+    search_pairs(31, GF2, 0)  # stores the distance of every code up to 2^24 words
+    assert search_pairs(31, GF2, 0, limit=5, cap=1 << 8).skipped_by_cap == before
+
+
+def test_search_reports_codes_past_the_default_cap_when_the_cap_allows():
+    result = search_pairs(25, GF2, 24, cap=2 ** 25)
+    assert len(result.reports) == 3 and result.skipped_by_cap == 0
+    whole = [c for r in result.reports for c in (r.c1, r.c2) if c.k == 25]
+    assert whole and all(c.min_distance(cap=2 ** 25).d == 1 for c in whole)
+
+
 def _report_fields(r):
     return (r.c1.n, r.c1.field.q, r.c1.k, r.c1.g.coeffs, r.d1,
             r.c2.k, r.c2.g.coeffs, r.d2, r.ell, r.sum_dim,
