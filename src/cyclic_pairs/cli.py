@@ -91,11 +91,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["L", "repeated", "mds"], required=True)
     p.add_argument("--n", type=int, help="length (mode L, mds)")
     p.add_argument("--n-prime", type=int, help="simple-root length n' (mode repeated)")
-    p.add_argument("--nu", type=int, default=0, help="nu with n = p^nu n' (mode repeated)")
+    p.add_argument("--nu", type=int, help="nu with n = p^nu n' (mode repeated, default 0)")
     p.add_argument("--L", help="monic divisor L(x)")
     p.add_argument("--g1")
     p.add_argument("--g2")
-    p.add_argument("--s", type=int, default=1)
+    p.add_argument("--s", type=int, help="mode repeated, default 1")
     p.add_argument("--k1", type=int)
     p.add_argument("--k2", type=int)
     p.add_argument("--ell", type=int)
@@ -203,11 +203,18 @@ def cmd_exists(args, field) -> int:
 
 
 def cmd_construct(args, field) -> int:
-    required = {"L": ("n", "L", "g1", "g2"), "repeated": ("n_prime", "L", "g1", "g2"),
-                "mds": ("n", "k1", "k2", "ell")}[args.mode]
-    for name in required:
+    # the flags each mode reads, with their defaults (None: required)
+    modes = {"L": dict.fromkeys(("n", "L", "g1", "g2")),
+             "repeated": {**dict.fromkeys(("n_prime", "L", "g1", "g2")), "s": 1, "nu": 0},
+             "mds": dict.fromkeys(("n", "k1", "k2", "ell"))}
+    for name, default in modes[args.mode].items():
         if getattr(args, name) is None:
-            raise ValueError(f"--{name.replace('_', '-')} is required for --mode {args.mode}")
+            if default is None:
+                raise ValueError(f"--{name.replace('_', '-')} is required for --mode {args.mode}")
+            setattr(args, name, default)
+    for name in (name for flags in modes.values() for name in flags):
+        if name not in modes[args.mode] and getattr(args, name) is not None:
+            raise ValueError(f"--{name.replace('_', '-')} does not apply to --mode {args.mode}")
     if args.mode == "mds":
         result = construct_mds(field, args.n, args.k1, args.k2, args.ell)
         info = {"mode": "mds", "alpha": result.alpha}
@@ -234,6 +241,8 @@ def cmd_construct(args, field) -> int:
 
 
 def cmd_search(args, field) -> int:
+    if args.csv and args.json:
+        raise ValueError("--csv and --json cannot be combined")
     result = search_pairs(args.n, field, args.ell, args.min_d1, args.min_d2,
                           args.limit, args.cap)
     if args.csv:

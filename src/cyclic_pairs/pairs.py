@@ -86,11 +86,13 @@ def exists_ell(n: int, field: Field, ell: int,
     Bounded subset-sum over the irreducible factor degrees, each usable
     0..p^nu times, with the attainable degrees held as int bitmasks; the
     witness takes the lexicographically least multiplicity vector in the
-    canonical factor order.
+    canonical factor order.  A factorization given must be that of x^n - 1.
     """
     if not 0 <= ell <= n:
         raise ValueError(f"ell must satisfy 0 <= ell <= {n}, got {ell}")
     fac = factorization or factor_xn1(n, field)
+    if fac.n != n or fac.field is not field:
+        raise ValueError(f"the factorization is not of x^{n} - 1 over {field!r}")
     degrees = [e.poly.degree for e in fac.factors]
     mults = [e.multiplicity for e in fac.factors]
     nf = len(degrees)

@@ -161,8 +161,10 @@ def search_pairs(n: int, f: Field, ell: int, min_d1: int = 1, min_d2: int = 1,
 
     Divisors are handled as exponent vectors over the factors of x^n - 1:
     C1 ∩ C2 is generated by lcm(g1, g2), the elementwise max of the
-    vectors, and C1 + C2 by gcd(g1, g2), the elementwise min.  ValueError
-    when x^n - 1 has more than MAX_SEARCH_DIVISORS divisors.
+    vectors, and C1 + C2 by gcd(g1, g2), the elementwise min.  A divisor
+    in some pair reads its distance once from the factorization's store,
+    and the pairs are filtered and ranked as arrays.  ValueError when
+    x^n - 1 has more than MAX_SEARCH_DIVISORS divisors.
     """
     if limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
@@ -177,35 +179,27 @@ def search_pairs(n: int, f: Field, ell: int, min_d1: int = 1, min_d2: int = 1,
     degrees = fac.factor_degrees()
     # the zero code (dimension 0) cannot meet a distance threshold
     vectors = [v for v in _exponent_vectors(fac) if fac.degree(v) < n]
-    codes: dict[tuple[int, ...], CyclicCode] = {}
-    # kept for its None past the cap; min_distance per lookup slows n = 63 by 27 %
-    dists: dict[tuple[int, ...], int | None] = {}
-    skipped = 0
-
-    def dist_for(v):
-        if v not in dists:
-            codes[v] = CyclicCode._from_vector(fac, v)
-            try:
-                dists[v] = codes[v].min_distance(cap).d
-            except EnumerationCapExceeded:
-                dists[v] = None
-        return dists[v]
-
-    # only the v2 whose elementwise max with v1 has dimension ell
     V = np.array(vectors)
-    kept = []
-    for v1 in vectors:
-        for j in np.flatnonzero(n - np.maximum(V, v1) @ degrees == ell):
-            v2 = vectors[j]
-            d1, d2 = dist_for(v1), dist_for(v2)
-            if d1 is None or d2 is None:
-                skipped += 1
-                continue
-            if d1 < min_d1 or d2 < min_d2:
-                continue
-            kept.append((v1, v2, d1, d2))
-    kept.sort(key=lambda t: (-(t[2] + t[3]), -(t[2] * t[3]),
-                             codes[t[0]].g.coeffs, codes[t[1]].g.coeffs))
-    reports = [pair_analyze(codes[v1], codes[v2], with_distances=True, cap=cap)
-               for v1, v2, _, _ in kept[:limit]]
-    return SearchResult(reports, skipped_by_cap=skipped)
+    # row i: the partners j whose elementwise max with vector i has dimension ell
+    rows = [np.flatnonzero(n - np.maximum(V, v) @ degrees == ell) for v in V]
+    sizes = [len(row) for row in rows]
+    I, J = np.repeat(np.arange(len(V)), sizes), np.concatenate(rows)
+    # ell is symmetric in the pair, so a vector is in some pair iff its row is not empty
+    codes = {i: CyclicCode._from_vector(fac, vectors[i]) for i in np.flatnonzero(sizes)}
+    dist = np.zeros(len(V), dtype=np.int64)  # stays 0 past the cap
+    for i, code in codes.items():
+        try:
+            dist[i] = code.min_distance(cap).d
+        except EnumerationCapExceeded:
+            pass
+    past = (dist[I] == 0) | (dist[J] == 0)
+    keep = ~past & (dist[I] >= min_d1) & (dist[J] >= min_d2)
+    I, J = I[keep], J[keep]
+    d1, d2 = dist[I], dist[J]
+    # the tie-break: each generator's rank in coefficient order
+    rank = np.zeros(len(V), dtype=np.int64)
+    rank[sorted(codes, key=lambda i: codes[i].g.coeffs)] = np.arange(len(codes))
+    top = np.lexsort((rank[J], rank[I], -(d1 * d2), -(d1 + d2)))[:limit]
+    reports = [pair_analyze(codes[I[t]], codes[J[t]], with_distances=True, cap=cap)
+               for t in top]
+    return SearchResult(reports, skipped_by_cap=int(past.sum()))

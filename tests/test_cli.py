@@ -167,6 +167,25 @@ def test_construct_missing_argument_is_usage_error(capsys):
     assert code == EXIT_USAGE and "--L" in err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["--q", "8", "construct", "--mode", "mds", "--n", "7", "--k1", "2", "--k2", "3",
+      "--ell", "1", "--g1", "x+1"], "--g1"),
+    (["construct", "--mode", "L", "--n", "7", "--L", "x+1", "--g1", "x^3+x+1",
+      "--g2", "x^3+x+1", "--s", "5", "--k1", "3"], "--s"),
+    (["construct", "--mode", "L", "--n", "7", "--L", "x+1", "--g1", "x^3+x+1",
+      "--g2", "x^3+x+1", "--k1", "3"], "--k1"),
+    (["construct", "--mode", "repeated", "--n-prime", "7", "--L", "x+1",
+      "--g1", "x^3+x+1", "--g2", "x^3+x+1", "--n", "14"], "--n"),
+    (["construct", "--mode", "mds", "--n", "1", "--k1", "1", "--k2", "1", "--ell", "1",
+      "--nu", "0"], "--nu"),
+    (["search", "--n", "7", "--ell", "0", "--csv", "--json"], "--csv"),
+    (["--json", "search", "--n", "7", "--ell", "0", "--csv"], "--json")])
+def test_a_flag_that_would_do_nothing_is_refused(argv, flag, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error:") and flag in err
+
+
 def test_search_text_and_csv(capsys):
     code, out, _ = run(["search", "--n", "7", "--ell", "0",
                         "--min-d1", "3", "--min-d2", "3"], capsys)

@@ -157,6 +157,16 @@ def test_exists_matches_brute_force():
                            zip(w.multiplicity_vector, fact.factors)) == ell
 
 
+def test_exists_refuses_a_factorization_of_another_polynomial():
+    # x^7 - 1 has no degree-2 divisor; x^15 - 1 has x^2 + x + 1
+    with pytest.raises(ValueError, match="not of x\\^7 - 1 over GF\\(2\\)"):
+        exists_ell(7, GF2, 2, factor_xn1(15, GF2))
+    with pytest.raises(ValueError, match="not of x\\^3 - 1 over GF\\(2\\)"):
+        exists_ell(3, GF2, 1, factor_xn1(3, field_from_order(4)))
+    for ell in range(16):
+        assert exists_ell(15, GF2, ell, factor_xn1(15, GF2)) == exists_ell(15, GF2, ell)
+
+
 # -- small-ell shortcuts ---------------------------------------------------------
 
 def test_small_ell_always_feasible_below_two():

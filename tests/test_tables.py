@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 
 from cyclic_pairs import tables
-from cyclic_pairs.codes import CyclicCode
+from cyclic_pairs.codes import DEFAULT_CAP, CyclicCode
 from cyclic_pairs.factorization import factor_xn1
 from cyclic_pairs.fields import field_from_order, make_field
 from cyclic_pairs.pairs import pair_analyze
@@ -151,23 +151,32 @@ def _report_fields(r):
 
 
 def _brute_force_search(n, f):
-    """ell -> every ordered divisor pair with that ell, found by pair_analyze
-    and ranked as search_pairs documents."""
+    """ell -> every ordered pair of nonzero divisor codes with that ell, found
+    by pair_analyze and ranked as search_pairs documents."""
     codes = [CyclicCode(n, f, g) for g in all_divisors(n, f)]
     dist = {c: naive_min_distance(c) for c in codes}
     reports = [replace(pair_analyze(c1, c2), d1=dist[c1], d2=dist[c2])
                for c1 in codes for c2 in codes if c1.k and c2.k]
     reports.sort(key=lambda r: (-(r.d1 + r.d2), -(r.d1 * r.d2),
                                 r.c1.g.coeffs, r.c2.g.coeffs))
-    return {ell: [_report_fields(r) for r in reports if r.ell == ell]
-            for ell in range(n + 1)}
+    return {ell: [r for r in reports if r.ell == ell] for ell in range(n + 1)}
 
 
-@pytest.mark.parametrize("n, q", [(12, 2), (6, 3), (9, 3), (6, 4)])
-def test_search_matches_brute_force_pair_analysis(n, q):
+@pytest.mark.parametrize("n, q, cap, min_d1, min_d2", [
+    (12, 2, DEFAULT_CAP, 1, 1), (6, 3, DEFAULT_CAP, 1, 1), (9, 3, DEFAULT_CAP, 1, 1),
+    (6, 4, DEFAULT_CAP, 1, 1),
+    # ell = 0 is feasible, but no two nonzero codes meet in dimension 0
+    (1, 2, DEFAULT_CAP, 1, 1), (2, 2, DEFAULT_CAP, 1, 1),
+    (12, 2, 2 ** 6, 1, 1), (9, 3, DEFAULT_CAP, 3, 2)],
+    ids=["12-2", "6-3", "9-3", "6-4", "1-2", "2-2", "12-2-cap64", "9-3-min3-2"])
+def test_search_matches_brute_force_pair_analysis(n, q, cap, min_d1, min_d2):
     f = field_from_order(q)
     expected = _brute_force_search(n, f)
     for ell in range(n + 1):
-        result = search_pairs(n, f, ell, limit=10 ** 6)
-        assert result.skipped_by_cap == 0
-        assert [_report_fields(r) for r in result.reports] == expected[ell], ell
+        result = search_pairs(n, f, ell, min_d1, min_d2, limit=10 ** 6, cap=cap)
+        pairs = expected[ell]
+        # a pair with either side past the cap is skipped before the distance filter
+        within = [r for r in pairs if q ** r.c1.k <= cap and q ** r.c2.k <= cap]
+        assert result.skipped_by_cap == len(pairs) - len(within), ell
+        assert [_report_fields(r) for r in result.reports] == \
+            [_report_fields(r) for r in within if r.d1 >= min_d1 and r.d2 >= min_d2], ell
