@@ -47,10 +47,10 @@ def _add_globals(parser, suppress: bool) -> None:
     parser.add_argument("--q", type=int, **({"default": 2} if not suppress else kw),
                         help="field order (prime power, default 2)")
     parser.add_argument("--json", action="store_true", **kw, help="emit JSON")
-    parser.add_argument("--cap", type=_non_negative,
-                        **({"default": DEFAULT_CAP} if not suppress else kw),
+    # --cap has no default here, so main can tell a given cap from none
+    parser.add_argument("--cap", type=_non_negative, **kw,
                         help="largest code, in codewords, whose distance is "
-                             "computed or reused")
+                             f"computed or reused (default {DEFAULT_CAP})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -245,13 +245,6 @@ def cmd_search(args, field) -> int:
         raise ValueError("--csv and --json cannot be combined")
     result = search_pairs(args.n, field, args.ell, args.min_d1, args.min_d2,
                           args.limit, args.cap)
-    if args.csv:
-        writer = csv.writer(sys.stdout)
-        writer.writerow(CSV_HEADER)
-        for r in result.reports:
-            writer.writerow([r.c1.n, field.q, r.c1.k, r.d1, str(r.c1.g),
-                             r.c2.k, r.d2, str(r.c2.g), r.ell])
-        return EXIT_OK
     if args.json:
         print(json.dumps({
             "n": args.n, "q": field.q, "ell": args.ell,
@@ -259,11 +252,18 @@ def cmd_search(args, field) -> int:
             "skipped_by_cap": result.skipped_by_cap,
             "pairs": [_pair_json(r) for r in result.reports]}))
         return EXIT_OK
+    # stdout stays pure CSV: with --csv the notes go to stderr
     if result.infeasible:
-        print(f"infeasible: {result.reason}")
-        return EXIT_OK
-    for r in result.reports:
-        print(r.render())
+        print(f"infeasible: {result.reason}", file=sys.stderr if args.csv else sys.stdout)
+    if args.csv:
+        writer = csv.writer(sys.stdout)
+        writer.writerow(CSV_HEADER)
+        for r in result.reports:
+            writer.writerow([r.c1.n, field.q, r.c1.k, r.d1, str(r.c1.g),
+                             r.c2.k, r.d2, str(r.c2.g), r.ell])
+    else:
+        for r in result.reports:
+            print(r.render())
     if result.skipped_by_cap:
         print(f"# {result.skipped_by_cap} pairs skipped by the enumeration cap",
               file=sys.stderr)
@@ -311,6 +311,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # --cap bounds distance enumeration, so it is refused where none runs
+        if args.cap is None:
+            args.cap = DEFAULT_CAP
+        elif not (args.command in ("search", "verify-tables")
+                  or getattr(args, "min_distance", False) or getattr(args, "distances", False)):
+            raise ValueError(f"--cap does not apply: {args.command} computes no distance here")
         field = field_from_order(args.q)
         return _COMMANDS[args.command](args, field)
     except EnumerationCapExceeded as exc:

@@ -6,20 +6,22 @@ over the factors of x^n - 1; the dual is a permutation of that vector.
 Distance is exact full enumeration of all q^k codewords.  The cap on q^k
 is checked first; then the report is looked up, by exponent vector, in
 the distance store of ``factor_xn1(n, field)``, shared by every code of
-that length and field, and computed on a miss by span tables: the span
-of the first generator rows (at most _BLOCK words) is built once by
-doubling, and every codeword is a word of that table plus one
-combination of the remaining rows, so one numpy op over the table scans
-a block of codewords.  Binary codes pack a codeword into uint64 words,
-combine by XOR, count weights with np.bitwise_count and walk the
-remaining rows in Gray-code order; nonbinary codes build the table with
-the field's add/mul lookup tables.  Memory is O(_BLOCK * n) for any q^k.
+that length and field, and computed on a miss by one walk for every
+field.  The span of the first generator rows (at most _BLOCK words) is
+built once as a table, and every codeword is a word of that table plus
+one offset in the span of the remaining rows, so one numpy op over the
+table scans a block of codewords.  The offsets run in modular p-ary Gray
+order (Knuth, TAOCP 4A, 7.2.1.1) over the GF(p)-basis {p^j * row : j < m}
+of that span: each offset is the one before plus one basis vector.  Only
+the encoding of a word depends on the field: a binary word is ceil(n/64)
+uint64 words, added by XOR and weighed with np.bitwise_count; any other
+word is n field elements, added through ``Field.tables()``.  Memory is
+O(_BLOCK * n) for any q^k.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -104,69 +106,46 @@ class CyclicCode:
                 "use a smaller instance or raise the cap")
         store = factor_xn1(self.n, self.field).distances
         if self.vector not in store:
-            store[self.vector] = (self._distance_binary() if q == 2
-                                  else self._distance_tables())
+            store[self.vector] = self._enumerate()
         return store[self.vector]
 
-    def _scan(self, table: np.ndarray, offsets, weights) -> DistanceReport:
+    def _enumerate(self) -> DistanceReport:
         """Least weight of table word + offset over every table column and offset.
 
         The first offset is zero, so column 0 (the zero word) is skipped there;
         every other sum is a distinct nonzero codeword.
         """
-        best, scanned = self.n + 1, 0
-        for i, off in enumerate(offsets):
-            w = weights(table, off)[0 if i else 1:]
+        n, field = self.n, self.field
+        G = np.array(self.generator_matrix())
+        if field.q == 2:
+            packed = np.packbits(np.pad(G, ((0, 0), (0, -n % 64))), axis=1, bitorder="little")
+            multiples = packed.view(np.uint64)[:, :, None] * np.arange(2, dtype=np.uint64)
+            add = np.bitwise_xor
+            weight = lambda t, off: np.bitwise_count(t ^ off).sum(axis=0)
+        else:
+            add_table, mul = field.tables()
+            multiples = mul[:, G].transpose(1, 2, 0)
+            add = lambda a, b: add_table[a, b]
+            # table word t minus offset h is zero exactly where t equals h, and
+            # the offsets run over the whole high span, closed under negation
+            weight = lambda t, off: n - (t == off).sum(axis=0)
+        # multiples[i, j, c] = (c * row_i)_j; j runs over the words of a codeword
+        low = _low_rows(field.q, self.k)
+        table = np.zeros((multiples.shape[1], 1), dtype=multiples.dtype)
+        for m in multiples[:low]:
+            table = add(table[:, None, :], m[:, :, None]).reshape(len(table), -1)
+        basis = [m[:, field.p ** j, None] for m in multiples[low:] for j in range(field.m)]
+        off = table[:, :1]
+        best, scanned = n + 1, 0
+        for s in range(field.p ** len(basis)):
+            if s:
+                off = add(off, basis[_trailing_zero_digits(s, field.p)])
+            w = weight(table, off)[0 if s else 1:]
             scanned += w.size
             best = min(best, int(w.min()))
             if best == 1:
                 break
         return DistanceReport(best, scanned)
-
-    def _distance_binary(self) -> DistanceReport:
-        # a codeword is ceil(n/64) uint64 words, one column of the span table
-        bits = np.array(self.generator_matrix(), dtype=np.uint8)
-        packed = np.packbits(bits, axis=1, bitorder="little")
-        nwords = -(-self.n // 64)
-        packed = np.pad(packed, ((0, 0), (0, 8 * nwords - packed.shape[1])))
-        rows = packed.view(np.uint64)[:, :, None]
-        low = _low_rows(2, self.k)
-        table = np.zeros((nwords, 1), dtype=np.uint64)
-        for r in rows[:low]:
-            table = np.concatenate([table, table ^ r], axis=1)
-
-        def gray_walk(high):
-            cur = np.zeros((nwords, 1), dtype=np.uint64)
-            yield cur
-            for s in range(1, 1 << len(high)):
-                cur = cur ^ high[(s & -s).bit_length() - 1]
-                yield cur
-
-        return self._scan(table, gray_walk(rows[low:]),
-                          lambda t, off: np.bitwise_count(t ^ off).sum(axis=0))
-
-    def _distance_tables(self) -> DistanceReport:
-        n, q = self.n, self.field.q
-        add, mul = (t.astype(np.uint8 if q <= 256 else np.uint16)
-                    for t in self.field.tables())
-        G = np.array(self.generator_matrix(), dtype=np.intp)
-        multiples = mul[:, G].transpose(1, 2, 0)     # [i, j, c] = (c * row_i)_j
-        low = _low_rows(q, self.k)
-        table = np.zeros((n, 1), dtype=add.dtype)
-        for m in multiples[:low]:
-            table = add[table[:, None, :], m[:, :, None]].reshape(n, -1)
-
-        def combinations(high):
-            for parts in product(*(m.T for m in high)):
-                off = np.zeros(n, dtype=add.dtype)
-                for part in parts:
-                    off = add[off, part]
-                yield off[:, None]
-
-        # table word t minus offset h is zero exactly where t equals h, and the
-        # offsets run over the whole high span, which is closed under negation
-        return self._scan(table, combinations(multiples[low:]),
-                          lambda t, off: n - (t == off).sum(axis=0))
 
 
 def _low_rows(q: int, k: int) -> int:
@@ -176,3 +155,11 @@ def _low_rows(q: int, k: int) -> int:
         a += 1
     return a
 
+
+def _trailing_zero_digits(s: int, p: int) -> int:
+    """v_p(s), the number of trailing zero base-p digits of s > 0: the basis
+    vector that step s of the modular p-ary Gray walk adds."""
+    v = 0
+    while s % p == 0:
+        s, v = s // p, v + 1
+    return v

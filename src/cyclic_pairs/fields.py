@@ -424,7 +424,7 @@ class Field:
     # -- lookup tables for vectorized codeword enumeration -------------------
 
     def tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """(add, mul) q-by-q lookup tables; only for small fields."""
+        """(add, mul) q-by-q lookup tables, uint8 (q <= 256) or uint16; small fields only."""
         if self.q > _TABLE_LIMIT:
             raise ValueError(f"lookup tables limited to order {_TABLE_LIMIT}")
         if self._add_table is None:
@@ -445,8 +445,8 @@ class Field:
                 mul = np.array(self._exp)[np.add.outer(log, log)]
                 mul[0, :] = 0
                 mul[:, 0] = 0
-            self._add_table = add
-            self._mul_table = mul
+            dtype = np.uint8 if q <= 256 else np.uint16
+            self._add_table, self._mul_table = add.astype(dtype), mul.astype(dtype)
         return self._add_table, self._mul_table
 
     # -- text form ------------------------------------------------------------

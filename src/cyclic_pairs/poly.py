@@ -331,8 +331,6 @@ def parse_poly(text: str, field: Field) -> Polynomial:
         expect_term = False
     if expect_term:
         raise PolyParseError(text, n, "dangling operator")
-    if not coeffs:
-        return Polynomial.zero(field)
     top = max(coeffs)
     return Polynomial(field, [coeffs.get(k, 0) for k in range(top + 1)])
 

@@ -179,7 +179,14 @@ def test_construct_missing_argument_is_usage_error(capsys):
     (["construct", "--mode", "mds", "--n", "1", "--k1", "1", "--k2", "1", "--ell", "1",
       "--nu", "0"], "--nu"),
     (["search", "--n", "7", "--ell", "0", "--csv", "--json"], "--csv"),
-    (["--json", "search", "--n", "7", "--ell", "0", "--csv"], "--json")])
+    (["--json", "search", "--n", "7", "--ell", "0", "--csv"], "--json"),
+    (["factor", "--n", "7", "--cap", "1"], "--cap"),
+    (["cosets", "--n", "15", "--cap", "1"], "--cap"),
+    (["--cap", "1", "exists", "--n", "7", "--ell", "3"], "--cap"),
+    (["code", "--n", "7", "--g", "x+1", "--cap", "1"], "--cap"),
+    (["pair", "--n", "7", "--g1", "x+1", "--g2", "x^3+x+1", "--cap", "1"], "--cap"),
+    (["--cap", "1", "construct", "--mode", "L", "--n", "7", "--L", "x+1",
+      "--g1", "x^3+x+1", "--g2", "x^3+x+1"], "--cap")])
 def test_a_flag_that_would_do_nothing_is_refused(argv, flag, capsys):
     code, out, err = run(argv, capsys)
     assert code == EXIT_USAGE and out == ""
@@ -201,6 +208,17 @@ def test_search_text_and_csv(capsys):
 def test_search_infeasible(capsys):
     code, out, _ = run(["search", "--n", "9", "--ell", "4"], capsys)
     assert code == EXIT_OK and out.startswith("infeasible")
+    # stdout stays pure CSV; the reason goes to stderr
+    code, out, err = run(["search", "--n", "9", "--ell", "4", "--csv"], capsys)
+    assert code == EXIT_OK and out.splitlines() == [",".join(CSV_HEADER)]
+    assert err.startswith("infeasible: no monic divisor of x^9 - 1 has degree 4")
+
+
+@pytest.mark.parametrize("fmt", [[], ["--csv"]])
+def test_search_reports_cap_skips_on_stderr(fmt, capsys):
+    code, out, err = run(["search", "--n", "31", "--ell", "0", "--cap", "4096"] + fmt, capsys)
+    assert code == EXIT_OK and out and "skipped" not in out
+    assert err == "# 1170 pairs skipped by the enumeration cap\n"
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -171,19 +171,22 @@ def test_reed_solomon_distance_past_one_block(q, n, ks):
 
 
 def test_codewords_scanned_counts_every_nonzero_word():
-    gf13 = field_from_order(13)
+    gf13, gf9 = field_from_order(13), field_from_order(9)
+    # GF(9) RS [8,6] (d = 3) walks two high rows of two basis digits each
     for code in (_bch_31((1, 3)), construct_mds(gf13, 12, 5, 5, 5).c1,
-                 C(11, "x^5 + x^4 + 2*x^3 + x^2 + 2", q=3)):
+                 C(11, "x^5 + x^4 + 2*x^3 + x^2 + 2", q=3),
+                 construct_mds(gf9, 8, 6, 6, 6).c1):
         report = code.min_distance()
         assert report.d > 1
         assert report.codewords_scanned == code.field.q ** code.k - 1
 
 
-def test_weight_one_word_stops_the_scan():
-    whole = C(20, "[1]")  # every word of length 20, 2^20 of them
+@pytest.mark.parametrize("q, n", [(2, 20), (3, 14), (4, 11)])
+def test_weight_one_word_stops_the_scan(q, n):
+    whole = C(n, "[1]", q=q)  # every word of length n, q^n of them
     report = whole.min_distance()
     assert report.d == 1
-    assert report.codewords_scanned < 2 ** 20 - 1
+    assert report.codewords_scanned < q ** n - 1
 
 
 def test_cap_is_checked_before_the_distance_store():
@@ -212,7 +215,7 @@ def test_repeated_construction_computes_no_distance(monkeypatch):
     def fail(self):
         raise AssertionError(f"{self} recomputed its distance")
 
-    monkeypatch.setattr(CyclicCode, "_distance_tables", fail)
+    monkeypatch.setattr(CyclicCode, "_enumerate", fail)
     again = construct_mds(gf11, 10, 4, 6, 2, with_distances=True)
     assert (again.report.d1, again.report.d2) == (first.report.d1, first.report.d2) == (7, 5)
 

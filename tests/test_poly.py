@@ -205,6 +205,7 @@ def test_parse_examples():
     assert P("x^4 + x^2 + x + 1").coeffs == (1, 1, 1, 0, 1)
     assert P("x + 1").coeffs == (1, 1)
     assert P("x^2 + x^2").is_zero()  # same-degree terms sum, char 2
+    assert P("0").is_zero()
 
 
 def test_parse_list_form():
