@@ -91,6 +91,12 @@ def test_lex_least_moduli_are_irreducible_and_least():
             assert not is_irreducible(cand + (1,), p)
 
 
+def test_gf2_508_modulus_is_pinned():
+    # GF(2^508) carries the roots of x^509 - 1; no CLI output shows its modulus
+    mod = lex_least_irreducible(2, 508)
+    assert [i for i, c in enumerate(mod) if c] == [0, 501, 504, 505, 506, 507, 508]
+
+
 def test_is_irreducible_validates_its_input():
     for p in (0, 1, 4, 9):
         with pytest.raises(ValueError, match="characteristic"):

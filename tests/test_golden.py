@@ -2,7 +2,7 @@
 
 The goldens cover ``search`` (CSV and JSON, binary with simple roots,
 repeated roots, nonbinary fields, a cap that skips pairs), ``factor
---json`` (extension fields up to GF(2^174) and GF(3^100)), ``exists
+--json`` (extension fields up to GF(2^508) and GF(3^100)), ``exists
 --json`` (infeasible and repeated-root cases), and, over GF(2), GF(3)
 and GF(4), ``code --dual``, ``pair --distances``, the three ``construct``
 modes (exact and inexact L) and ``verify-tables``, all as JSON.  A further golden pins
@@ -36,6 +36,7 @@ CASES = {
     "factor_n59_q8": "--q 8 factor --n 59 --json",
     "factor_n63_q4": "--q 4 factor --n 63 --json",
     "factor_n202_q3": "--q 3 factor --n 202 --json",
+    "factor_n509_q2": "factor --n 509 --json",
     "exists_n23_ell2_json": "exists --n 23 --ell 2 --json",
     "exists_n54_q3_ell20_json": "--q 3 exists --n 54 --ell 20 --json",
     "exists_n63_q9_ell31_json": "--q 9 exists --n 63 --ell 31 --json",
