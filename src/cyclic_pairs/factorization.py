@@ -11,7 +11,8 @@ refused up front.
 
 A minimal polynomial is the first GF(q)-linear dependency among the
 powers of beta = alpha^rep, found by one linear solve over GF(p) on a
-table of the GF(p) digits of the powers of alpha.
+table of the powers of alpha: for odd p an elimination on int64 digit
+rows, for p = 2 an XOR basis on bit rows, the extension's own ints.
 """
 
 from __future__ import annotations
@@ -78,15 +79,20 @@ def root_of_unity(field: Field, n_prime: int) -> tuple[Field, int, int]:
 
 
 @lru_cache(maxsize=1)
-def _alpha_powers(field: Field, n_prime: int) -> tuple[np.ndarray, np.ndarray | None]:
-    """Digits of alpha^0 .. alpha^(n'-1), and the matrix of multiplication by gamma.
+def _alpha_powers(field: Field, n_prime: int) -> tuple[Field, list[int] | np.ndarray, object]:
+    """(ext, alpha^0 .. alpha^(n'-1), gamma), kept for every coset of one (field, n').
 
-    gamma is the image of the base generator (None over a prime field).
-    One table is kept: factor_xn1 asks for every coset of one (field, n').
+    For odd p the powers are GF(p) digit rows and gamma is given as the
+    matrix of multiplication by it (None over a prime field).
     """
     ext, gamma, alpha = root_of_unity(field, n_prime)
+    if field.p == 2:
+        powers = [1]
+        for _ in range(1, n_prime):
+            powers.append(ext.mul(powers[-1], alpha))
+        return ext, powers, gamma
     times_gamma = ext.times_matrix(gamma) if field.m > 1 else None
-    return ext.power_digits(alpha, n_prime), times_gamma
+    return ext, ext.power_digits(alpha, n_prime), times_gamma
 
 
 def _solve_mod_p(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
@@ -107,6 +113,30 @@ def _solve_mod_p(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
     return aug[:cols, cols]
 
 
+def _solve_gf2(cols: list[int], b: int) -> int | None:
+    """The unique x with b = XOR of the cols[j] for the set bits j of x, or None.
+
+    An XOR basis of the bit-row columns, keyed by leading bit, tracks which
+    columns each row combines as a bitmask; as in ``_solve_mod_p``, a
+    dependent column or a b outside the span gives None.
+    """
+    basis: dict[int, tuple[int, int]] = {}
+
+    def reduce(v: int, mask: int) -> tuple[int, int]:
+        while v and (top := v.bit_length() - 1) in basis:
+            row, combo = basis[top]
+            v, mask = v ^ row, mask ^ combo
+        return v, mask
+
+    for j, v in enumerate(cols):
+        v, mask = reduce(v, 1 << j)
+        if not v:
+            return None
+        basis[v.bit_length() - 1] = (v, mask)
+    b, x = reduce(b, 0)
+    return None if b else x
+
+
 def minimal_poly(n_prime: int, field: Field, coset: tuple[int, ...]) -> Polynomial:
     """Minimal polynomial over the field of beta = alpha^j, j = coset[0].
 
@@ -121,13 +151,21 @@ def minimal_poly(n_prime: int, field: Field, coset: tuple[int, ...]) -> Polynomi
     if not coset or {coset[0] * pow(q, i, n_prime) % n_prime
                      for i in range(d)} != set(coset) or len(set(coset)) != d:
         raise CoercionError(f"{coset} is not a {q}-cyclotomic coset mod {n_prime}")
-    powers, times_gamma = _alpha_powers(field, n_prime)
-    beta = powers[np.arange(d + 1) * coset[0] % n_prime]  # beta^0 .. beta^d
-    # block s holds the digits of gamma^s * beta^i, i < d
-    blocks = [beta[:d]]
-    for _ in range(1, field.m):
-        blocks.append(blocks[-1] @ times_gamma % p)
-    digits = _solve_mod_p(np.concatenate(blocks).T, -beta[d] % p, p)
+    ext, powers, action = _alpha_powers(field, n_prime)
+    index = np.arange(d + 1) * coset[0] % n_prime  # of beta^0 .. beta^d
+    if p == 2:  # column s*d + i is the bit row of gamma^s * beta^i
+        beta = [powers[i] for i in index.tolist()]
+        cols = beta[:d]
+        for _ in range(1, field.m):
+            cols += [ext.mul(action, c) for c in cols[-d:]]
+        x = _solve_gf2(cols, beta[d])
+        digits = None if x is None else np.array([x >> j & 1 for j in range(len(cols))])
+    else:  # block s holds the digits of gamma^s * beta^i, i < d
+        beta = powers[index]
+        blocks = [beta[:d]]
+        for _ in range(1, field.m):
+            blocks.append(blocks[-1] @ action % p)
+        digits = _solve_mod_p(np.concatenate(blocks).T, -beta[d] % p, p)
     if digits is None:
         raise CoercionError(f"alpha^{coset[0]} has no degree-{d} minimal polynomial "
                             f"over {field!r}")

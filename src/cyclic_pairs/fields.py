@@ -25,23 +25,27 @@ The arithmetic lanes of ``add``, ``mul`` and ``pow`` all give the same results:
   multiply by one ``np.convolve`` and one matrix-vector product with a
   reduction matrix R whose row i is x^(m+i) mod the modulus; ``pow``
   decodes its operand once and squares and multiplies on the vectors
-  (``_powmod``).  The Rabin irreducibility test behind the modulus search
+  (``_powmod``).  Ben-Or's irreducibility test behind the modulus search
   reduces the same way and takes its t -> t^p steps with ``_powmod``.
 
 Every lane composes ``neg`` (times p - 1, the prime-field constant -1),
 ``sub`` (add the negation) and ``inv`` (Fermat's a^(q-2)) from these three.
 
-The modulus search tests candidates in lexicographic order with Rabin's
-test.  When p <= m + 1 it first drops a candidate with a root in GF(p),
-found by Horner evaluation at every nonzero point in plain ints; that
-costs at most about m^2 integer operations, less than one Rabin pass.
-For larger p (extension fields of a large prime) evaluating at every
-point would cost more than Rabin, so the sieve is skipped.  Rabin still
-confirms every survivor.
+The modulus search tests candidates in lexicographic order with Ben-Or's
+test (Ben-Or 1981; Gao & Panario 1997): f of degree m is irreducible when
+gcd(x^(p^i) - x, f) = 1 for every i <= m/2.  The x^(p^i) - x mod f are
+multiplied over blocks of i of lengths 1, 2, 4, ..., the last cut at m/2,
+with one gcd per block; an irreducible factor of f divides the product
+exactly when it divides one factor, and a zero product gives gcd(0, f) = f.
+Most reducible candidates fall in the first blocks.  For odd p the gcds run
+on plain int lists (``_coprime``).  When p <= m + 1 the search first drops
+a candidate with a root in GF(p) by Horner evaluation in plain ints (about
+m^2 operations), which answers the block i = 1; for larger p that sieve
+would cost more than the block, so it is skipped and the block runs.
 
 Every lane can also give the m-by-m GF(p) matrix of multiplication by an
 element and, by doubling with it, the digit vectors of an element's
-powers; the small-field tables and the minimal polynomials of
+powers; the small-field tables and, for odd p, the minimal polynomials of
 ``factorization`` are built from these, and its roots of unity come from
 ``element_of_order``, the one search for an element of given order.
 """
@@ -92,14 +96,7 @@ def _gf2_gcd(a: int, b: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# GF(p)[x] on int64 coefficient arrays, ascending degree, trimmed
-
-def _ptrim(a: np.ndarray) -> np.ndarray:
-    n = a.size
-    while n > 0 and a[n - 1] == 0:
-        n -= 1
-    return a[:n]
-
+# GF(p)[x] on int64 coefficient arrays, ascending degree
 
 def _times_matrix(a: np.ndarray, f: np.ndarray, p: int, rows: int) -> np.ndarray:
     """Row i is a * x^i mod f, for i < rows; f is monic of degree m."""
@@ -139,26 +136,18 @@ def _powmod(a: np.ndarray, e: int, red: np.ndarray, p: int) -> np.ndarray:
     return r
 
 
-def _prem(a: np.ndarray, f: np.ndarray, p: int) -> np.ndarray:
-    """Remainder of a divided by f over GF(p), trimmed."""
-    r = _ptrim(a % p).copy()
-    df = f.size - 1
-    lead_inv = pow(int(f[-1]), -1, p)
-    while r.size - 1 >= df:
-        c = (int(r[-1]) * lead_inv) % p
-        shift = r.size - 1 - df
-        r[shift:] = (r[shift:] - c * f) % p
-        r = _ptrim(r)
-    return r
-
-
-def _pgcd(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    a, b = _ptrim(a % p), _ptrim(b % p)
-    while b.size:
-        a, b = b, _prem(a, b, p)
-    if a.size:
-        a = (a * pow(int(a[-1]), -1, p)) % p
-    return a
+def _coprime(a: list[int], b: list[int], p: int) -> bool:
+    """True when gcd(a, b) = 1 over GF(p); descending coefficient lists, b[0] != 0."""
+    while b:
+        # a <- a mod b, one leading term per step
+        inv, rest, width = pow(b[0], -1, p), b[1:], len(b) - 1
+        while len(a) > width:
+            c = a[0] * inv % p
+            a = [(x - c * y) % p for x, y in zip(a[1:], rest)] + a[len(b):] if c else a[1:]
+        while a and not a[0]:
+            a = a[1:]
+        a, b = b, a
+    return len(a) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -179,33 +168,36 @@ def _prime_divisors(n: int) -> list[int]:
 
 
 def _is_irreducible_gf2(f: int, m: int) -> bool:
-    # Rabin: x^(2^m) = x mod f, and gcd(x^(2^(m/r)) - x, f) = 1 for primes r | m
-    checkpoints = {m // r for r in _prime_divisors(m)}
-    t = 2  # the polynomial x
-    for j in range(1, m + 1):
+    # Ben-Or from i = 2: the root sieve has answered i = 1
+    t, acc = 4, 1  # t = x^(2^i), i = 1
+    for i in range(2, m // 2 + 1):
         t = _gf2_mod(_gf2_mul(t, t), f)
-        if j in checkpoints:
-            if _gf2_gcd(t ^ 2, f) != 1:
+        acc = _gf2_mod(_gf2_mul(acc, t ^ 2), f)
+        if i & (i + 1) == 0 or i == m // 2:  # blocks end at 2^k - 1 and at m/2
+            if _gf2_gcd(f, acc) != 1:
                 return False
-    return t == 2
+            acc = 1
+    return True
 
 
-def _is_irreducible_gfp(coeffs: np.ndarray, m: int, p: int) -> bool:
-    f = coeffs
-    red = _reduction_matrix(f, p)
-    checkpoints = {m // r for r in _prime_divisors(m)}
-    x = np.zeros(m, dtype=np.int64)
-    x[1] = 1
-    t = x
-    for j in range(1, m + 1):
+def _is_irreducible_gfp(coeffs: tuple[int, ...], m: int, p: int, sieved: bool) -> bool:
+    # Ben-Or as over GF(2), from i = 1 unless sieved; gcds on descending int lists
+    red = _reduction_matrix(np.array(coeffs, dtype=np.int64), p)
+    t = np.zeros(m, dtype=np.int64)
+    t[1] = 1  # the polynomial x
+    acc = None
+    for i in range(1, m // 2 + 1):
         t = _powmod(t, p, red, p)
-        if j in checkpoints:
-            diff = t.copy()
-            diff[1] = (diff[1] - 1) % p
-            g = _pgcd(diff, f, p)
-            if not (g.size == 1 and g[0] == 1):
+        if i == 1 and sieved:
+            continue
+        diff = t.copy()
+        diff[1] = (diff[1] - 1) % p
+        acc = diff if acc is None else _mulmod(acc, diff, red, p)
+        if i & (i + 1) == 0 or i == m // 2:
+            if not _coprime(acc[::-1].tolist(), list(reversed(coeffs)), p):
                 return False
-    return np.array_equal(t, x)
+            acc = None
+    return True
 
 
 def _has_root(coeffs: tuple[int, ...], p: int) -> bool:
@@ -220,10 +212,11 @@ def _has_root(coeffs: tuple[int, ...], p: int) -> bool:
 
 
 def is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
-    """Rabin irreducibility test for a monic polynomial over GF(p).
+    """Ben-Or irreducibility test for a monic polynomial over GF(p).
 
-    Coefficients are integers taken mod p, ascending.  When p <= m + 1 a
-    candidate with a root in GF(p) is rejected before any Rabin step.
+    Coefficients are integers taken mod p, ascending.  gcd(x^(p^i) - x, f)
+    = 1 is checked for i <= m/2, one gcd per block of i.  When p <= m + 1 a
+    candidate with a root in GF(p) is rejected first, and i = 1 is skipped.
     """
     if not isinstance(p, int) or _prime_divisors(p) != [p]:
         raise ValueError(f"characteristic must be prime, got {p!r}")
@@ -235,12 +228,13 @@ def is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
         raise ValueError("expected a monic polynomial of degree >= 1")
     if m == 1:
         return True
-    if coeffs[0] == 0 or (p <= m + 1 and _has_root(coeffs, p)):
+    sieved = p <= m + 1  # always for p = 2
+    if coeffs[0] == 0 or (sieved and _has_root(coeffs, p)):
         return False
     if p == 2:
         f = sum(c << i for i, c in enumerate(coeffs))
         return _is_irreducible_gf2(f, m)
-    return _is_irreducible_gfp(np.array(coeffs, dtype=np.int64), m, p)
+    return _is_irreducible_gfp(coeffs, m, p, sieved)
 
 
 @lru_cache(maxsize=None)

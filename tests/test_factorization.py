@@ -2,6 +2,7 @@ import random
 from itertools import product
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -94,6 +95,50 @@ def test_minimal_poly_refuses_a_non_coset():
     for coset in [(1,), (1, 3), (1, 1, 1), (0, 0), ()]:
         with pytest.raises(CoercionError):
             minimal_poly(7, GF2, coset)
+
+
+def _bit_rows(a):
+    """The columns of a 0/1 matrix as ints, bit r = row r."""
+    return [sum(int(v) << r for r, v in enumerate(col)) for col in a.T]
+
+
+def _both_solves(a, b):
+    x = factorization._solve_gf2(_bit_rows(a), _bit_rows(b[:, None])[0])
+    bits = None if x is None else [x >> j & 1 for j in range(a.shape[1])]
+    expected = factorization._solve_mod_p(a, b, 2)
+    return bits, None if expected is None else expected.tolist()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_gf2_bit_row_solve_matches_the_gf_p_solve(seed):
+    rng = np.random.default_rng(seed)
+    kinds = {"unique": 0, "rank_deficient": 0, "inconsistent": 0}
+    for _ in range(60):
+        rows = int(rng.integers(2, 40))
+        cols = int(rng.integers(1, rows + 1))
+        a = rng.integers(0, 2, (rows, cols))
+        x = rng.integers(0, 2, cols)
+        b = a @ x % 2
+        bits, expected = _both_solves(a, b)
+        assert bits == expected
+        if expected is None:
+            continue  # a random a of short rank
+        kinds["unique"] += 1
+        assert expected == x.tolist()
+        if cols >= 2:  # a column that is the sum of one or two others: many solutions
+            i, *others = rng.choice(cols, min(cols, 3), replace=False)
+            dep = a.copy()
+            dep[:, i] = a[:, others].sum(1) % 2
+            assert _both_solves(dep, dep @ x % 2) == (None, None)
+            kinds["rank_deficient"] += 1
+        if cols < rows:  # a b outside the column span
+            for _ in range(20):
+                off = rng.integers(0, 2, rows)
+                if _both_solves(a, off)[1] is None:
+                    assert _both_solves(a, off) == (None, None)
+                    kinds["inconsistent"] += 1
+                    break
+    assert all(kinds.values()), kinds
 
 
 def _in_coset(n_prime, q, rep, j):

@@ -152,6 +152,63 @@ def test_irreducible_hits_match_sympy_exhaustively(p):
         assert _monic_hits(p, m) == expected, m
 
 
+def _times(a, b, p):
+    """Product of two ascending coefficient tuples over GF(p)."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return tuple(out)
+
+
+def _next_irreducible(g, p):
+    """The lex-least monic irreducible of g's degree after g."""
+    k = len(g) - 1
+    for c in product(range(p), repeat=k):
+        if c > g[:-1] and is_irreducible(c + (1,), p):
+            return c + (1,)
+    raise AssertionError(f"no irreducible of degree {k} after {g}")
+
+
+# (p, m) whose Ben-Or blocks end at m // 2 with a block longer than one i
+# (p = 2, 3), or of length one (p = 5)
+BEN_OR_LAST_BLOCK = [(2, 20), (2, 21), (3, 12), (3, 13), (5, 8), (5, 9)]
+
+
+@pytest.mark.parametrize("p, m", BEN_OR_LAST_BLOCK)
+def test_a_factor_of_degree_half_m_is_found_in_the_last_block(p, m):
+    # g * h has no factor of degree < m // 2, so only the gcd at i = m // 2 sees g
+    g = lex_least_irreducible(p, m // 2)
+    h = lex_least_irreducible(p, m - m // 2)
+    if h == g:
+        h = _next_irreducible(g, p)
+    assert not is_irreducible(_times(g, h, p), p)
+    if m % 2 == 0:
+        assert not is_irreducible(_times(g, g, p), p)
+    assert is_irreducible(lex_least_irreducible(p, m), p)
+
+
+@pytest.mark.parametrize("p, roots", [(7, (1, 6)), (7, (1, 2, 3)), (5, (2, 3)), (11, (1, 4, 5, 9))])
+def test_split_polynomials_are_rejected_without_the_root_sieve(p, roots):
+    # p > m + 1 skips the sieve; x^p - x = 0 mod f, so the first block's gcd is f
+    f = (1,)
+    for r in roots:
+        f = _times(f, (-r % p, 1), p)
+    assert p > len(roots) + 1
+    assert not is_irreducible(f, p)
+
+
+@pytest.mark.parametrize("p, m", [(2, 30), (3, 16), (5, 10), (7, 8)])
+def test_random_polynomials_match_sympy(p, m):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    rng = random.Random(p * 100 + m)
+    for _ in range(60):
+        c = tuple(rng.randrange(p) for _ in range(m)) + (1,)
+        expected = sympy.Poly(list(reversed(c)), x, modulus=p).is_irreducible
+        assert is_irreducible(c, p) == expected, c
+
+
 def test_elem_op_examples():
     gf2, gf4, gf7 = make_field(2), make_field(2, 2), make_field(7)
     assert gf2.add(1, 1) == 0
