@@ -170,8 +170,7 @@ def _next_irreducible(g, p):
     raise AssertionError(f"no irreducible of degree {k} after {g}")
 
 
-# (p, m) whose Ben-Or blocks end at m // 2 with a block longer than one i
-# (p = 2, 3), or of length one (p = 5)
+# (p, m) whose last Ben-Or block is {8, 9, 10} (p = 2), {4, 5, 6} (p = 3) or {4} (p = 5)
 BEN_OR_LAST_BLOCK = [(2, 20), (2, 21), (3, 12), (3, 13), (5, 8), (5, 9)]
 
 
