@@ -37,6 +37,8 @@ CASES = {
     "factor_n63_q4": "--q 4 factor --n 63 --json",
     "factor_n202_q3": "--q 3 factor --n 202 --json",
     "factor_n509_q2": "factor --n 509 --json",
+    "factor_n5_q4099": "--q 4099 factor --n 5 --json",
+    "factor_n7_q1021": "--q 1021 factor --n 7 --json",
     "exists_n23_ell2_json": "exists --n 23 --ell 2 --json",
     "exists_n54_q3_ell20_json": "--q 3 exists --n 54 --ell 20 --json",
     "exists_n63_q9_ell31_json": "--q 9 exists --n 63 --ell 31 --json",
