@@ -21,12 +21,16 @@ The arithmetic lanes of ``add``, ``mul`` and ``pow`` all give the same results:
   characteristic 2 it is XOR;
 * larger fields of characteristic 2 work on the bit-packed integer
   encodings directly;
-* larger fields of odd characteristic decode to coefficient vectors and
-  multiply by one ``np.convolve`` and one matrix-vector product with a
-  reduction matrix R whose row i is x^(m+i) mod the modulus; ``pow``
-  decodes its operand once and squares and multiplies on the vectors
-  (``_powmod``).  Ben-Or's irreducibility test behind the modulus search
-  reduces the same way and takes its t -> t^p steps with ``_powmod``.
+* larger fields of odd characteristic pack the base-p digits of an
+  element into one int, coefficient i in its own slot of w bits
+  (``_SlotRing``).  A product is one int multiply (Kronecker
+  substitution; Harvey 2009), every slot is taken mod p at once by one
+  multiply, shift and mask (Granlund & Montgomery 1994), and the
+  reduction mod f is Barrett's (Barrett 1986) with mu = x^(2m-2) // f
+  built with the field.  ``add`` and ``mul`` pack their operands and
+  unpack the result; ``pow`` packs its operand once and squares and
+  multiplies on slots.  Ben-Or's irreducibility test behind the modulus
+  search runs on the same packed ints.
 
 Every lane composes ``neg`` (times p - 1, the prime-field constant -1),
 ``sub`` (add the negation) and ``inv`` (Fermat's a^(q-2)) from these three.
@@ -38,10 +42,11 @@ multiplied over blocks of i of lengths 1, 2, 4, ..., the last cut at m/2,
 with one gcd per block; an irreducible factor of f divides the product
 exactly when it divides one factor, and a zero product gives gcd(0, f) = f.
 Most reducible candidates fall in the first blocks.  For odd p the gcds run
-on plain int lists (``_coprime``).  When p <= m + 1 the search first drops
-a candidate with a root in GF(p) by Horner evaluation in plain ints (about
-m^2 operations), which answers the block i = 1; for larger p that sieve
-would cost more than the block, so it is skipped and the block runs.
+on packed ints and only answer "is it 1?", reading a degree off the bit
+length.  When p <= m + 1 the search first drops a candidate with a root in
+GF(p) by Horner evaluation in plain ints (about m^2 operations), which
+answers the block i = 1; for larger p that sieve would cost more than the
+block, so it is skipped and the block runs.
 
 Every lane can also give the m-by-m GF(p) matrix of multiplication by an
 element and, by doubling with it, the digit vectors of an element's
@@ -110,44 +115,98 @@ def _times_matrix(a: np.ndarray, f: np.ndarray, p: int, rows: int) -> np.ndarray
     return out
 
 
-def _reduction_matrix(f: np.ndarray, p: int) -> np.ndarray:
-    """Row i is x^(m+i) mod f, for i < m - 1; f is monic of degree m."""
-    return _times_matrix((-f[:-1]) % p, f, p, f.size - 2)
+# ---------------------------------------------------------------------------
+# GF(p)[x] mod f on packed ints, p odd
 
+class _SlotRing:
+    """GF(p)[x]/f on packed ints: coefficient i sits in bits [w*i, w*(i+1)).
 
-def _mulmod(a: np.ndarray, b: np.ndarray, red: np.ndarray, p: int) -> np.ndarray:
-    """a * b mod f for length-m coefficient vectors; ``red`` is f's reduction matrix."""
-    m = a.size
-    c = np.convolve(a, b) % p
-    return (c[:m] + c[m:] @ red) % p
-
-
-def _powmod(a: np.ndarray, e: int, red: np.ndarray, p: int) -> np.ndarray:
-    """a^e mod f for a length-m coefficient vector and e >= 1.
-
-    Left-to-right square-and-multiply from the leading bit of e, so no
-    product is by 1.
+    A product is one int multiply (Kronecker substitution).  The slot width
+    w holds the largest slot sum, m(p-1)^2, times the constant c of
+    ``reduce``, so neither a product nor the reduction carries into the
+    next slot.  Reduction mod f is Barrett's, with mu = x^(2m-2) // f.
     """
-    r = a
-    for bit in bin(e)[3:]:
-        r = _mulmod(r, r, red, p)
-        if bit == "1":
-            r = _mulmod(r, a, red, p)
-    return r
 
+    __slots__ = ("p", "m", "w", "k", "c", "qmask", "low", "f", "mu", "negf")
 
-def _coprime(a: list[int], b: list[int], p: int) -> bool:
-    """True when gcd(a, b) = 1 over GF(p); descending coefficient lists, b[0] != 0."""
-    while b:
-        # a <- a mod b, one leading term per step
-        inv, rest, width = pow(b[0], -1, p), b[1:], len(b) - 1
-        while len(a) > width:
-            c = a[0] * inv % p
-            a = [(x - c * y) % p for x, y in zip(a[1:], rest)] + a[len(b):] if c else a[1:]
-        while a and not a[0]:
-            a = a[1:]
-        a, b = b, a
-    return len(a) == 1
+    def __init__(self, coeffs: tuple[int, ...], p: int):
+        m = len(coeffs) - 1
+        top = m * (p - 1) ** 2
+        self.p, self.m = p, m
+        # floor(s * c / 2^k) = s // p for every slot value s <= top (Granlund & Montgomery)
+        self.k = k = top.bit_length() + p.bit_length()
+        self.c = c = -(-(1 << k) // p)
+        self.w = w = (top * c).bit_length()
+        self.qmask = sum(((1 << (w - k)) - 1) << (w * i) for i in range(2 * m - 1))
+        self.low = (1 << (w * m)) - 1
+        self.f = self.pack_coeffs(coeffs)
+        self.mu = self.divmod(1 << (w * (2 * m - 2)), self.f)[0]
+        self.negf = self.pack_coeffs([-x % p for x in coeffs[:m]])
+
+    def pack_coeffs(self, coeffs) -> int:
+        return sum(x << (self.w * i) for i, x in enumerate(coeffs))
+
+    def pack(self, v: int) -> int:
+        """The packed form of a field element's base-p encoding."""
+        p, w, out, shift = self.p, self.w, 0, 0
+        while v:
+            v, d = divmod(v, p)
+            out |= d << shift
+            shift += w
+        return out
+
+    def unpack(self, a: int) -> int:
+        """The base-p encoding of a packed element with reduced slots."""
+        p, w, v = self.p, self.w, 0
+        mask = (1 << w) - 1
+        for shift in range(w * (self.m - 1), -1, -w):
+            v = v * p + (a >> shift & mask)
+        return v
+
+    def reduce(self, a: int) -> int:
+        """Every slot mod p at once: one multiply, shift and mask gives the quotients."""
+        return a - self.p * ((a * self.c >> self.k) & self.qmask)
+
+    def mul(self, a: int, b: int) -> int:
+        """a * b mod f; Barrett's quotient is (C // x^m) * mu // x^(m-2)."""
+        w, m, low = self.w, self.m, self.low
+        prod = self.reduce(a * b)
+        quo = self.reduce((prod >> (w * m)) * self.mu >> (w * (m - 2)))
+        return self.reduce((prod & low) + (quo * self.negf & low))
+
+    def pow(self, a: int, e: int) -> int:
+        """a^e mod f for e >= 1, left to right from the leading bit of e."""
+        r = a
+        for bit in bin(e)[3:]:
+            r = self.mul(r, r)
+            if bit == "1":
+                r = self.mul(r, a)
+        return r
+
+    def divmod(self, a: int, b: int) -> tuple[int, int]:
+        """Quotient and remainder of packed polynomials with reduced slots, b != 0.
+
+        The degree of a is (a.bit_length() - 1) // w; each step clears a's
+        leading slot.
+        """
+        p, w = self.p, self.w
+        db = (b.bit_length() - 1) // w
+        inv = pow(b >> (w * db), -1, p)
+        quo = 0
+        da = (a.bit_length() - 1) // w
+        while da >= db:
+            lead = (a >> (w * da)) * inv % p
+            quo |= lead << (w * (da - db))
+            a = self.reduce(a + ((p - lead) * b << (w * (da - db))))
+            da = (a.bit_length() - 1) // w
+        return quo, a
+
+    def coprime_to_modulus(self, a: int) -> bool:
+        """True when gcd(a, f) = 1; gcd(0, f) is f."""
+        a, b = self.f, a
+        while b:
+            a, b = b, self.divmod(a, b)[1]
+        return a >> self.w == 0
 
 
 # ---------------------------------------------------------------------------
@@ -181,20 +240,18 @@ def _is_irreducible_gf2(f: int, m: int) -> bool:
 
 
 def _is_irreducible_gfp(coeffs: tuple[int, ...], m: int, p: int, sieved: bool) -> bool:
-    # Ben-Or as over GF(2), from i = 1 unless sieved; gcds on descending int lists
-    red = _reduction_matrix(np.array(coeffs, dtype=np.int64), p)
-    t = np.zeros(m, dtype=np.int64)
-    t[1] = 1  # the polynomial x
-    acc = None
+    # Ben-Or as over GF(2), from i = 1 unless sieved, on packed ints
+    ring = _SlotRing(coeffs, p)
+    x = 1 << ring.w
+    t, acc = x, None
     for i in range(1, m // 2 + 1):
-        t = _powmod(t, p, red, p)
+        t = ring.pow(t, p)
         if i == 1 and sieved:
             continue
-        diff = t.copy()
-        diff[1] = (diff[1] - 1) % p
-        acc = diff if acc is None else _mulmod(acc, diff, red, p)
+        diff = ring.reduce(t + (p - 1) * x)  # t - x
+        acc = diff if acc is None else ring.mul(acc, diff)
         if i & (i + 1) == 0 or i == m // 2:
-            if not _coprime(acc[::-1].tolist(), list(reversed(coeffs)), p):
+            if not ring.coprime_to_modulus(acc):
                 return False
             acc = None
     return True
@@ -258,7 +315,7 @@ def lex_least_irreducible(p: int, m: int) -> tuple[int, ...]:
 class Field:
     """The finite field GF(p^m) with canonical integer element encoding."""
 
-    __slots__ = ("p", "m", "q", "modulus", "_mod_int", "_red", "_small",
+    __slots__ = ("p", "m", "q", "modulus", "_mod_int", "_ring", "_small",
                  "_exp", "_log", "_zech", "_add_table", "_mul_table")
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
@@ -268,8 +325,7 @@ class Field:
         self.modulus = modulus
         self._small = m > 1 and self.q <= _TABLE_LIMIT
         self._mod_int = sum(c << i for i, c in enumerate(modulus)) if p == 2 else None
-        self._red = (_reduction_matrix(np.array(modulus, dtype=np.int64), p)
-                     if p != 2 and m > 1 and not self._small else None)
+        self._ring = _SlotRing(modulus, p) if p != 2 and m > 1 and not self._small else None
         # log/antilog (and, for odd p, Zech) lists; see _logs()
         self._exp = self._log = self._zech = None
         self._add_table = None
@@ -352,7 +408,8 @@ class Field:
             log = self._log
             la = log[a]
             return self._exp[la + self._zech[log[b] - la]]
-        return self._undigits((self._digits(a) + self._digits(b)) % self.p)
+        ring = self._ring
+        return ring.unpack(ring.reduce(ring.pack(a) + ring.pack(b)))
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -370,7 +427,8 @@ class Field:
             return 0
         if self.p == 2:
             return _gf2_mod(_gf2_mul(a, b), self._mod_int)
-        return self._undigits(_mulmod(self._digits(a), self._digits(b), self._red, self.p))
+        ring = self._ring
+        return ring.unpack(ring.mul(ring.pack(a), ring.pack(b)))
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -385,8 +443,9 @@ class Field:
             return self._exp[self._log[a] * e % (self.q - 1)]
         if e < 0:
             a, e = self.inv(a), -e
-        if self._red is not None and e:  # odd-p vector lane: decode once, work on digits
-            return self._undigits(_powmod(self._digits(a), e, self._red, self.p))
+        if self._ring is not None and e:  # odd-p packed lane: pack once, work on slots
+            ring = self._ring
+            return ring.unpack(ring.pow(ring.pack(a), e))
         r = 1
         while e:
             if e & 1:

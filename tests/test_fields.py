@@ -187,6 +187,36 @@ def test_a_factor_of_degree_half_m_is_found_in_the_last_block(p, m):
     assert is_irreducible(lex_least_irreducible(p, m), p)
 
 
+def _x_power_mod(f, e):
+    """x^e mod f by square-and-multiply on Polynomial values."""
+    out, base = Polynomial.one(f.field), Polynomial(f.field, (0, 1))
+    while e:
+        if e & 1:
+            out = out * base % f
+        base = base * base % f
+        e >>= 1
+    return out
+
+
+# two distinct irreducible quadratics and an irreducible cubic over GF(p)
+ZERO_BLOCK_FACTORS = {3: ((1, 0, 1), (2, 1, 1), (1, 0, 2, 1)),
+                      5: ((1, 1, 1), (1, 4, 1), (1, 0, 1, 1)),
+                      11: ((1, 0, 1), (1, 1, 1), (1, 0, 4, 1))}
+
+
+@pytest.mark.parametrize("p", sorted(ZERO_BLOCK_FACTORS))
+def test_a_zero_block_product_is_rejected(p):
+    # f = g g' h has no root, so the block {1} passes; (x^(p^2) - x)(x^(p^3) - x)
+    # = 0 mod f, so the block {2, 3} multiplies to 0 and its gcd is gcd(0, f) = f
+    g, g2, h = ZERO_BLOCK_FACTORS[p]
+    for factor in (g, g2, h):  # degree <= 3 and no root: irreducible
+        assert all(sum(c * r ** i for i, c in enumerate(factor)) % p for r in range(p))
+    f = _times(_times(g, g2, p), h, p)
+    poly_f, x = Polynomial(make_field(p), f), Polynomial(make_field(p), (0, 1))
+    assert ((_x_power_mod(poly_f, p ** 2) - x) * (_x_power_mod(poly_f, p ** 3) - x) % poly_f).is_zero()
+    assert not is_irreducible(f, p)
+
+
 @pytest.mark.parametrize("p, roots", [(7, (1, 6)), (7, (1, 2, 3)), (5, (2, 3)), (11, (1, 4, 5, 9))])
 def test_split_polynomials_are_rejected_without_the_root_sieve(p, roots):
     # p > m + 1 skips the sieve; x^p - x = 0 mod f, so the first block's gcd is f
@@ -197,7 +227,8 @@ def test_split_polynomials_are_rejected_without_the_root_sieve(p, roots):
     assert not is_irreducible(f, p)
 
 
-@pytest.mark.parametrize("p, m", [(2, 30), (3, 16), (5, 10), (7, 8)])
+# the odd-p degrees from (3, 30) on run Ben-Or blocks past {4, ..., 7}
+@pytest.mark.parametrize("p, m", [(2, 30), (3, 16), (5, 10), (7, 8), (3, 30), (5, 24), (7, 20)])
 def test_random_polynomials_match_sympy(p, m):
     sympy = pytest.importorskip("sympy")
     x = sympy.symbols("x")
@@ -353,8 +384,13 @@ def test_pow_of_zero_keeps_its_conventions():
             f.pow(0, -1)
 
 
-@pytest.mark.parametrize("p, m", [(3, 40), (5, 52)])
-def test_reduction_matrix_multiply_matches_naive_reference(p, m):
+# odd-p packed-lane fields: (3, 8) is the smallest, m = 2 and 3 make Barrett's
+# shift zero and one slot, and p = 4099 and 65537 take the widest slots
+PACKED_LANE = [(3, 40), (5, 52), (3, 8), (7, 5), (65537, 3), (1021, 2), (4099, 2)]
+
+
+@pytest.mark.parametrize("p, m", PACKED_LANE)
+def test_packed_lane_multiply_matches_naive_reference(p, m):
     f = make_field(p, m)
     rng = random.Random(p * m)
     for _ in range(60):
@@ -375,8 +411,8 @@ def test_bitpacked_lane_matches_naive_reference(m):
             assert naive_mul(f, a, f.inv(a)) == 1
 
 
-@pytest.mark.parametrize("p, m", [(3, 40), (5, 52)])
-def test_vector_lane_pow_matches_repeated_naive_multiply(p, m):
+@pytest.mark.parametrize("p, m", PACKED_LANE)
+def test_packed_lane_pow_matches_repeated_naive_multiply(p, m):
     f = make_field(p, m)
     rng = random.Random(p + m)
     for _ in range(8):
