@@ -164,7 +164,8 @@ class _SlotRing:
         return v
 
     def reduce(self, a: int) -> int:
-        """Every slot mod p at once: one multiply, shift and mask gives the quotients."""
+        """Every slot (at most m(p-1)^2) mod p at once; one multiply, shift and mask
+        gives the quotients."""
         return a - self.p * ((a * self.c >> self.k) & self.qmask)
 
     def mul(self, a: int, b: int) -> int:

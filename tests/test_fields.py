@@ -198,7 +198,8 @@ def _x_power_mod(f, e):
     return out
 
 
-# two distinct irreducible quadratics and an irreducible cubic over GF(p)
+# two distinct irreducible quadratics and an irreducible cubic over GF(p); their
+# degree-7 product runs the root sieve for p = 3 and 5 and skips it for p = 11
 ZERO_BLOCK_FACTORS = {3: ((1, 0, 1), (2, 1, 1), (1, 0, 2, 1)),
                       5: ((1, 1, 1), (1, 4, 1), (1, 0, 1, 1)),
                       11: ((1, 0, 1), (1, 1, 1), (1, 0, 4, 1))}
@@ -213,7 +214,8 @@ def test_a_zero_block_product_is_rejected(p):
         assert all(sum(c * r ** i for i, c in enumerate(factor)) % p for r in range(p))
     f = _times(_times(g, g2, p), h, p)
     poly_f, x = Polynomial(make_field(p), f), Polynomial(make_field(p), (0, 1))
-    assert ((_x_power_mod(poly_f, p ** 2) - x) * (_x_power_mod(poly_f, p ** 3) - x) % poly_f).is_zero()
+    block = (_x_power_mod(poly_f, p ** 2) - x) * (_x_power_mod(poly_f, p ** 3) - x)
+    assert (block % poly_f).is_zero()
     assert not is_irreducible(f, p)
 
 
@@ -227,7 +229,7 @@ def test_split_polynomials_are_rejected_without_the_root_sieve(p, roots):
     assert not is_irreducible(f, p)
 
 
-# the odd-p degrees from (3, 30) on run Ben-Or blocks past {4, ..., 7}
+# (3, 30), (5, 24) and (7, 20) run odd-p Ben-Or blocks up to i = 15, 12 and 10
 @pytest.mark.parametrize("p, m", [(2, 30), (3, 16), (5, 10), (7, 8), (3, 30), (5, 24), (7, 20)])
 def test_random_polynomials_match_sympy(p, m):
     sympy = pytest.importorskip("sympy")

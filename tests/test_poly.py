@@ -76,7 +76,7 @@ def test_eval_examples():
 
 @pytest.mark.parametrize("p, m", [(2, 2), (3, 2), (2, 20), (3, 40)])
 def test_the_class_of_x_is_a_root_of_the_modulus(p, m):
-    # table lane (GF(4), GF(9)), bit-packed lane (GF(2^20)) and vector lane (GF(3^40))
+    # table lane (GF(4), GF(9)), bit-packed lane (GF(2^20)) and odd-p packed lane (GF(3^40))
     f = make_field(p, m)
     modulus = Polynomial(f, f.modulus)
     assert modulus.evaluate(f.p) == 0
