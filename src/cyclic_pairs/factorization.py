@@ -195,7 +195,8 @@ class Factorization:
         """The monic divisor prod f_i^e_i of x^n - 1, e_i given in factor order.
 
         A divisor of x^n - 1 is its exponent vector; this is the one place
-        that multiplies the vector out into a polynomial.
+        that multiplies a whole vector out into a polynomial (the witnesses
+        of ``pairs.exists_ell`` are built one factor power at a time).
         """
         out = None
         for e, entry in zip(exponents, self.factors, strict=True):

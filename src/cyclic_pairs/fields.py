@@ -436,9 +436,6 @@ class Field:
             raise ZeroDivisionError("inversion of zero field element")
         return self.pow(a, self.q - 2)  # Fermat: a^(q-1) = 1
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, e: int) -> int:
         if self._small and a:
             return self._exp[self._log[a] * e % (self.q - 1)]
@@ -456,20 +453,19 @@ class Field:
                 a = self.mul(a, a)
         return r
 
-    def frobenius(self, a: int) -> int:
-        """The characteristic-power map a -> a^p."""
-        return self.pow(a, self.p)
-
     def element_of_order(self, n: int) -> int:
         """The first gamma = beta^((q-1)/n), beta = 1, 2, ..., of order exactly n.
 
         gamma^n = 1 holds by construction, so gamma has order n when
-        gamma^(n/r) != 1 for every prime r | n.  ValueError unless n | q - 1.
+        gamma^(n/r) != 1 for every prime r | n.  A prime-field constant
+        beta < p gives a gamma in GF(p)*, whose order divides p - 1, so
+        when n does not divide p - 1 the scan starts at beta = p and finds
+        the same gamma.  ValueError unless n | q - 1.
         """
         if n < 1 or (self.q - 1) % n:
             raise ValueError(f"{self!r} has no element of order {n}")
         cofactor, primes = (self.q - 1) // n, _prime_divisors(n)
-        for beta in range(1, self.q):
+        for beta in range(1 if (self.p - 1) % n == 0 else self.p, self.q):
             gamma = self.pow(beta, cofactor)
             if all(self.pow(gamma, n // r) != 1 for r in primes):
                 return gamma

@@ -2,6 +2,11 @@
 max/min of exponent vectors over the factors of x^n - 1, existence of a
 degree-ell divisor of x^n - 1 by bounded subset-sum over the factor
 degrees, and the small-ell feasibility shortcuts.
+
+The subset-sum table of one x^n - 1 answers every ell, and the witness
+of each ell is a factor power times the witness of a smaller degree, so
+both are built once for the latest factorization asked about and reused
+for each ell.
 """
 
 from __future__ import annotations
@@ -79,6 +84,55 @@ class ExistenceWitness:
         return self.feasible
 
 
+class _DegreeSpectrum:
+    """The attainable divisor degrees of one x^n - 1 and its witnesses.
+
+    Bit r of reach[i] is set when degree r is attainable with factors i..;
+    the factor degrees times their multiplicities sum to n, so one table
+    with no mask answers every ell.  The greedy takes at each factor the
+    fewest copies that leave an attainable rest, so it takes none before
+    the first factor i whose successors cannot reach ell, then s copies of
+    f_i, and continues as it would for ell - s * deg f_i.  So the witness
+    of ell is f_i^s times the witness of that smaller degree, and the
+    witness of every degree met is kept.
+    """
+
+    def __init__(self, fac: Factorization):
+        self.fac = fac
+        self.degrees = [e.poly.degree for e in fac.factors]
+        self.mults = [e.multiplicity for e in fac.factors]
+        nf = len(self.degrees)
+        self.reach = reach = [0] * nf + [1]
+        for i in range(nf - 1, -1, -1):
+            acc = cur = reach[i + 1]
+            for _ in range(self.mults[i]):
+                cur <<= self.degrees[i]
+                acc |= cur
+            reach[i] = acc
+        self.witnesses = {0: ((0,) * nf, Polynomial.one(fac.field))}
+
+    def witness(self, ell: int) -> tuple[tuple[int, ...], Polynomial]:
+        """The lex-least exponent vector of degree ell and its divisor; ell attainable."""
+        reach, degrees, witnesses, chain = self.reach, self.degrees, self.witnesses, []
+        while ell not in witnesses:
+            i = next(i for i in range(len(degrees)) if not reach[i + 1] >> ell & 1)
+            s = next(s for s in range(1, self.mults[i] + 1)
+                     if reach[i + 1] >> (ell - s * degrees[i]) & 1)
+            chain.append((ell, i, s))
+            ell -= s * degrees[i]
+        vector, poly = witnesses[ell]
+        for ell, i, s in reversed(chain):
+            vector = vector[:i] + (s,) + vector[i + 1:]
+            power = self.fac.factors[i].poly ** s
+            poly = power * poly if poly.degree else power
+            witnesses[ell] = vector, poly
+        return vector, poly
+
+
+# one slot: the spectrum of the latest factorization asked about, compared by identity
+_latest: list[_DegreeSpectrum | None] = [None]
+
+
 def exists_ell(n: int, field: Field, ell: int,
                factorization: Factorization | None = None) -> ExistenceWitness:
     """Is there a monic divisor of x^n - 1 of degree ell?
@@ -86,37 +140,24 @@ def exists_ell(n: int, field: Field, ell: int,
     Bounded subset-sum over the irreducible factor degrees, each usable
     0..p^nu times, with the attainable degrees held as int bitmasks; the
     witness takes the lexicographically least multiplicity vector in the
-    canonical factor order.  A factorization given must be that of x^n - 1.
+    canonical factor order.  The bitmasks and the witnesses are built once
+    per factorization and kept for the latest one only, so asking every
+    ell of one x^n - 1 in turn builds the bitmasks once and multiplies
+    each witness from a smaller one.  A factorization given must be that
+    of x^n - 1.
     """
     if not 0 <= ell <= n:
         raise ValueError(f"ell must satisfy 0 <= ell <= {n}, got {ell}")
     fac = factorization or factor_xn1(n, field)
     if fac.n != n or fac.field is not field:
         raise ValueError(f"the factorization is not of x^{n} - 1 over {field!r}")
-    degrees = [e.poly.degree for e in fac.factors]
-    mults = [e.multiplicity for e in fac.factors]
-    nf = len(degrees)
-    # bit r of reach[i] is set when degree r <= ell is attainable with factors i..
-    below = (1 << (ell + 1)) - 1
-    reach = [0] * nf + [1]
-    for i in range(nf - 1, -1, -1):
-        acc = cur = reach[i + 1]
-        for _ in range(mults[i]):
-            cur = (cur << degrees[i]) & below
-            acc |= cur
-        reach[i] = acc
-    if not reach[0] >> ell & 1:
+    spectrum = _latest[0]
+    if spectrum is None or spectrum.fac is not fac:
+        spectrum = _latest[0] = _DegreeSpectrum(fac)
+    if not spectrum.reach[0] >> ell & 1:
         return ExistenceWitness(n, field.q, ell, False, None, None)
-    vector = []
-    remaining = ell
-    for i in range(nf):
-        for s in range(mults[i] + 1):
-            rest = remaining - s * degrees[i]
-            if rest >= 0 and reach[i + 1] >> rest & 1:
-                vector.append(s)
-                remaining = rest
-                break
-    return ExistenceWitness(n, field.q, ell, True, tuple(vector), fac.divisor(vector))
+    vector, witness = spectrum.witness(ell)
+    return ExistenceWitness(n, field.q, ell, True, vector, witness)
 
 
 def small_ell_predicate(n: int, field: Field, ell: int) -> tuple[bool, str]:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cyclic_pairs import pairs
 from cyclic_pairs.codes import CyclicCode
 from cyclic_pairs.factorization import factor_xn1
 from cyclic_pairs.fields import field_from_order, make_field
@@ -142,8 +143,11 @@ def test_exists_witness_is_lex_least_vector():
     assert w.multiplicity_vector == (1, 0, 1)
 
 
+BRUTE_FORCE_CASES = [(n, 2) for n in range(1, 25)] + [(n, 3) for n in range(1, 13)]
+
+
 def test_exists_matches_brute_force():
-    for (n, q) in [(n, 2) for n in range(1, 25)] + [(n, 3) for n in range(1, 13)]:
+    for (n, q) in BRUTE_FORCE_CASES:
         f = field_from_order(q)
         fact = factor_xn1(n, f)
         attainable = brute_force_divisor_degrees(fact)
@@ -155,6 +159,52 @@ def test_exists_matches_brute_force():
                 assert divides(w.witness, xn_minus_1(f, n))
                 assert sum(s * e.poly.degree for s, e in
                            zip(w.multiplicity_vector, fact.factors)) == ell
+
+
+def test_exists_witness_is_the_lex_least_vector_by_brute_force():
+    for (n, q) in BRUTE_FORCE_CASES:
+        f = field_from_order(q)
+        fact = factor_xn1(n, f)
+        first = {}  # itertools.product runs through the vectors in lex order
+        for vector in product(*(range(e.multiplicity + 1) for e in fact.factors)):
+            first.setdefault(fact.degree(vector), vector)
+        for ell in range(n + 1):
+            w = exists_ell(n, f, ell, fact)
+            assert w.multiplicity_vector == first.get(ell), (n, q, ell)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+def test_exists_witness_is_the_divisor_of_its_vector(q):
+    # the witness products are built from shared tails; multiplying the
+    # vector out afresh is the oracle, with ell asked in a shuffled order
+    f = field_from_order(q)
+    rng = random.Random(q)
+    for n in range(1, 65):
+        fact = factor_xn1(n, f)
+        ells = list(range(n + 1))
+        rng.shuffle(ells)
+        for ell in ells:
+            w = exists_ell(n, f, ell, fact)
+            if w.feasible:
+                assert w.witness == fact.divisor(w.multiplicity_vector), (n, q, ell)
+                assert w.witness.degree == ell
+
+
+def test_exists_does_not_depend_on_what_was_asked_before():
+    f = field_from_order(3)
+    cases = [(n, factor_xn1(n, f)) for n in (36, 26)]
+
+    def fresh(n, fact, ell):
+        pairs._latest[0] = None  # forget the kept spectrum
+        return exists_ell(n, f, ell, fact)
+
+    expected = {(n, ell): fresh(n, fact, ell) for n, fact in cases for ell in range(n + 1)}
+    for ell in range(26, -1, -1):  # alternate between the two factorizations
+        for n, fact in cases:
+            assert exists_ell(n, f, ell, fact) == expected[n, ell], (n, ell)
+    for n, _ in cases:  # one after the other, without a factorization given
+        for ell in range(n + 1):
+            assert exists_ell(n, f, ell) == expected[n, ell], (n, ell)
 
 
 def test_exists_refuses_a_factorization_of_another_polynomial():
