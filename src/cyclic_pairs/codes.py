@@ -6,8 +6,11 @@ over the factors of x^n - 1; the dual is a permutation of that vector.
 Distance is exact full enumeration of all q^k codewords.  The cap on q^k
 is checked first; then the report is looked up, by exponent vector, in
 the distance store of ``factor_xn1(n, field)``, shared by every code of
-that length and field, and computed on a miss by one walk for every
-field.  The span of the first generator rows (at most _BLOCK words) is
+that length and field.  A miss walks the code once and stores the report
+under every vector of its multiplier orbit: x -> x^a, gcd(a, n) = 1,
+permutes coordinates, so d and the q^k - 1 words scanned are the same for
+every member (only g = 1 stops early, at d = 1, and its orbit is itself).
+The walk is one for every field.  The span of the first generator rows (at most _BLOCK words) is
 built once as a table, and every codeword is a word of that table plus
 one offset in the span of the remaining rows, so one numpy op over the
 table scans a block of codewords.  The offsets run in modular p-ary Gray
@@ -104,10 +107,14 @@ class CyclicCode:
             raise EnumerationCapExceeded(
                 f"{q}^{k} = {q ** k} codewords exceed the cap {cap}; "
                 "use a smaller instance or raise the cap")
-        store = factor_xn1(self.n, self.field).distances
-        if self.vector not in store:
-            store[self.vector] = self._enumerate()
-        return store[self.vector]
+        fac = factor_xn1(self.n, self.field)
+        report = fac.distances.get(self.vector)
+        if report is None:
+            # x -> x^a preserves weights: one walk serves the vector's whole orbit
+            report, v = self._enumerate(), self.vector
+            for sigma in set(fac.multipliers.values()):
+                fac.distances[tuple(v[i] for i in sigma)] = report
+        return report
 
     def _enumerate(self) -> DistanceReport:
         """Least weight of table word + offset over every table column and offset.

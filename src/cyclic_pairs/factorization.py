@@ -18,12 +18,12 @@ rows, for p = 2 an XOR basis on bit rows, the extension's own ints.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from math import gcd
 
 import numpy as np
 
-from cyclic_pairs.cyclotomic import (additive_order, coset_of,
-                                     coset_partition, mult_order)
+from cyclic_pairs.cyclotomic import additive_order, coset_partition, mult_order
 from cyclic_pairs.fields import (MAX_EXTENSION_DEGREE, Field,
                                  FieldMismatchError, make_field)
 from cyclic_pairs.poly import MAX_LENGTH, Polynomial
@@ -188,7 +188,8 @@ class Factorization:
     nu: int
     n_prime: int
     factors: tuple[FactorEntry, ...]  # ordered by (order d, coset representative)
-    # DistanceReport by exponent vector, shared by every code of the cached factor_xn1
+    # DistanceReport by exponent vector, shared by every code of the cached factor_xn1;
+    # one walk fills it for the whole multiplier orbit of the vector
     distances: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
     def divisor(self, exponents) -> Polynomial:
@@ -236,14 +237,32 @@ class Factorization:
     def dual(self, exponents) -> tuple[int, ...]:
         """Exponent vector of the dual code's generator.
 
-        The dual of <g> is generated by the reciprocal of (x^n - 1)/g, and
-        the reciprocal of the factor of the coset of r is the factor of
-        the coset of -r: e_i becomes mult_i - e_sigma(i).
+        The dual of <g> is generated by the reciprocal of (x^n - 1)/g, the
+        multiplier a = -1 applied to it: e_i becomes mult_i - e_sigma(i).
+        """
+        sigma = self.multipliers[-1 % self.n_prime]
+        return tuple(e.multiplicity - exponents[j] for e, j in zip(self.factors, sigma))
+
+    @cached_property
+    def multipliers(self) -> dict[int, tuple[int, ...]]:
+        """sigma_a for every unit a of Z_{n'}, built on first use.
+
+        sigma_a(i) is the factor whose coset holds a * r_i, r_i the coset
+        representative of factor i.  x -> x^a (a lifted to a unit mod n)
+        permutes coordinates and maps <g>, exponent vector e, to the code
+        with vector (e_sigma_a(i))_i (Huffman & Pless 2003, 4.3).  a and
+        a * q give the same sigma_a.
         """
         n_prime, q = self.n_prime, self.field.q
-        index = {entry.coset_rep: i for i, entry in enumerate(self.factors)}
-        sigma = [index[coset_of(n_prime, q, -e.coset_rep % n_prime)[0]] for e in self.factors]
-        return tuple(e.multiplicity - exponents[j] for e, j in zip(self.factors, sigma))
+        factor_of = [0] * n_prime  # residue -> index of the factor whose coset holds it
+        for i, entry in enumerate(self.factors):
+            r = entry.coset_rep
+            for _ in range(entry.poly.degree):  # the coset's size
+                factor_of[r] = i
+                r = r * q % n_prime
+        reps = [entry.coset_rep for entry in self.factors]
+        return {a: tuple(factor_of[a * r % n_prime] for r in reps)
+                for a in range(n_prime) if gcd(a, n_prime) == 1}
 
     def product(self) -> Polynomial:
         return self.divisor([e.multiplicity for e in self.factors])

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -231,3 +232,28 @@ def test_singleton_bound_property():
                 continue
             d = code.min_distance().d
             assert 1 <= d <= n - code.k + 1
+
+
+WALK_LIMIT = 1 << 20  # q^k; at n = 31 over GF(2) that is k <= 20
+
+
+@pytest.mark.parametrize("n, q", [(15, 2), (21, 2), (31, 2), (14, 2), (18, 3), (12, 4), (15, 4),
+                                  (10, 11)])
+def test_one_walk_fills_the_store_for_the_whole_multiplier_orbit(n, q):
+    """Asked once per orbit, the store then holds every member, and each stored
+    report equals a fresh walk of that member (and the naive oracle on small ones)."""
+    f = field_from_order(q)
+    fac = factor_xn1(n, f)
+    codes = [CyclicCode._from_vector(fac, v)
+             for v in product(*(range(e.multiplicity + 1) for e in fac.factors))]
+    codes = [c for c in codes if c.k and q ** c.k <= WALK_LIMIT]
+    orbits = {frozenset(tuple(c.vector[i] for i in sigma) for sigma in fac.multipliers.values())
+              for c in codes}
+    fac.distances.clear()
+    asked = [c.min_distance() for c in codes if c.vector not in fac.distances]
+    assert len(asked) == len(orbits)
+    for code in codes:
+        stored = fac.distances[code.vector]
+        assert code._enumerate() == stored, code
+        if q ** code.k <= 1 << 12:
+            assert naive_min_distance(code) == stored.d, code

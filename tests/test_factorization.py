@@ -14,7 +14,7 @@ from cyclic_pairs.factorization import (CoercionError, factor_xn1,
                                         split_length)
 from cyclic_pairs.fields import (FieldMismatchError, field_from_order, is_irreducible,
                                  make_field)
-from cyclic_pairs.poly import parse_poly, xn_minus_1
+from cyclic_pairs.poly import Polynomial, parse_poly, xn_minus_1
 from helpers import embed, naive_minimal_poly, poly_gcd
 
 GF2 = make_field(2)
@@ -297,3 +297,31 @@ def test_root_of_unity_refuses_an_extension_degree_past_the_bound(monkeypatch):
     for q, n_prime in [(5, 3079), (2, 1031), (4, 1031)]:
         with pytest.raises(ValueError, match="past degree 512"):
             root_of_unity(field_from_order(q), n_prime)
+
+
+# simple roots over GF(2) (n = 15, 21, 31) and GF(4) (15), repeated roots over GF(2),
+# GF(3) and GF(4) (14, 18, 12), and GF(11), where x^10 - 1 splits into linear factors
+MULTIPLIER_CASES = [(15, 2), (21, 2), (31, 2), (14, 2), (18, 3), (12, 4), (15, 4), (10, 11)]
+
+
+@pytest.mark.parametrize("n, q", MULTIPLIER_CASES)
+def test_multiplier_maps_a_divisor_as_x_to_x_a(n, q):
+    """g(x^a) mod (x^n - 1) generates the image code, so the divisor of
+    sigma_a(v), of g's degree, divides it exactly when sigma_a is right."""
+    f = field_from_order(q)
+    fac = factor_xn1(n, f)
+    xn1 = xn_minus_1(f, n)
+    units = [a for a in range(1, n + 1) if gcd(a, n) == 1]
+    # every unit mod n' lifts to a unit mod n
+    assert set(fac.multipliers) == {a % fac.n_prime for a in units}
+    for v in product(*(range(e.multiplicity + 1) for e in fac.factors)):
+        g = fac.divisor(v)
+        for a in units:
+            sigma = fac.multipliers[a % fac.n_prime]
+            image = tuple(v[i] for i in sigma)
+            coeffs = [0] * (a * g.degree + 1)
+            coeffs[::a] = g.coeffs
+            _, rem = divmod(Polynomial(f, coeffs) % xn1, fac.divisor(image))
+            assert rem.is_zero(), (v, a)
+            assert fac.degree(image) == fac.degree(v)
+

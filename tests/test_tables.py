@@ -180,3 +180,38 @@ def test_search_matches_brute_force_pair_analysis(n, q, cap, min_d1, min_d2):
         assert result.skipped_by_cap == len(pairs) - len(within), ell
         assert [_report_fields(r) for r in result.reports] == \
             [_report_fields(r) for r in within if r.d1 >= min_d1 and r.d2 >= min_d2], ell
+
+
+def test_search_walks_each_multiplier_orbit_once(monkeypatch):
+    fac = factor_xn1(31, GF2)
+    fac.distances.clear()
+    walked = []
+    walk = CyclicCode._enumerate
+    monkeypatch.setattr(CyclicCode, "_enumerate",
+                        lambda code: walked.append(code.vector) or walk(code))
+    search_pairs(31, GF2, 0)
+    orbits = {frozenset(tuple(v[i] for i in sigma) for sigma in fac.multipliers.values())
+              for v in walked}
+    # one walk per divisor was 113
+    assert len(walked) == len(orbits) == 23
+
+
+def test_search_does_not_depend_on_the_store_or_the_order_asked():
+    fac = factor_xn1(21, GF2)
+
+    def answer(ell):
+        result = search_pairs(21, GF2, ell, limit=10 ** 6)
+        return (result.infeasible, result.skipped_by_cap,
+                [_report_fields(r) for r in result.reports])
+
+    fac.distances.clear()
+    shared = {ell: answer(ell) for ell in range(22)}
+    cleared = {}
+    for ell in range(22):
+        fac.distances.clear()
+        cleared[ell] = answer(ell)
+    order = list(range(22))
+    random.Random(21).shuffle(order)
+    fac.distances.clear()
+    shuffled = {ell: answer(ell) for ell in order}
+    assert shared == cleared == shuffled
