@@ -8,17 +8,18 @@ is checked first; then the report is looked up, by exponent vector, in
 the distance store of ``factor_xn1(n, field)``, shared by every code of
 that length and field.  A miss walks the code once and stores the report
 under every vector of its multiplier orbit: x -> x^a, gcd(a, n) = 1,
-permutes coordinates, so d and the q^k - 1 words scanned are the same for
-every member (only g = 1 stops early, at d = 1, and its orbit is itself).
-The walk is one for every field.  The span of the first generator rows (at most _BLOCK words) is
-built once as a table, and every codeword is a word of that table plus
-one offset in the span of the remaining rows, so one numpy op over the
-table scans a block of codewords.  The offsets run in modular p-ary Gray
-order (Knuth, TAOCP 4A, 7.2.1.1) over the GF(p)-basis {p^j * row : j < m}
-of that span: each offset is the one before plus one basis vector.  Only
-the encoding of a word depends on the field: a binary word is ceil(n/64)
-uint64 words, added by XOR and weighed with np.bitwise_count; any other
-word is n field elements, added through ``Field.tables()``.  Memory is
+permutes coordinates, so d and the q^k - 1 words scanned are the same
+for every member (only g = 1 stops early, at d = 1, and its orbit is
+itself).  The walk is one for every field.  The span of the first
+generator rows (at most _BLOCK words) is built once as a table, and
+every codeword is a word of that table plus one offset in the span of
+the remaining rows, so one numpy op over the table scans a block of
+codewords.  The offsets run in modular p-ary Gray order (Knuth, TAOCP
+4A, 7.2.1.1) over the GF(p)-basis {p^j * row : j < m} of that span: each
+offset is the one before plus one basis vector.  Only the encoding of a
+word depends on the field: a binary word is ceil(n/64) uint64 words,
+added by XOR and weighed with np.bitwise_count; any other word is n
+field elements, added through ``Field.tables()``.  Memory is
 O(_BLOCK * n) for any q^k.
 """
 
