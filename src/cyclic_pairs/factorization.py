@@ -1,23 +1,26 @@
 """Factorization of x^n - 1 over GF(q) via cyclotomic cosets.
 
-x^n - 1 = (x^{n'} - 1)^{p^nu} with n = p^nu * n', and each q-cyclotomic
-coset of Z_{n'} yields one irreducible factor as the minimal polynomial
-of alpha^rep for a primitive n'-th root of unity alpha living in a
-deterministic extension field GF(p^(m*t)), t = ord_n'(q).  alpha, and the
-generator of the copy of GF(q) in which the image gamma of GF(q)'s own
-generator is sought, both come from ``Field.element_of_order``.  Lengths
-above ``MAX_LENGTH`` and degrees m*t above ``MAX_EXTENSION_DEGREE`` are
-refused up front.
+x^n - 1 = (x^{n'} - 1)^{p^nu} with n = p^nu * n', so a length with nu >= 1
+reuses the cached factors of x^{n'} - 1, each with multiplicity p^nu.
+Each q-cyclotomic coset of Z_{n'} yields one irreducible factor as the
+minimal polynomial of alpha^rep for a primitive n'-th root of unity alpha
+living in a deterministic extension field GF(p^(m*t)), t = ord_n'(q).
+alpha, and the generator of the copy of GF(q) in which the image gamma of
+GF(q)'s own generator is sought, both come from ``Field.element_of_order``.
+Lengths above ``MAX_LENGTH`` and degrees m*t above ``MAX_EXTENSION_DEGREE``
+are refused up front.
 
 A minimal polynomial is the first GF(q)-linear dependency among the
 powers of beta = alpha^rep, found by one linear solve over GF(p) on a
 table of the powers of alpha: for odd p an elimination on int64 digit
-rows, for p = 2 an XOR basis on bit rows, the extension's own ints.
+rows, for p = 2 an XOR basis on bit rows.  Those rows are the
+extension's own int encodings, so the p = 2 powers and gamma-multiples
+come straight from ``Field.mul``, which runs on the binary slot ring.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from functools import cached_property, lru_cache
 from math import gcd
 
@@ -284,14 +287,18 @@ def split_length(n: int, field: Field) -> tuple[int, int]:
 
 @lru_cache(maxsize=None)
 def factor_xn1(n: int, field: Field) -> Factorization:
-    """All irreducible factors of x^n - 1 over the field, with multiplicity p^nu."""
+    """All irreducible factors of x^n - 1 over the field, with multiplicity p^nu.
+
+    For nu >= 1 they are the factors of the cached x^n' - 1, each raised
+    to multiplicity p^nu.
+    """
     nu, n_prime = split_length(n, field)
-    mult = field.p ** nu
-    partition = coset_partition(n_prime, field.q)
-    entries = []
-    for coset in partition.cosets:
-        f = minimal_poly(n_prime, field, coset)
-        entries.append(FactorEntry(f, mult, coset[0],
-                                   additive_order(coset[0], n_prime)))
-    entries.sort(key=lambda e: (e.order, e.coset_rep))
+    if nu:
+        base = factor_xn1(n_prime, field).factors
+        entries = [replace(e, multiplicity=field.p ** nu) for e in base]
+    else:
+        entries = sorted((FactorEntry(minimal_poly(n, field, coset), 1, coset[0],
+                                      additive_order(coset[0], n))
+                          for coset in coset_partition(n, field.q).cosets),
+                         key=lambda e: (e.order, e.coset_rep))
     return Factorization(n, field, nu, n_prime, tuple(entries))

@@ -19,18 +19,20 @@ The arithmetic lanes of ``add``, ``mul`` and ``pow`` all give the same results:
   and ``pow`` are list lookups; in odd characteristic ``add`` uses a Zech
   logarithm table (Lidl & Niederreiter, *Finite Fields*, §10.1), in
   characteristic 2 it is XOR;
-* larger fields of characteristic 2 work on the bit-packed integer
-  encodings directly;
-* larger fields of odd characteristic pack the base-p digits of an
-  element into one int, coefficient i in its own slot of w bits
-  (``_SlotRing``).  A product is one int multiply (Kronecker
-  substitution; Harvey 2009), every slot is taken mod p at once by one
-  multiply, shift and mask (Granlund & Montgomery 1994), and the
-  reduction mod f is Barrett's (Barrett 1986) with mu = x^(2m-2) // f
-  built with the field.  ``add`` and ``mul`` pack their operands and
-  unpack the result; ``pow`` packs its operand once and squares and
-  multiplies on slots.  Ben-Or's irreducibility test behind the modulus
-  search runs on the same packed ints.
+* larger fields pack the coefficients of an element into one int,
+  coefficient i in its own slot of w bits (``_SlotRing``).  A product is
+  one int multiply (Kronecker substitution; Harvey 2009), every slot is
+  taken mod p at once, and the reduction mod f is Barrett's (Barrett
+  1986) with mu = x^(2m-2) // f built with the field.  Only the slot
+  width, the slot reduction and the packing depend on p: for odd p the
+  slots are as wide as the largest slot sum needs, and one multiply,
+  shift and mask takes them mod p (Granlund & Montgomery 1994); for p = 2
+  they are one or two bytes, one AND takes them mod 2, and packing is a
+  few C-level ``bytes`` operations (``_BinarySlotRing``).  ``mul`` packs
+  its operands and unpacks the result; ``pow`` packs its operand once and
+  squares and multiplies on slots.  For p = 2 ``add`` stays XOR on the
+  encodings; for odd p it adds packed slots.  Ben-Or's irreducibility
+  test behind the modulus search runs on the same packed ints for every p.
 
 Every lane composes ``neg`` (times p - 1, the prime-field constant -1),
 ``sub`` (add the negation) and ``inv`` (Fermat's a^(q-2)) from these three.
@@ -41,9 +43,9 @@ gcd(x^(p^i) - x, f) = 1 for every i <= m/2.  The x^(p^i) - x mod f are
 multiplied over blocks of i of lengths 1, 2, 4, ..., the last cut at m/2,
 with one gcd per block; an irreducible factor of f divides the product
 exactly when it divides one factor, and a zero product gives gcd(0, f) = f.
-Most reducible candidates fall in the first blocks.  For odd p the gcds run
-on packed ints and only answer "is it 1?", reading a degree off the bit
-length.  When p <= m + 1 the search first drops a candidate with a root in
+Most reducible candidates fall in the first blocks.  The gcds run on packed
+ints and only answer "is it 1?", reading a degree off the bit length.
+When p <= m + 1 the search first drops a candidate with a root in
 GF(p) by Horner evaluation in plain ints (about m^2 operations), which
 answers the block i = 1; for larger p that sieve would cost more than the
 block, so it is skipped and the block runs.
@@ -76,31 +78,6 @@ class FieldMismatchError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# GF(2)[x] on bit-packed ints (bit i = coefficient of x^i)
-
-def _gf2_mul(a: int, b: int) -> int:
-    r = 0
-    while b:
-        lsb = b & -b
-        r ^= a * lsb
-        b ^= lsb
-    return r
-
-
-def _gf2_mod(a: int, f: int) -> int:
-    df = f.bit_length() - 1
-    while a.bit_length() - 1 >= df and a:
-        a ^= f << (a.bit_length() - 1 - df)
-    return a
-
-
-def _gf2_gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, _gf2_mod(a, b)
-    return a
-
-
-# ---------------------------------------------------------------------------
 # GF(p)[x] on int64 coefficient arrays, ascending degree
 
 def _times_matrix(a: np.ndarray, f: np.ndarray, p: int, rows: int) -> np.ndarray:
@@ -116,32 +93,39 @@ def _times_matrix(a: np.ndarray, f: np.ndarray, p: int, rows: int) -> np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# GF(p)[x] mod f on packed ints, p odd
+# GF(p)[x] mod f on packed ints
 
 class _SlotRing:
     """GF(p)[x]/f on packed ints: coefficient i sits in bits [w*i, w*(i+1)).
 
-    A product is one int multiply (Kronecker substitution).  The slot width
-    w holds the largest slot sum, m(p-1)^2, times the constant c of
-    ``reduce``, so neither a product nor the reduction carries into the
-    next slot.  Reduction mod f is Barrett's, with mu = x^(2m-2) // f.
+    A product is one int multiply (Kronecker substitution), and ``reduce``
+    takes every slot mod p at once.  Reduction mod f is Barrett's, with
+    mu = x^(2m-2) // f.  Only the slot width, ``reduce`` and the packing
+    depend on p: for odd p, w holds the largest slot sum, m(p-1)^2, times
+    the constant c of ``reduce``, so neither a product nor the reduction
+    carries into the next slot; p = 2 is ``_BinarySlotRing``.
     """
 
     __slots__ = ("p", "m", "w", "k", "c", "qmask", "low", "f", "mu", "negf")
 
     def __init__(self, coeffs: tuple[int, ...], p: int):
         m = len(coeffs) - 1
-        top = m * (p - 1) ** 2
         self.p, self.m = p, m
+        self._set_width()
+        w = self.w
+        self.low = (1 << (w * m)) - 1
+        self.f = self.pack_coeffs(coeffs)
+        self.mu = self.divmod(1 << (w * (2 * m - 2)), self.f)[0]
+        self.negf = self.pack_coeffs([-x % p for x in coeffs[:m]])
+
+    def _set_width(self) -> None:
+        p, m = self.p, self.m
+        top = m * (p - 1) ** 2
         # floor(s * c / 2^k) = s // p for every slot value s <= top (Granlund & Montgomery)
         self.k = k = top.bit_length() + p.bit_length()
         self.c = c = -(-(1 << k) // p)
         self.w = w = (top * c).bit_length()
         self.qmask = sum(((1 << (w - k)) - 1) << (w * i) for i in range(2 * m - 1))
-        self.low = (1 << (w * m)) - 1
-        self.f = self.pack_coeffs(coeffs)
-        self.mu = self.divmod(1 << (w * (2 * m - 2)), self.f)[0]
-        self.negf = self.pack_coeffs([-x % p for x in coeffs[:m]])
 
     def pack_coeffs(self, coeffs) -> int:
         return sum(x << (self.w * i) for i, x in enumerate(coeffs))
@@ -210,6 +194,47 @@ class _SlotRing:
         return a >> self.w == 0
 
 
+# one byte per bit of a binary numeral, and back
+_BIT_TO_BYTE = bytes.maketrans(b"01", b"\x00\x01")
+_BYTE_TO_BIT = bytes.maketrans(b"\x00\x01", b"01")
+
+
+class _BinarySlotRing(_SlotRing):
+    """GF(2)[x]/f on packed ints with byte-aligned slots.
+
+    A slot of a product sums at most m products of bits, so w = 8 for
+    m <= 255 and w = 16 up to ``MAX_EXTENSION_DEGREE`` never carries, nor
+    does Barrett's step, whose sums are smaller.  Mod 2 is one AND with the
+    slots' low bits.  Packing spreads the bits of an element's encoding
+    into bytes with C-level ``bytes`` operations, not a loop over slots.
+    """
+
+    __slots__ = ("ones",)
+
+    def _set_width(self) -> None:
+        m = self.m
+        self.w = w = 8 if m <= 255 else 16
+        self.ones = ((1 << (w * (2 * m - 1))) - 1) // ((1 << w) - 1)  # bit 0 of each slot
+
+    def pack(self, v: int) -> int:
+        k = self.w // 8
+        bits = format(v, "b").encode().translate(_BIT_TO_BYTE)  # leading bit first
+        slots = bytearray(k * len(bits))
+        slots[k - 1::k] = bits
+        return int.from_bytes(slots, "big")
+
+    def unpack(self, a: int) -> int:
+        k = self.w // 8
+        return int(a.to_bytes(k * self.m, "big")[k - 1::k].translate(_BYTE_TO_BIT), 2)
+
+    def reduce(self, a: int) -> int:
+        return a & self.ones
+
+
+def _slot_ring(coeffs: tuple[int, ...], p: int) -> _SlotRing:
+    return _BinarySlotRing(coeffs, p) if p == 2 else _SlotRing(coeffs, p)
+
+
 # ---------------------------------------------------------------------------
 # Irreducibility and deterministic modulus selection
 
@@ -227,37 +252,6 @@ def _prime_divisors(n: int) -> list[int]:
     return out
 
 
-def _is_irreducible_gf2(f: int, m: int) -> bool:
-    # Ben-Or from i = 2: the root sieve has answered i = 1
-    t, acc = 4, 1  # t = x^(2^i), i = 1
-    for i in range(2, m // 2 + 1):
-        t = _gf2_mod(_gf2_mul(t, t), f)
-        acc = _gf2_mod(_gf2_mul(acc, t ^ 2), f)
-        if i & (i + 1) == 0 or i == m // 2:  # blocks end at 2^k - 1 and at m/2
-            if _gf2_gcd(f, acc) != 1:
-                return False
-            acc = 1
-    return True
-
-
-def _is_irreducible_gfp(coeffs: tuple[int, ...], m: int, p: int, sieved: bool) -> bool:
-    # Ben-Or as over GF(2), from i = 1 unless sieved, on packed ints
-    ring = _SlotRing(coeffs, p)
-    x = 1 << ring.w
-    t, acc = x, None
-    for i in range(1, m // 2 + 1):
-        t = ring.pow(t, p)
-        if i == 1 and sieved:
-            continue
-        diff = ring.reduce(t + (p - 1) * x)  # t - x
-        acc = diff if acc is None else ring.mul(acc, diff)
-        if i & (i + 1) == 0 or i == m // 2:
-            if not ring.coprime_to_modulus(acc):
-                return False
-            acc = None
-    return True
-
-
 def _has_root(coeffs: tuple[int, ...], p: int) -> bool:
     """True when the polynomial vanishes at some nonzero a in GF(p) (Horner)."""
     for a in range(1, p):
@@ -273,8 +267,10 @@ def is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
     """Ben-Or irreducibility test for a monic polynomial over GF(p).
 
     Coefficients are integers taken mod p, ascending.  gcd(x^(p^i) - x, f)
-    = 1 is checked for i <= m/2, one gcd per block of i.  When p <= m + 1 a
-    candidate with a root in GF(p) is rejected first, and i = 1 is skipped.
+    = 1 is checked for i <= m/2, one gcd per block of i, on the packed ints
+    of a slot ring mod f, the same code for every p.  When p <= m + 1 (so
+    always for p = 2) a candidate with a root in GF(p) is rejected first,
+    and i = 1 is skipped.
     """
     if not isinstance(p, int) or _prime_divisors(p) != [p]:
         raise ValueError(f"characteristic must be prime, got {p!r}")
@@ -289,10 +285,20 @@ def is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
     sieved = p <= m + 1  # always for p = 2
     if coeffs[0] == 0 or (sieved and _has_root(coeffs, p)):
         return False
-    if p == 2:
-        f = sum(c << i for i, c in enumerate(coeffs))
-        return _is_irreducible_gf2(f, m)
-    return _is_irreducible_gfp(coeffs, m, p, sieved)
+    ring = _slot_ring(coeffs, p)
+    x = 1 << ring.w
+    t, acc = x, None
+    for i in range(1, m // 2 + 1):
+        t = ring.pow(t, p)  # x^(p^i)
+        if i == 1 and sieved:
+            continue
+        diff = ring.reduce(t + (p - 1) * x)  # t - x
+        acc = diff if acc is None else ring.mul(acc, diff)
+        if i & (i + 1) == 0 or i == m // 2:  # blocks end at 2^k - 1 and at m/2
+            if not ring.coprime_to_modulus(acc):
+                return False
+            acc = None
+    return True
 
 
 @lru_cache(maxsize=None)
@@ -316,7 +322,7 @@ def lex_least_irreducible(p: int, m: int) -> tuple[int, ...]:
 class Field:
     """The finite field GF(p^m) with canonical integer element encoding."""
 
-    __slots__ = ("p", "m", "q", "modulus", "_mod_int", "_ring", "_small",
+    __slots__ = ("p", "m", "q", "modulus", "_ring", "_small",
                  "_exp", "_log", "_zech", "_add_table", "_mul_table")
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
@@ -325,8 +331,7 @@ class Field:
         self.q = p ** m
         self.modulus = modulus
         self._small = m > 1 and self.q <= _TABLE_LIMIT
-        self._mod_int = sum(c << i for i, c in enumerate(modulus)) if p == 2 else None
-        self._ring = _SlotRing(modulus, p) if p != 2 and m > 1 and not self._small else None
+        self._ring = _slot_ring(modulus, p) if m > 1 and not self._small else None
         # log/antilog (and, for odd p, Zech) lists; see _logs()
         self._exp = self._log = self._zech = None
         self._add_table = None
@@ -426,8 +431,6 @@ class Field:
                 log = self._log
                 return self._exp[log[a] + log[b]]
             return 0
-        if self.p == 2:
-            return _gf2_mod(_gf2_mul(a, b), self._mod_int)
         ring = self._ring
         return ring.unpack(ring.mul(ring.pack(a), ring.pack(b)))
 
@@ -441,7 +444,7 @@ class Field:
             return self._exp[self._log[a] * e % (self.q - 1)]
         if e < 0:
             a, e = self.inv(a), -e
-        if self._ring is not None and e:  # odd-p packed lane: pack once, work on slots
+        if self._ring is not None and e:  # packed lane: pack once, work on slots
             ring = self._ring
             return ring.unpack(ring.pow(ring.pack(a), e))
         r = 1

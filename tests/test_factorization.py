@@ -168,6 +168,28 @@ def test_factorization_round_trip_other_fields():
             assert all(e.multiplicity == f.p ** nu for e in fact.factors)
 
 
+def _entries(fact):
+    return [(e.poly, e.multiplicity, e.coset_rep, e.order) for e in fact.factors]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+def test_repeated_root_lengths_reuse_the_factors_of_n_prime(q):
+    # every sweep length n = p^nu * n' with nu >= 1: the factors of x^n' - 1,
+    # each with multiplicity p^nu, whichever of n and n' is asked first
+    f = field_from_order(q)
+    for n in range(f.p, 65, f.p):
+        nu, n_prime = split_length(n, f)
+        factor_xn1.cache_clear()
+        fact, base = factor_xn1(n, f), factor_xn1(n_prime, f)
+        assert (fact.nu, fact.n_prime) == (nu, n_prime) and base.nu == 0
+        assert _entries(fact) == [(g, f.p ** nu, r, d) for g, _, r, d in _entries(base)]
+        assert fact.product() == xn_minus_1(f, n)
+        factor_xn1.cache_clear()
+        base_first = factor_xn1(n_prime, f)
+        assert _entries(base_first) == _entries(base)
+        assert _entries(factor_xn1(n, f)) == _entries(fact)
+
+
 def test_factors_pairwise_coprime():
     for (n, q) in [(45, 2), (26, 3), (21, 4), (24, 5)]:
         f = field_from_order(q)

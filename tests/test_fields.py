@@ -229,15 +229,21 @@ def test_split_polynomials_are_rejected_without_the_root_sieve(p, roots):
     assert not is_irreducible(f, p)
 
 
-# (3, 30), (5, 24) and (7, 20) run odd-p Ben-Or blocks up to i = 15, 12 and 10
-@pytest.mark.parametrize("p, m", [(2, 30), (3, 16), (5, 10), (7, 8), (3, 30), (5, 24), (7, 20)])
+# (3, 30), (5, 24) and (7, 20) run odd-p Ben-Or blocks up to i = 15, 12 and 10;
+# (2, 255) and (2, 256) run Ben-Or on byte and on two-byte slots
+@pytest.mark.parametrize("p, m", [(2, 30), (3, 16), (5, 10), (7, 8), (3, 30), (5, 24), (7, 20),
+                                  (2, 64), (2, 255), (2, 256)])
 def test_random_polynomials_match_sympy(p, m):
     sympy = pytest.importorskip("sympy")
+    from sympy.polys.galoistools import gf_irred_p_ben_or
     x = sympy.symbols("x")
     rng = random.Random(p * 100 + m)
-    for _ in range(60):
+    for _ in range(60 if m < 255 else 20):
         c = tuple(rng.randrange(p) for _ in range(m)) + (1,)
-        expected = sympy.Poly(list(reversed(c)), x, modulus=p).is_irreducible
+        if m < 64:
+            expected = sympy.Poly(list(reversed(c)), x, modulus=p).is_irreducible
+        else:  # sympy's default Rabin test takes 30 ms a polynomial at m = 64, 2 s at m = 255
+            expected = gf_irred_p_ben_or([sympy.ZZ(v) for v in reversed(c)], p, sympy.ZZ)
         assert is_irreducible(c, p) == expected, c
 
 
@@ -389,38 +395,52 @@ def test_pow_of_zero_keeps_its_conventions():
             f.pow(0, -1)
 
 
-# odd-p packed-lane fields: (3, 8) is the smallest, m = 2 and 3 make Barrett's
-# shift zero and one slot, and p = 4099 and 65537 take the widest slots
-PACKED_LANE = [(3, 40), (5, 52), (3, 8), (7, 5), (65537, 3), (1021, 2), (4099, 2)]
+# packed-lane fields. Odd p: (3, 8) is the smallest, m = 2 and 3 make Barrett's
+# shift zero and one slot, and p = 4099 and 65537 take the widest slots.
+# p = 2: (2, 13) is the smallest, byte slots up to m = 255 and two-byte slots
+# from m = 256, where (q - 1)^2 has a slot sum of 256; (2, 508) is GF(2^508)
+PACKED_LANE = [(3, 40), (5, 52), (3, 8), (7, 5), (65537, 3), (1021, 2), (4099, 2),
+               (2, 13), (2, 20), (2, 64), (2, 174), (2, 255), (2, 256), (2, 508)]
+
+
+def _samples(m, count):
+    """Fewer random samples from m = 128 on, where a naive product takes milliseconds."""
+    return count if m < 128 else max(1, count // 20)
 
 
 @pytest.mark.parametrize("p, m", PACKED_LANE)
 def test_packed_lane_multiply_matches_naive_reference(p, m):
     f = make_field(p, m)
     rng = random.Random(p * m)
-    for _ in range(60):
+    top = f.q - 1  # every digit p - 1: the largest slot sums of a product
+    for a, b in [(0, top), (1, top), (top, top)]:
+        _check_against_naive(f, a, b)
+    for _ in range(_samples(m, 60)):
         a, b = rng.randrange(f.q), rng.randrange(f.q)
         _check_against_naive(f, a, b)
         if a:
             assert naive_mul(f, a, f.inv(a)) == 1
 
 
-@pytest.mark.parametrize("m", [20, 64])
-def test_bitpacked_lane_matches_naive_reference(m):
-    f = make_field(2, m)
+@pytest.mark.parametrize("m, w", [(255, 8), (256, 16)])
+def test_binary_slot_ring_packs_one_bit_per_slot(m, w):
+    ring = make_field(2, m)._ring
+    assert ring.w == w
     rng = random.Random(m)
-    for _ in range(60):
-        a, b = rng.randrange(f.q), rng.randrange(f.q)
-        _check_against_naive(f, a, b)
-        if a:
-            assert naive_mul(f, a, f.inv(a)) == 1
+    for v in [0, 1, 2 ** m - 1] + [rng.randrange(2 ** m) for _ in range(20)]:
+        packed = ring.pack(v)
+        assert [packed >> (w * i) & (2 ** w - 1) for i in range(m)] == [v >> i & 1 for i in range(m)]
+        assert packed >> (w * m) == 0
+        assert ring.unpack(packed) == v
 
 
 @pytest.mark.parametrize("p, m", PACKED_LANE)
 def test_packed_lane_pow_matches_repeated_naive_multiply(p, m):
     f = make_field(p, m)
     rng = random.Random(p + m)
-    for _ in range(8):
+    top = f.q - 1
+    assert f.pow(top, 2) == naive_mul(f, top, top)
+    for _ in range(_samples(m, 8)):
         a = rng.randrange(1, f.q)
         power = 1
         for e in range(13):
