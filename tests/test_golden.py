@@ -2,7 +2,8 @@
 
 The goldens cover ``search`` (CSV and JSON, binary with simple roots,
 repeated roots, nonbinary fields, a cap that skips pairs), ``factor
---json`` (extension fields up to GF(2^508) and GF(3^100)), ``exists
+--json`` (extension fields up to GF(2^508) and GF(3^100), and GF(257)
+itself, where every factor is linear), ``exists
 --json`` (infeasible and repeated-root cases), and, over GF(2), GF(3)
 and GF(4), ``code --dual``, ``pair --distances``, the three ``construct``
 modes (exact and inexact L) and ``verify-tables``, all as JSON.  A further golden pins
@@ -42,6 +43,7 @@ CASES = {
     "factor_n509_q2": "factor --n 509 --json",
     "factor_n5_q4099": "--q 4099 factor --n 5 --json",
     "factor_n7_q1021": "--q 1021 factor --n 7 --json",
+    "factor_n256_q257": "--q 257 factor --n 256 --json",
     "exists_n23_ell2_json": "exists --n 23 --ell 2 --json",
     "exists_n54_q3_ell20_json": "--q 3 exists --n 54 --ell 20 --json",
     "exists_n63_q9_ell31_json": "--q 9 exists --n 63 --ell 31 --json",
