@@ -12,10 +12,11 @@ are refused up front.
 
 A minimal polynomial is the first GF(q)-linear dependency among the
 powers of beta = alpha^rep, found by one linear solve over GF(p) on a
-table of the powers of alpha: for odd p an elimination on int64 digit
-rows, for p = 2 an XOR basis on bit rows.  Those rows are the
-extension's own int encodings, so the p = 2 powers and gamma-multiples
-come straight from ``Field.mul``, which runs on the binary slot ring.
+table of the powers of alpha.  The solve is one elimination for every p
+on rows packed into plain ints, one GF(p) digit per slot: for p = 2 the
+encodings' own bits, with XOR as the row update, and for odd p the slots
+of a ``_SlotRing`` mod the extension's modulus, on which the powers are
+multiplied, with one multiply-add and slot reduce as the row update.
 """
 
 from __future__ import annotations
@@ -24,11 +25,9 @@ from dataclasses import dataclass, field as dc_field, replace
 from functools import cached_property, lru_cache
 from math import gcd
 
-import numpy as np
-
 from cyclic_pairs.cyclotomic import additive_order, coset_partition, mult_order
 from cyclic_pairs.fields import (MAX_EXTENSION_DEGREE, Field,
-                                 FieldMismatchError, make_field)
+                                 FieldMismatchError, _SlotRing, make_field)
 from cyclic_pairs.poly import MAX_LENGTH, Polynomial
 
 
@@ -82,62 +81,57 @@ def root_of_unity(field: Field, n_prime: int) -> tuple[Field, int, int]:
 
 
 @lru_cache(maxsize=1)
-def _alpha_powers(field: Field, n_prime: int) -> tuple[Field, list[int] | np.ndarray, object]:
-    """(ext, alpha^0 .. alpha^(n'-1), gamma), kept for every coset of one (field, n').
+def _alpha_powers(field: Field, n_prime: int) -> tuple[list[int], int, object, _SlotRing | None]:
+    """(alpha^0 .. alpha^(n'-1), gamma, mul, ring) as rows of ``_solve``, kept
+    for every coset of one (field, n').
 
-    For odd p the powers are GF(p) digit rows and gamma is given as the
-    matrix of multiplication by it (None over a prime field).
+    A row packs an element of ext into an int, one GF(p) digit per slot:
+    for p = 2 (ring None) its encoding's bits, for odd p the slots of ring.
+    For p = 2 and for ext = GF(p) the encoding already is the row, and
+    mul is ``ext.mul``; otherwise mul is ``ring.mul``, so the rows are
+    multiplied without unpacking.
     """
     ext, gamma, alpha = root_of_unity(field, n_prime)
-    if field.p == 2:
-        powers = [1]
-        for _ in range(1, n_prime):
-            powers.append(ext.mul(powers[-1], alpha))
-        return ext, powers, gamma
-    times_gamma = ext.times_matrix(gamma) if field.m > 1 else None
-    return ext, ext.power_digits(alpha, n_prime), times_gamma
+    ring = None if field.p == 2 else _SlotRing(ext.modulus, field.p)
+    mul, pack = (ext.mul, int) if ring is None or ext.m == 1 else (ring.mul, ring.pack)
+    a, powers = pack(alpha), [1]  # 1 is its own row
+    for _ in range(1, n_prime):
+        powers.append(mul(powers[-1], a))
+    return powers, pack(gamma), mul, ring
 
 
-def _solve_mod_p(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
-    """The unique x with a @ x = b over GF(p), or None when there is none or many."""
-    cols = a.shape[1]
-    aug = np.concatenate([a, b[:, None]], axis=1) % p
-    for c in range(cols):
-        r = c + int(aug[c:, c].argmax())  # any nonzero entry will do as the pivot
-        if not aug[r, c]:
-            return None
-        if r != c:
-            aug[[c, r]] = aug[[r, c]]
-        pivot = aug[c, c:] * pow(int(aug[c, c]), -1, p) % p
-        aug[:, c:] = (aug[:, c:] - np.outer(aug[:, c], pivot)) % p
-        aug[c, c:] = pivot
-    if aug[cols:, cols].any():
-        return None
-    return aug[:cols, cols]
+def _solve(cols: list[int], b: int, ring: _SlotRing | None) -> list[int] | None:
+    """The unique x with sum_j x_j * cols[j] = -b over GF(p), or None.
 
-
-def _solve_gf2(cols: list[int], b: int) -> int | None:
-    """The unique x with b = XOR of the cols[j] for the set bits j of x, or None.
-
-    An XOR basis of the bit-row columns, keyed by leading bit, tracks which
-    columns each row combines as a bitmask; as in ``_solve_mod_p``, a
-    dependent column or a b outside the span gives None.
+    cols and b are rows of ``_alpha_powers``.  A basis keyed by leading
+    slot holds the reduced columns, each with the packed combination of
+    unknowns that gives it (slot j for cols[j]).  A row update subtracts a
+    multiple of a basis row and its combination: XOR for p = 2,
+    reduce(v + c * row) for odd p.  A column that reduces to 0 (many
+    solutions) or a b that does not (none) gives None.
     """
-    basis: dict[int, tuple[int, int]] = {}
+    p, w = (2, 1) if ring is None else (ring.p, ring.w)
+    basis: dict[int, tuple[int, int, int]] = {}  # leading slot -> (row, combination, 1 / lead)
 
-    def reduce(v: int, mask: int) -> tuple[int, int]:
-        while v and (top := v.bit_length() - 1) in basis:
-            row, combo = basis[top]
-            v, mask = v ^ row, mask ^ combo
-        return v, mask
+    def eliminate(v: int, combo: int) -> tuple[int, int]:
+        while v and (top := (v.bit_length() - 1) // w) in basis:
+            row, row_combo, inv = basis[top]
+            if ring is None:
+                v, combo = v ^ row, combo ^ row_combo
+            else:  # c * lead(row) = -lead(v); every slot sum is at most p(p - 1)
+                c = (p - (v >> (w * top))) * inv % p
+                v, combo = ring.reduce(v + c * row), ring.reduce(combo + c * row_combo)
+        return v, combo
 
-    for j, v in enumerate(cols):
-        v, mask = reduce(v, 1 << j)
+    for j, col in enumerate(cols):
+        v, combo = eliminate(col, 1 << (w * j))
         if not v:
             return None
-        basis[v.bit_length() - 1] = (v, mask)
-    b, x = reduce(b, 0)
-    return None if b else x
+        top = (v.bit_length() - 1) // w
+        basis[top] = (v, combo, pow(v >> (w * top), -1, p))
+    b, x = eliminate(b, 0)
+    mask = (1 << w) - 1
+    return None if b else [x >> (w * j) & mask for j in range(len(cols))]
 
 
 def minimal_poly(n_prime: int, field: Field, coset: tuple[int, ...]) -> Polynomial:
@@ -150,30 +144,23 @@ def minimal_poly(n_prime: int, field: Field, coset: tuple[int, ...]) -> Polynomi
     encodings of the coefficients.  A tuple that is not a q-cyclotomic
     coset, or a system without a unique solution, raises CoercionError.
     """
-    q, p, d = field.q, field.p, len(coset)
+    q, p, m, d = field.q, field.p, field.m, len(coset)
     if not coset or {coset[0] * pow(q, i, n_prime) % n_prime
                      for i in range(d)} != set(coset) or len(set(coset)) != d:
         raise CoercionError(f"{coset} is not a {q}-cyclotomic coset mod {n_prime}")
-    ext, powers, action = _alpha_powers(field, n_prime)
-    index = np.arange(d + 1) * coset[0] % n_prime  # of beta^0 .. beta^d
-    if p == 2:  # column s*d + i is the bit row of gamma^s * beta^i
-        beta = [powers[i] for i in index.tolist()]
-        cols = beta[:d]
-        for _ in range(1, field.m):
-            cols += [ext.mul(action, c) for c in cols[-d:]]
-        x = _solve_gf2(cols, beta[d])
-        digits = None if x is None else np.array([x >> j & 1 for j in range(len(cols))])
-    else:  # block s holds the digits of gamma^s * beta^i, i < d
-        beta = powers[index]
-        blocks = [beta[:d]]
-        for _ in range(1, field.m):
-            blocks.append(blocks[-1] @ action % p)
-        digits = _solve_mod_p(np.concatenate(blocks).T, -beta[d] % p, p)
+    powers, gamma, mul, ring = _alpha_powers(field, n_prime)
+    beta = [powers[coset[0] * i % n_prime] for i in range(d + 1)]
+    cols = []  # column i*m + s is gamma^s * beta^i, the unknown c_(i,s)
+    for power in beta[:d]:
+        cols.append(power)
+        for _ in range(1, m):
+            cols.append(mul(gamma, cols[-1]))
+    digits = _solve(cols, beta[d], ring)
     if digits is None:
         raise CoercionError(f"alpha^{coset[0]} has no degree-{d} minimal polynomial "
                             f"over {field!r}")
-    digits = digits.reshape(field.m, d)
-    return Polynomial(field, [field._undigits(digits[:, i]) for i in range(d)] + [1])
+    return Polynomial(field, [sum(digits[i * m + s] * p ** s for s in range(m))
+                              for i in range(d)] + [1])
 
 
 @dataclass(frozen=True)

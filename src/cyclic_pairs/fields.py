@@ -50,11 +50,12 @@ GF(p) by Horner evaluation in plain ints (about m^2 operations), which
 answers the block i = 1; for larger p that sieve would cost more than the
 block, so it is skipped and the block runs.
 
-Every lane can also give the m-by-m GF(p) matrix of multiplication by an
-element and, by doubling with it, the digit vectors of an element's
-powers; the small-field tables and, for odd p, the minimal polynomials of
-``factorization`` are built from these, and its roots of unity come from
-``element_of_order``, the one search for an element of given order.
+A small field holds a slot ring too, for its log tables: on it
+``element_of_order`` finds the primitive element before the tables exist,
+and the element's powers are one multiply chain.  The minimal polynomials of ``factorization`` are
+solved on the packed rows of a slot ring, and its roots of unity come from
+``element_of_order``, the one search for an element of given order.  Only
+the lookup tables of ``Field.tables`` use numpy.
 """
 
 from __future__ import annotations
@@ -78,21 +79,6 @@ class FieldMismatchError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# GF(p)[x] on int64 coefficient arrays, ascending degree
-
-def _times_matrix(a: np.ndarray, f: np.ndarray, p: int, rows: int) -> np.ndarray:
-    """Row i is a * x^i mod f, for i < rows; f is monic of degree m."""
-    m = f.size - 1
-    x_m = (-f[:m]) % p  # x^m mod f
-    out = np.zeros((rows, m), dtype=np.int64)
-    row = a
-    for i in range(rows):
-        out[i] = row
-        row = (np.concatenate(([0], row[:-1])) + row[-1] * x_m) % p
-    return out
-
-
-# ---------------------------------------------------------------------------
 # GF(p)[x] mod f on packed ints
 
 class _SlotRing:
@@ -101,9 +87,12 @@ class _SlotRing:
     A product is one int multiply (Kronecker substitution), and ``reduce``
     takes every slot mod p at once.  Reduction mod f is Barrett's, with
     mu = x^(2m-2) // f.  Only the slot width, ``reduce`` and the packing
-    depend on p: for odd p, w holds the largest slot sum, m(p-1)^2, times
-    the constant c of ``reduce``, so neither a product nor the reduction
-    carries into the next slot; p = 2 is ``_BinarySlotRing``.
+    depend on p: for odd p, w holds the largest slot sum times the
+    constant c of ``reduce``, so nothing carries into the next slot.  That
+    sum is m(p-1)^2 in a product and p(p-1) in a multiply-add a + c*b of
+    reduced slots (``divmod``, and the row updates of
+    ``factorization.minimal_poly``); the second is larger only for m = 1.
+    p = 2 is ``_BinarySlotRing``.
     """
 
     __slots__ = ("p", "m", "w", "k", "c", "qmask", "low", "f", "mu", "negf")
@@ -120,7 +109,7 @@ class _SlotRing:
 
     def _set_width(self) -> None:
         p, m = self.p, self.m
-        top = m * (p - 1) ** 2
+        top = (p - 1) * max(m * (p - 1), p)
         # floor(s * c / 2^k) = s // p for every slot value s <= top (Granlund & Montgomery)
         self.k = k = top.bit_length() + p.bit_length()
         self.c = c = -(-(1 << k) // p)
@@ -148,8 +137,8 @@ class _SlotRing:
         return v
 
     def reduce(self, a: int) -> int:
-        """Every slot (at most m(p-1)^2) mod p at once; one multiply, shift and mask
-        gives the quotients."""
+        """Every slot (at most max(m(p-1), p) * (p-1)) mod p at once; one
+        multiply, shift and mask gives the quotients."""
         return a - self.p * ((a * self.c >> self.k) & self.qmask)
 
     def mul(self, a: int, b: int) -> int:
@@ -331,7 +320,7 @@ class Field:
         self.q = p ** m
         self.modulus = modulus
         self._small = m > 1 and self.q <= _TABLE_LIMIT
-        self._ring = _slot_ring(modulus, p) if m > 1 and not self._small else None
+        self._ring = _slot_ring(modulus, p) if m > 1 else None
         # log/antilog (and, for odd p, Zech) lists; see _logs()
         self._exp = self._log = self._zech = None
         self._add_table = None
@@ -346,58 +335,31 @@ class Field:
             raise ValueError(f"{v!r} is not a canonical element of {self}")
         return v
 
-    def _digits(self, v: int) -> np.ndarray:
-        out = np.zeros(self.m, dtype=np.int64)
-        p = self.p
-        for i in range(self.m):
-            v, out[i] = divmod(v, p)
-        return out
-
-    def _undigits(self, vec: np.ndarray) -> int:
-        v = 0
-        for c in reversed(vec.tolist()):
-            v = v * self.p + int(c)
-        return v
-
-    def times_matrix(self, a: int) -> np.ndarray:
-        """m-by-m matrix over GF(p): a row vector of digits times it is multiplied by a."""
-        f = np.array(self.modulus, dtype=np.int64)
-        return _times_matrix(self._digits(a), f, self.p, self.m)
-
-    def power_digits(self, a: int, count: int) -> np.ndarray:
-        """count-by-m array whose row i holds the digits of a^i.
-
-        Doubling: the rows of a^(k..2k-1) are those of a^(0..k-1) times a^k.
-        """
-        p, times = self.p, self.times_matrix(a)
-        powers = np.zeros((1, self.m), dtype=np.int64)
-        powers[0, 0] = 1
-        while len(powers) < count:
-            powers = np.concatenate([powers, powers @ times % p])
-            times = times @ times % p
-        return powers[:count]
-
     def _logs(self) -> None:
         """Build the lookup lists of a small field.
 
         With g the least primitive element and n = q - 1: ``_exp[i]`` is
         g^(i mod n) for i < 2n and 0 beyond, ``_log[g^i] = i``; for odd p
         ``_zech[k]`` is log(1 + g^k), or 2n when 1 + g^k = 0, repeated
-        twice so that differences of logs index it directly.
+        twice so that differences of logs index it directly.  g is
+        ``element_of_order(n)``, whose powers run on the slot ring until
+        the tables exist, and its powers are one multiply chain on the ring.
         """
-        p, m, q = self.p, self.m, self.q
+        p, q, ring = self.p, self.q, self._ring
         n = q - 1
-        for g in range(p, q):
-            exp = self.power_digits(g, n) @ (p ** np.arange(m))
-            if np.count_nonzero(exp == 1) == 1:
-                break  # g has order n
-        log = np.zeros(q, dtype=np.int64)
-        log[exp] = np.arange(n)
-        self._exp = exp.tolist() * 2 + [0] * n
+        g = ring.pack(self.element_of_order(n))
+        exp, power = [], 1  # packed 1 is 1
+        for _ in range(n):
+            exp.append(ring.unpack(power))
+            power = ring.mul(power, g)
+        log = [0] * q
+        for i, v in enumerate(exp):
+            log[v] = i
+        self._exp = exp * 2 + [0] * n
         if p != 2:
-            one_plus = exp - exp % p + (exp + 1) % p
-            self._zech = np.where(one_plus == 0, 2 * n, log[one_plus]).tolist() * 2
-        self._log = log.tolist()
+            one_plus = (v - v % p + (v + 1) % p for v in exp)
+            self._zech = [log[u] if u else 2 * n for u in one_plus] * 2
+        self._log = log
 
     # -- arithmetic on integer encodings ------------------------------------
 
@@ -440,7 +402,7 @@ class Field:
         return self.pow(a, self.q - 2)  # Fermat: a^(q-1) = 1
 
     def pow(self, a: int, e: int) -> int:
-        if self._small and a:
+        if self._exp and a:
             return self._exp[self._log[a] * e % (self.q - 1)]
         if e < 0:
             a, e = self.inv(a), -e

@@ -1,7 +1,8 @@
 """Independent oracles shared by the test modules.
 
 Everything here deliberately avoids the library's optimized paths: rank
-by plain Gaussian elimination on Field ops, distance by naive message
+by plain Gaussian elimination on Field ops, linear systems over GF(p) by
+Gauss-Jordan elimination on lists, distance by naive message
 enumeration, divisor existence by exhaustive lattice products, minimal
 polynomials by multiplying out the coset product, polynomial products by
 the schoolbook double loop, and intersections, sums and duals of cyclic
@@ -93,6 +94,30 @@ def rank_over_field(rows, f: Field) -> int:
                 mat[r] = [f.sub(a, f.mul(c, b)) for a, b in zip(mat[r], mat[rank])]
         rank += 1
     return rank
+
+
+def solve_mod_p(a: list[list[int]], b: list[int], p: int) -> list[int] | None:
+    """The unique x with a x = b over GF(p), or None when there is none or many.
+
+    Gauss-Jordan elimination on lists of ints mod p; a column without a
+    pivot leaves an unknown free, so the system has no unique solution.
+    """
+    rows, cols = len(a), len(a[0])
+    aug = [[v % p for v in row] + [rhs % p] for row, rhs in zip(a, b)]
+    for c in range(cols):
+        pivot = next((r for r in range(c, rows) if aug[r][c]), None)
+        if pivot is None:
+            return None
+        aug[c], aug[pivot] = aug[pivot], aug[c]
+        inv = pow(aug[c][c], -1, p)
+        aug[c] = [v * inv % p for v in aug[c]]
+        for r in range(rows):
+            if r != c and aug[r][c]:
+                factor = aug[r][c]
+                aug[r] = [(v - factor * u) % p for v, u in zip(aug[r], aug[c])]
+    if any(aug[r][cols] for r in range(cols, rows)):
+        return None
+    return [aug[r][cols] for r in range(cols)]
 
 
 def naive_poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:

@@ -1,21 +1,22 @@
+import ast
+import pathlib
 import random
 from itertools import product
 from math import gcd
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclic_pairs import factorization
+from cyclic_pairs import factorization, fields
 from cyclic_pairs.cyclotomic import coset_count, coset_partition
 from cyclic_pairs.factorization import (CoercionError, factor_xn1,
                                         minimal_poly, root_of_unity,
                                         split_length)
-from cyclic_pairs.fields import (FieldMismatchError, field_from_order, is_irreducible,
-                                 make_field)
+from cyclic_pairs.fields import (FieldMismatchError, _SlotRing, field_from_order,
+                                 is_irreducible, make_field)
 from cyclic_pairs.poly import Polynomial, parse_poly, xn_minus_1
-from helpers import embed, naive_minimal_poly, poly_gcd
+from helpers import embed, naive_minimal_poly, poly_gcd, solve_mod_p
 
 GF2 = make_field(2)
 
@@ -97,48 +98,90 @@ def test_minimal_poly_refuses_a_non_coset():
             minimal_poly(7, GF2, coset)
 
 
-def _bit_rows(a):
-    """The columns of a 0/1 matrix as ints, bit r = row r."""
-    return [sum(int(v) << r for r, v in enumerate(col)) for col in a.T]
+def _packed_solve(a, b, p):
+    """factorization._solve on the columns of a, for the right-hand side b.
+
+    For odd p the rows sit in the slots of a ring of degree len(a), whose
+    modulus plays no part in a row update.
+    """
+    rows = len(a)
+    ring = None if p == 2 else _SlotRing((1,) + (0,) * (rows - 1) + (1,), p)
+    w = 1 if ring is None else ring.w
+
+    def pack(vec):
+        return sum(v << (w * r) for r, v in enumerate(vec))
+
+    return factorization._solve([pack(col) for col in zip(*a)], pack([-v % p for v in b]), ring)
 
 
-def _both_solves(a, b):
-    x = factorization._solve_gf2(_bit_rows(a), _bit_rows(b[:, None])[0])
-    bits = None if x is None else [x >> j & 1 for j in range(a.shape[1])]
-    expected = factorization._solve_mod_p(a, b, 2)
-    return bits, None if expected is None else expected.tolist()
+def _mat_vec(a, x, p):
+    return [sum(u * v for u, v in zip(row, x)) % p for row in a]
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_gf2_bit_row_solve_matches_the_gf_p_solve(seed):
-    rng = np.random.default_rng(seed)
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_packed_row_solve_matches_gauss_jordan(p):
+    rng = random.Random(p)
     kinds = {"unique": 0, "rank_deficient": 0, "inconsistent": 0}
     for _ in range(60):
-        rows = int(rng.integers(2, 40))
-        cols = int(rng.integers(1, rows + 1))
-        a = rng.integers(0, 2, (rows, cols))
-        x = rng.integers(0, 2, cols)
-        b = a @ x % 2
-        bits, expected = _both_solves(a, b)
-        assert bits == expected
+        rows = rng.randrange(1, 40)
+        cols = rng.randrange(1, rows + 1)
+        a = [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)]
+        x = [rng.randrange(p) for _ in range(cols)]
+        b = _mat_vec(a, x, p)
+        expected = solve_mod_p(a, b, p)
+        assert _packed_solve(a, b, p) == expected
         if expected is None:
             continue  # a random a of short rank
         kinds["unique"] += 1
-        assert expected == x.tolist()
-        if cols >= 2:  # a column that is the sum of one or two others: many solutions
-            i, *others = rng.choice(cols, min(cols, 3), replace=False)
-            dep = a.copy()
-            dep[:, i] = a[:, others].sum(1) % 2
-            assert _both_solves(dep, dep @ x % 2) == (None, None)
+        assert expected == x
+        if cols >= 2:  # a column that is a combination of one or two others: many solutions
+            i, *others = rng.sample(range(cols), min(cols, 3))
+            coef = [rng.randrange(1, p) for _ in others]
+            dep = [row[:i] + [sum(c * row[k] for c, k in zip(coef, others)) % p] + row[i + 1:]
+                   for row in a]
+            rhs = _mat_vec(dep, x, p)
+            assert solve_mod_p(dep, rhs, p) is None
+            assert _packed_solve(dep, rhs, p) is None
             kinds["rank_deficient"] += 1
         if cols < rows:  # a b outside the column span
             for _ in range(20):
-                off = rng.integers(0, 2, rows)
-                if _both_solves(a, off)[1] is None:
-                    assert _both_solves(a, off) == (None, None)
+                off = [rng.randrange(p) for _ in range(rows)]
+                if solve_mod_p(a, off, p) is None:
+                    assert _packed_solve(a, off, p) is None
                     kinds["inconsistent"] += 1
                     break
     assert all(kinds.values()), kinds
+
+
+@pytest.mark.parametrize("p, n_prime", [(3, 2), (5, 4), (17, 16), (257, 256), (4099, 683)])
+def test_minimal_poly_over_the_prime_field_itself(p, n_prime):
+    # n' | p - 1, so t = 1: ext is GF(p), and each system has one unknown in one slot
+    f = make_field(p)
+    assert root_of_unity(f, n_prime)[0] is f
+    for coset in coset_partition(n_prime, p).cosets:
+        assert len(coset) == 1
+        assert minimal_poly(n_prime, f, coset) == naive_minimal_poly(n_prime, f, coset), coset
+
+
+def _module_tree(module):
+    return ast.parse(pathlib.Path(module.__file__).read_text())
+
+
+def test_numpy_stays_out_of_the_factorization():
+    imported = set()
+    for node in ast.walk(_module_tree(factorization)):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+    assert not any(name.split(".")[0] == "numpy" for name in imported), imported
+    # in fields.py only Field.tables(), the lookup tables, uses numpy
+    tree = _module_tree(fields)
+    tables = next(node for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef) and node.name == "tables")
+    np_lines = {node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and node.id == "np"}
+    assert np_lines and all(tables.lineno <= line <= tables.end_lineno for line in np_lines)
 
 
 def _in_coset(n_prime, q, rep, j):

@@ -422,6 +422,21 @@ def test_packed_lane_multiply_matches_naive_reference(p, m):
             assert naive_mul(f, a, f.inv(a)) == 1
 
 
+@pytest.mark.parametrize("p", [3, 5, 17, 257, 65537, 7, 4099])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_odd_slot_reduce_holds_a_multiply_add(p, m):
+    # a + c*b with reduced slots sums to p(p - 1), more than a product's m(p - 1)^2
+    # when m = 1, at the Fermat primes too narrow for the product-sized slot
+    ring = fields._SlotRing((1,) + (0,) * (m - 1) + (1,), p)
+    top = p * (p - 1)
+    sums = [top, top - 1, p * p - 2 * p, (p - 1) ** 2 + 1, p, 0] + \
+        [random.Random(p * m + k).randrange(top) for k in range(20)]
+    for i in range(0, len(sums), 2 * m - 1):
+        chunk = sums[i:i + 2 * m - 1]
+        packed = ring.reduce(sum(s << (ring.w * j) for j, s in enumerate(chunk)))
+        assert packed == sum(s % p << (ring.w * j) for j, s in enumerate(chunk)), chunk
+
+
 @pytest.mark.parametrize("m, w", [(255, 8), (256, 16)])
 def test_binary_slot_ring_packs_one_bit_per_slot(m, w):
     ring = make_field(2, m)._ring
@@ -451,15 +466,23 @@ def test_packed_lane_pow_matches_repeated_naive_multiply(p, m):
         assert f.pow(a, f.q - 1) == 1
 
 
-@pytest.mark.parametrize("p, m", [(2, 20), (3, 40), (3, 2), (2, 1)])
-def test_power_digits_rows_are_successive_powers(p, m):
+@pytest.mark.parametrize("p, m", [(2, 2), (2, 12), (3, 7), (5, 5), (7, 4)])
+def test_log_tables_match_naive_arithmetic(p, m):
     f = make_field(p, m)
-    a = random.Random(m).randrange(1, f.q)
-    rows = f.power_digits(a, 40)
-    power = 1
-    for row in rows:
-        assert _undigits(f, row.tolist()) == power
-        power = naive_mul(f, power, a)
+    n, exp, log = f.q - 1, f._exp, f._log
+    assert sorted(exp[:n]) == list(range(1, f.q))  # exp[1] is primitive
+    assert exp[0] == 1 and exp[n:2 * n] == exp[:n] and exp[2 * n:] == [0] * n
+    for i in range(n):
+        assert exp[i + 1] == naive_mul(f, exp[i], exp[1])
+        assert log[exp[i]] == i
+    if p == 2:
+        assert f._zech is None
+        return
+    zech = f._zech
+    assert len(zech) == 2 * n and zech[n:] == zech[:n]
+    for k in range(n):
+        one_plus = naive_add(f, 1, exp[k])
+        assert zech[k] == (log[one_plus] if one_plus else 2 * n)
 
 
 def _prime_powers(limit):
