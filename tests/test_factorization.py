@@ -173,7 +173,7 @@ def test_numpy_stays_out_of_the_factorization():
         if isinstance(node, ast.Import):
             imported |= {alias.name for alias in node.names}
         elif isinstance(node, ast.ImportFrom):
-            imported.add(node.module)
+            imported.add(node.module or "")
     assert not any(name.split(".")[0] == "numpy" for name in imported), imported
     # in fields.py only Field.tables(), the lookup tables, uses numpy
     tree = _module_tree(fields)
