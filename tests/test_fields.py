@@ -97,6 +97,17 @@ def test_gf2_508_modulus_is_pinned():
     assert [i for i, c in enumerate(mod) if c] == [0, 501, 504, 505, 506, 507, 508]
 
 
+# GF(3^100) carries the roots of x^202 - 1 over GF(3); GF(5^96) is the sweep-sized
+# odd-p search with the sparsest top: both moduli pinned term by term
+@pytest.mark.parametrize("p, m, terms", [
+    (3, 100, {0: 1, 94: 1, 96: 2, 97: 1, 98: 1, 100: 1}),
+    (5, 96, {0: 1, 93: 1, 94: 1, 96: 1}),
+])
+def test_odd_p_moduli_are_pinned(p, m, terms):
+    mod = lex_least_irreducible(p, m)
+    assert {i: c for i, c in enumerate(mod) if c} == terms
+
+
 def test_is_irreducible_validates_its_input():
     for p in (0, 1, 4, 9):
         with pytest.raises(ValueError, match="characteristic"):
