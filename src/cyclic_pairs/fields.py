@@ -23,7 +23,7 @@ The arithmetic lanes of ``add``, ``mul`` and ``pow`` all give the same results:
   coefficient i in its own slot of w bits (``_SlotRing``).  A product is
   one int multiply (Kronecker substitution; Harvey 2009), every slot is
   taken mod p at once, and the reduction mod f is Barrett's (Barrett
-  1986) with mu = x^(2m-2) // f built with the field.  Only the slot
+  1986) with mu = x^(2m-2) // f built with the ring.  Only the slot
   width, the slot reduction and the packing depend on p: for odd p the
   slots are as wide as the largest slot sum needs, and one multiply,
   shift and mask takes them mod p (Granlund & Montgomery 1994); for p = 2
@@ -48,14 +48,16 @@ ints and only answer "is it 1?", reading a degree off the bit length.
 When p <= m + 1 the search first drops a candidate with a root in
 GF(p) by Horner evaluation in plain ints (about m^2 operations), which
 answers the block i = 1; for larger p that sieve would cost more than the
-block, so it is skipped and the block runs.
+block, so it is skipped and the block runs.  Lex order varies only the top
+coefficients, so the test runs mod whichever of f and its monic reciprocal
+x^m f(1/x) / f(0) has the shorter tail, where mu is closed-form (``_SlotRing``).
 
 A small field holds a slot ring too, for its log tables: on it
 ``element_of_order`` finds the primitive element before the tables exist,
-and the element's powers are one multiply chain.  The minimal polynomials of ``factorization`` are
-solved on the packed rows of a slot ring, and its roots of unity come from
-``element_of_order``, the one search for an element of given order.  Only
-the lookup tables of ``Field.tables`` use numpy.
+and the element's powers are one multiply chain.  The minimal polynomials
+of ``factorization`` are solved on the packed rows of a slot ring, and its
+roots of unity come from ``element_of_order``, the one search for an element
+of given order.  Only the lookup tables of ``Field.tables`` use numpy.
 """
 
 from __future__ import annotations
@@ -86,11 +88,12 @@ class _SlotRing:
 
     A product is one int multiply (Kronecker substitution), and ``reduce``
     takes every slot mod p at once.  Reduction mod f is Barrett's, with
-    mu = x^(2m-2) // f.  Only the slot width, ``reduce`` and the packing
-    depend on p: for odd p, w holds the largest slot sum times the
-    constant c of ``reduce``, so nothing carries into the next slot.  That
-    sum is m(p-1)^2 in a product and p(p-1) in a multiply-add a + c*b of
-    reduced slots (``divmod``, and the row updates of
+    mu = x^(2m-2) // f, which is x^(m-2) - r // x^2 for f = x^m + r with
+    2 deg r <= m + 1.  Only the slot width, ``reduce`` and the packing
+    depend on p: for odd p, w holds the largest slot sum times the constant
+    c of ``reduce``, so nothing carries into the next slot.  That sum is
+    m(p-1)^2 in a product and p(p-1) in a multiply-add a + c*b of reduced
+    slots (division steps, and the row updates of
     ``factorization.minimal_poly``); the second is larger only for m = 1.
     p = 2 is ``_BinarySlotRing``.
     """
@@ -104,17 +107,15 @@ class _SlotRing:
         w = self.w
         self.low = (1 << (w * m)) - 1
         self.f = self.pack_coeffs(coeffs)
-        self.mu = self.divmod(1 << (w * (2 * m - 2)), self.f)[0]
-        self.negf = self.pack_coeffs([-x % p for x in coeffs[:m]])
+        self.negf = negf = self.pack_coeffs([-x % p for x in coeffs[:m]])
+        if m > 1 and 2 * ((negf.bit_length() - 1) // w) <= m + 1:  # 2 deg r <= m + 1
+            # x^(2m-2) - f * mu = r * (r // x^2) - x^(m-2) * (r mod x^2) has degree < m
+            self.mu = (1 << (w * (m - 2))) + (negf >> (2 * w))
+        else:
+            self.mu = self._divide_mu()
 
     def _set_width(self) -> None:
-        p, m = self.p, self.m
-        top = (p - 1) * max(m * (p - 1), p)
-        # floor(s * c / 2^k) = s // p for every slot value s <= top (Granlund & Montgomery)
-        self.k = k = top.bit_length() + p.bit_length()
-        self.c = c = -(-(1 << k) // p)
-        self.w = w = (top * c).bit_length()
-        self.qmask = sum(((1 << (w - k)) - 1) << (w * i) for i in range(2 * m - 1))
+        self.w, self.k, self.c, self.qmask = _odd_slot_constants(self.p, self.m)
 
     def pack_coeffs(self, coeffs) -> int:
         return sum(x << (self.w * i) for i, x in enumerate(coeffs))
@@ -157,30 +158,39 @@ class _SlotRing:
                 r = self.mul(r, a)
         return r
 
-    def divmod(self, a: int, b: int) -> tuple[int, int]:
-        """Quotient and remainder of packed polynomials with reduced slots, b != 0.
-
-        The degree of a is (a.bit_length() - 1) // w; each step clears a's
-        leading slot.
-        """
-        p, w = self.p, self.w
-        db = (b.bit_length() - 1) // w
-        inv = pow(b >> (w * db), -1, p)
-        quo = 0
-        da = (a.bit_length() - 1) // w
-        while da >= db:
-            lead = (a >> (w * da)) * inv % p
-            quo |= lead << (w * (da - db))
-            a = self.reduce(a + ((p - lead) * b << (w * (da - db))))
-            da = (a.bit_length() - 1) // w
-        return quo, a
+    def _divide_mu(self) -> int:
+        """mu = x^(2m-2) // f by long division: f is monic, so quotient slot i
+        is the dividend's slot m + i once the slots above it are cleared."""
+        p, w, m, f = self.p, self.w, self.m, self.f
+        mu, a = 0, 1 << (w * (2 * m - 2))
+        for i in range(m - 2, -1, -1):
+            lead = a >> (w * (m + i))
+            mu |= lead << (w * i)
+            a = self.reduce(a + ((-lead % p) * f << (w * i)))
+        return mu
 
     def coprime_to_modulus(self, a: int) -> bool:
-        """True when gcd(a, f) = 1; gcd(0, f) is f."""
-        a, b = self.f, a
+        """True when gcd(a, f) = 1; gcd(0, f) is f.  Euclid keeps remainders only."""
+        p, w, a, b = self.p, self.w, self.f, a
         while b:
-            a, b = b, self.divmod(a, b)[1]
-        return a >> self.w == 0
+            db, da = (b.bit_length() - 1) // w, (a.bit_length() - 1) // w
+            inv = pow(b >> (w * db), -1, p)
+            while da >= db:
+                lead = (a >> (w * da)) * inv % p
+                a = self.reduce(a + ((p - lead) * b << (w * (da - db))))
+                da = (a.bit_length() - 1) // w
+            a, b = b, a
+        return a >> w == 0
+
+
+@lru_cache(maxsize=None)
+def _odd_slot_constants(p: int, m: int) -> tuple[int, int, int, int]:
+    top = (p - 1) * max(m * (p - 1), p)
+    # floor(s * c / 2^k) = s // p for every slot value s <= top (Granlund & Montgomery)
+    k = top.bit_length() + p.bit_length()
+    c = -(-(1 << k) // p)
+    w = (top * c).bit_length()
+    return w, k, c, ((1 << (w - k)) - 1) * (((1 << (w * (2 * m - 1))) - 1) // ((1 << w) - 1))
 
 
 # one byte per bit of a binary numeral, and back
@@ -257,9 +267,10 @@ def is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
 
     Coefficients are integers taken mod p, ascending.  gcd(x^(p^i) - x, f)
     = 1 is checked for i <= m/2, one gcd per block of i, on the packed ints
-    of a slot ring mod f, the same code for every p.  When p <= m + 1 (so
-    always for p = 2) a candidate with a root in GF(p) is rejected first,
-    and i = 1 is skipped.
+    of a slot ring mod f, or mod its monic reciprocal when that has the
+    shorter tail, the same code for every p.  When p <= m + 1 (so always
+    for p = 2) a candidate with a root in GF(p) is rejected first, and
+    i = 1 is skipped.
     """
     if not isinstance(p, int) or _prime_divisors(p) != [p]:
         raise ValueError(f"characteristic must be prime, got {p!r}")
@@ -269,11 +280,21 @@ def is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
     m = len(coeffs) - 1
     if m < 1 or coeffs[-1] != 1:
         raise ValueError("expected a monic polynomial of degree >= 1")
-    if m == 1:
-        return True
+    return m == 1 or _ben_or(coeffs, p)
+
+
+def _ben_or(coeffs: tuple[int, ...], p: int) -> bool:
+    """``is_irreducible`` for a monic polynomial of degree m >= 2, coefficients in [0, p)."""
+    m = len(coeffs) - 1
     sieved = p <= m + 1  # always for p = 2
     if coeffs[0] == 0 or (sieved and _has_root(coeffs, p)):
         return False
+    # f and f* = x^m f(1/x) / c0 are irreducible together: test f* when its tail,
+    # of degree m - low, is shorter than f's, so that the ring's mu is closed-form
+    low = next(j for j in range(1, m + 1) if coeffs[j])
+    if any(coeffs[m - low + 1:m]):
+        inv = pow(coeffs[0], -1, p)
+        coeffs = tuple(c * inv % p for c in reversed(coeffs))
     ring = _slot_ring(coeffs, p)
     x = 1 << ring.w
     t, acc = x, None
@@ -300,7 +321,7 @@ def lex_least_irreducible(p: int, m: int) -> tuple[int, ...]:
     for c0 in range(1, p):
         for rest in product(range(p), repeat=m - 1):
             coeffs = (c0,) + rest + (1,)
-            if is_irreducible(coeffs, p):
+            if _ben_or(coeffs, p):  # monic, in range: no validation
                 return coeffs
     raise RuntimeError(f"no irreducible polynomial of degree {m} over GF({p})")
 
@@ -311,7 +332,7 @@ def lex_least_irreducible(p: int, m: int) -> tuple[int, ...]:
 class Field:
     """The finite field GF(p^m) with canonical integer element encoding."""
 
-    __slots__ = ("p", "m", "q", "modulus", "_ring", "_small",
+    __slots__ = ("p", "m", "q", "modulus", "_ring", "_small", "_orders",
                  "_exp", "_log", "_zech", "_add_table", "_mul_table")
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
@@ -321,6 +342,7 @@ class Field:
         self.modulus = modulus
         self._small = m > 1 and self.q <= _TABLE_LIMIT
         self._ring = _slot_ring(modulus, p) if m > 1 else None
+        self._orders = {}  # n -> element_of_order(n)
         # log/antilog (and, for odd p, Zech) lists; see _logs()
         self._exp = self._log = self._zech = None
         self._add_table = None
@@ -429,11 +451,13 @@ class Field:
         """
         if n < 1 or (self.q - 1) % n:
             raise ValueError(f"{self!r} has no element of order {n}")
+        if n in self._orders:
+            return self._orders[n]
         cofactor, primes = (self.q - 1) // n, _prime_divisors(n)
         for beta in range(1 if (self.p - 1) % n == 0 else self.p, self.q):
             gamma = self.pow(beta, cofactor)
             if all(self.pow(gamma, n // r) != 1 for r in primes):
-                return gamma
+                return self._orders.setdefault(n, gamma)
         raise RuntimeError(f"no element of order {n} in {self!r}")  # GF(q)* is cyclic
 
     # -- lookup tables for vectorized codeword enumeration -------------------

@@ -94,7 +94,7 @@ class _DegreeSpectrum:
     the first factor i whose successors cannot reach ell, then s copies of
     f_i, and continues as it would for ell - s * deg f_i.  So the witness
     of ell is f_i^s times the witness of that smaller degree, and the
-    witness of every degree met is kept.
+    witness of every degree met is kept, as is every power f_i^s taken.
     """
 
     def __init__(self, fac: Factorization):
@@ -109,7 +109,7 @@ class _DegreeSpectrum:
                 cur <<= self.degrees[i]
                 acc |= cur
             reach[i] = acc
-        self.witnesses = {0: ((0,) * nf, Polynomial.one(fac.field))}
+        self.witnesses, self.powers = {0: ((0,) * nf, Polynomial.one(fac.field))}, {}
 
     def witness(self, ell: int) -> tuple[tuple[int, ...], Polynomial]:
         """The lex-least exponent vector of degree ell and its divisor; ell attainable."""
@@ -123,7 +123,8 @@ class _DegreeSpectrum:
         vector, poly = witnesses[ell]
         for ell, i, s in reversed(chain):
             vector = vector[:i] + (s,) + vector[i + 1:]
-            power = self.fac.factors[i].poly ** s
+            power = self.powers.get((i, s)) or self.fac.factors[i].poly ** s
+            self.powers[i, s] = power
             poly = power * poly if poly.degree else power
             witnesses[ell] = vector, poly
         return vector, poly

@@ -242,6 +242,94 @@ def test_split_polynomials_are_rejected_without_the_root_sieve(p, roots):
 
 # (3, 30), (5, 24) and (7, 20) run odd-p Ben-Or blocks up to i = 15, 12 and 10;
 # (2, 255) and (2, 256) run Ben-Or on byte and on two-byte slots
+def _reciprocal(c, p):
+    """The monic reciprocal x^m f(1/x) / f(0) of an ascending tuple with f(0) != 0."""
+    inv = pow(c[0], -1, p)
+    return tuple(x * inv % p for x in reversed(c))
+
+
+def _long_division_mu(c, p):
+    """Slots of x^(2m-2) // f, f monic, by schoolbook long division on lists."""
+    m = len(c) - 1
+    rem, quo = [0] * (2 * m - 2) + [1], [0] * (m - 1)
+    for k in range(2 * m - 2, m - 1, -1):
+        quo[k - m] = lead = rem[k] % p
+        for i, x in enumerate(c):
+            rem[k - m + i] -= lead * x
+    return quo
+
+
+def _tail_of_degree(rng, p, m, d):
+    """x^m + r with deg r = d and random lower coefficients of r."""
+    return tuple(rng.randrange(p) for _ in range(d)) + (rng.randrange(1, p),) + \
+        (0,) * (m - d - 1) + (1,)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_closed_form_mu_equals_the_long_division(p, monkeypatch):
+    # 2 deg r <= m + 1 takes x^(m-2) - r // x^2; from 2 deg r = m + 2 on the
+    # remainder r * (r // x^2) reaches degree m, so the ring divides
+    divisions = []
+    divide = fields._SlotRing._divide_mu
+    monkeypatch.setattr(fields._SlotRing, "_divide_mu",
+                        lambda ring: divisions.append(ring.m) or divide(ring))
+    rng = random.Random(p)
+    for m in list(range(2, 17)) + [rng.randrange(17, 65) for _ in range(12)] + [63, 64]:
+        for d in {0, 1, (m + 1) // 2, (m + 2) // 2, m - 1, rng.randrange(m)} - {m}:
+            c = _tail_of_degree(rng, p, m, d)
+            divisions.clear()
+            ring = fields._slot_ring(c, p)
+            slots = [ring.mu >> (ring.w * i) & ((1 << ring.w) - 1) for i in range(m - 1)]
+            assert slots == _long_division_mu(c, p), (m, c)
+            assert bool(divisions) == (2 * d > m + 1), (m, d)
+            if 2 * d == m + 2:
+                closed = (1 << (ring.w * (m - 2))) + (ring.negf >> (2 * ring.w))
+                assert closed != ring.mu, (m, c)
+
+
+def test_modulus_search_never_divides_for_mu(monkeypatch):
+    # every Ben-Or candidate of GF(5^36) has a short tail on one side; the
+    # search's result is unchanged, and the field's own ring still divides
+    rings = []
+    init = fields._SlotRing.__init__
+    monkeypatch.setattr(fields._SlotRing, "__init__",
+                        lambda ring, c, p: rings.append(c) or init(ring, c, p))
+
+    def refuse(ring):
+        raise AssertionError(f"long division for mu of {ring.m}")
+    monkeypatch.setattr(fields._SlotRing, "_divide_mu", refuse)
+    assert lex_least_irreducible.__wrapped__(5, 36) == lex_least_irreducible(5, 36)
+    assert len(rings) > 20
+
+
+@pytest.mark.parametrize("p, m", [(2, 40), (2, 61), (3, 30), (5, 21), (7, 16)])
+def test_sparse_tails_and_their_reciprocals_match_sympy(p, m):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    rng = random.Random(p * 1000 + m)
+    cases = [lex_least_irreducible(p, m)]
+    cases += [(b,) + (0,) * (j - 1) + (a,) + (0,) * (m - j - 1) + (1,)  # x^m + a x^j + b
+              for j in range(1, 8) for a in range(1, p) for b in range(1, p)]
+    cases += [_tail_of_degree(rng, p, m, rng.randrange(1, 8)) for _ in range(10)]
+    hits = 0
+    for c in (c for c in cases if c[0]):
+        for f in (c, _reciprocal(c, p)):
+            expected = sympy.Poly(list(reversed(f)), x, modulus=p).is_irreducible
+            assert is_irreducible(f, p) == expected, f
+        hits += expected
+    assert hits >= 1
+
+
+@pytest.mark.parametrize("p, m", [(2, 12), (2, 33), (3, 9), (5, 8), (7, 6), (11, 5)])
+def test_a_polynomial_and_its_reciprocal_are_irreducible_together(p, m):
+    rng = random.Random(p + 31 * m)
+    for _ in range(80):
+        c = (rng.randrange(1, p),) + tuple(rng.randrange(p) for _ in range(m - 1)) + (1,)
+        assert is_irreducible(c, p) == is_irreducible(_reciprocal(c, p), p), c
+    for c in _monic_hits(p, min(m, 4 if p > 3 else 6)):
+        assert is_irreducible(_reciprocal(c, p), p), c
+
+
 @pytest.mark.parametrize("p, m", [(2, 30), (3, 16), (5, 10), (7, 8), (3, 30), (5, 24), (7, 20),
                                   (2, 64), (2, 255), (2, 256)])
 def test_random_polynomials_match_sympy(p, m):
@@ -577,5 +665,16 @@ def test_log_tables_take_the_same_primitive_element():
     assert len(orders) == 40
     for q in orders:
         f = field_from_order(q)
-        f._logs()
+        f._orders.clear()  # forget the build's answer, so the scan reruns on the tables
         assert f._exp[1] == f.element_of_order(q - 1), q
+
+
+def test_element_of_order_keeps_its_answers(monkeypatch):
+    f = make_field(3, 40)
+    n = (f.q - 1) // 2
+    gamma = f.element_of_order(n)
+    calls = []
+    monkeypatch.setattr(fields.Field, "pow", lambda *a: calls.append(a))
+    assert f.element_of_order(n) == gamma and not calls
+    with pytest.raises(ValueError):  # n is checked before the kept answers
+        f.element_of_order(f.q)

@@ -11,7 +11,7 @@ from cyclic_pairs.factorization import factor_xn1
 from cyclic_pairs.fields import field_from_order, make_field
 from cyclic_pairs.pairs import (exists_ell, hull_dim, pair_analyze,
                                 small_ell_predicate)
-from cyclic_pairs.poly import parse_poly, xn_minus_1
+from cyclic_pairs.poly import Polynomial, parse_poly, xn_minus_1
 from cyclic_pairs.tables import all_divisors
 
 from helpers import (brute_force_divisor_degrees, code_contains, divides,
@@ -205,6 +205,22 @@ def test_exists_does_not_depend_on_what_was_asked_before():
     for n, _ in cases:  # one after the other, without a factorization given
         for ell in range(n + 1):
             assert exists_ell(n, f, ell) == expected[n, ell], (n, ell)
+
+
+@pytest.mark.parametrize("n, q", [(60, 4), (63, 2), (40, 3)])  # every ell meets some f_i^s twice
+def test_exists_raises_each_factor_power_once(n, q, monkeypatch):
+    f = field_from_order(q)
+    fact = factor_xn1(n, f)
+    pairs._latest[0] = None
+    calls, power = [], Polynomial.__pow__
+    monkeypatch.setattr(Polynomial, "__pow__", lambda g, s: calls.append(s) or power(g, s))
+    for ell in range(n + 1):
+        exists_ell(n, f, ell, fact)
+    monkeypatch.undo()
+    kept = pairs._latest[0].powers
+    assert len(calls) == len(kept)
+    for (i, s), p in kept.items():
+        assert p == fact.factors[i].poly ** s
 
 
 def test_exists_refuses_a_factorization_of_another_polynomial():
