@@ -54,10 +54,10 @@ x^m f(1/x) / f(0) has the shorter tail, where mu is closed-form (``_SlotRing``).
 
 A small field holds a slot ring too, for its log tables: on it
 ``element_of_order`` finds the primitive element before the tables exist,
-and the element's powers are one multiply chain.  The minimal polynomials
-of ``factorization`` are solved on the packed rows of a slot ring, and its
-roots of unity come from ``element_of_order``, the one search for an element
-of given order.  Only the lookup tables of ``Field.tables`` use numpy.
+and the element's powers are one multiply chain.  The minimal polynomials of ``factorization`` are
+solved on the packed rows of a slot ring, and its roots of unity come from
+``element_of_order``, the one search for an element of given order.  Only
+the lookup tables of ``Field.tables`` use numpy.
 """
 
 from __future__ import annotations
