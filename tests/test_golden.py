@@ -11,10 +11,11 @@ the lex-least modulus of every field ``factor_xn1(n, GF(q))`` builds for
 n <= 64 and q in {2, 3, 4, 5, 8, 9}: the modulus fixes alpha and with it
 the whole factor labelling.  To regenerate them after a deliberate
 output change, run ``PYTHONPATH=src python tests/test_golden.py`` from
-the repository root.  ``search_n63_ell0_json.txt`` (``search --n 63 --ell
-0 --json``) is left out of ``CASES`` for its running time; only CI
-compares it.  Regenerate it with ``PYTHONPATH=src python -m cyclic_pairs.cli
-search --n 63 --ell 0 --json > tests/golden/search_n63_ell0_json.txt``.
+the repository root.  ``search_n63_ell0_json.txt`` and
+``search_n63_ell9_json.txt`` (``search --n 63 --ell 0 --json`` and ``--ell
+9``) are left out of ``CASES`` for their running time; only CI compares
+them.  Regenerate one with ``PYTHONPATH=src python -m cyclic_pairs.cli
+search --n 63 --ell 9 --json > tests/golden/search_n63_ell9_json.txt``.
 """
 
 import contextlib
