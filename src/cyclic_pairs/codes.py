@@ -18,9 +18,9 @@ codewords.  The offsets run in modular p-ary Gray order (Knuth, TAOCP
 4A, 7.2.1.1) over the GF(p)-basis {p^j * row : j < m} of that span: each
 offset is the one before plus one basis vector.  Only the encoding of a
 word depends on the field: a binary word is ceil(n/64) uint64 words,
-added by XOR and weighed with np.bitwise_count; any other word is n
-field elements, added through ``Field.tables()``.  Memory is
-O(_BLOCK * n) for any q^k.
+added by XOR and weighed with np.bitwise_count (one word, summed over
+nothing, for n <= 64); any other word is n field elements, added
+through ``Field.tables()``.  Memory is O(_BLOCK * n) for any q^k.
 """
 
 from __future__ import annotations
@@ -62,7 +62,8 @@ class CyclicCode:
 
     @classmethod
     def _from_vector(cls, fac: Factorization, vector) -> "CyclicCode":
-        """The code generated by a divisor the factorization gives; nothing to check."""
+        """The code generated by a divisor the factorization gives, its generator
+        read through the factorization's store; nothing to check."""
         vector, code = tuple(vector), object.__new__(cls)
         code._set(fac.n, fac.field, fac.divisor(vector), vector)
         return code
@@ -112,9 +113,8 @@ class CyclicCode:
         report = fac.distances.get(self.vector)
         if report is None:
             # x -> x^a preserves weights: one walk serves the vector's whole orbit
-            report, v = self._enumerate(), self.vector
-            for sigma in set(fac.multipliers.values()):
-                fac.distances[tuple(v[i] for i in sigma)] = report
+            report = self._enumerate()
+            fac.distances.update(dict.fromkeys(fac.orbit(self.vector), report))
         return report
 
     def _enumerate(self) -> DistanceReport:
@@ -129,7 +129,10 @@ class CyclicCode:
             packed = np.packbits(np.pad(G, ((0, 0), (0, -n % 64))), axis=1, bitorder="little")
             multiples = packed.view(np.uint64)[:, :, None] * np.arange(2, dtype=np.uint64)
             add = np.bitwise_xor
-            weight = lambda t, off: np.bitwise_count(t ^ off).sum(axis=0)
+            if n <= 64:  # one uint64 word per codeword
+                weight = lambda t, off: np.bitwise_count(t[0] ^ off[0])
+            else:
+                weight = lambda t, off: np.bitwise_count(t ^ off).sum(axis=0)
         else:
             add_table, mul = field.tables()
             multiples = mul[:, G].transpose(1, 2, 0)

@@ -181,23 +181,48 @@ class Factorization:
     # DistanceReport by exponent vector, shared by every code of the cached factor_xn1;
     # one walk fills it for the whole multiplier orbit of the vector
     distances: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
+    # generator polynomial by exponent vector, filled by ``divisor``
+    generators: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
+    # ``weight_bound`` by exponent vector, filled for a whole multiplier orbit at once
+    bounds: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
     def divisor(self, exponents) -> Polynomial:
         """The monic divisor prod f_i^e_i of x^n - 1, e_i given in factor order.
 
-        A divisor of x^n - 1 is its exponent vector; this is the one place
-        that multiplies a whole vector out into a polynomial (the witnesses
-        of ``pairs.exists_ell`` are built one factor power at a time).
+        Kept in ``generators``, with every prefix of the vector on the way
+        (its exponents after some nonzero one zeroed): a prefix not kept yet
+        is the one before it times one factor power f_i^e_i.
         """
-        out = None
-        for e, entry in zip(exponents, self.factors, strict=True):
+        v = tuple(exponents)
+        g = self.generators.get(v)
+        if g is not None:
+            return g
+        if len(v) != len(self.factors):
+            raise ValueError(f"{len(v)} exponents for {len(self.factors)} factors")
+        for e, entry in zip(v, self.factors):
             if not 0 <= e <= entry.multiplicity:
                 raise ValueError(f"exponent {e} of {entry.poly} is outside "
                                  f"0..{entry.multiplicity}")
+        g = self.generators.setdefault((0,) * len(v), Polynomial.one(self.field))
+        for i, e in enumerate(v):
+            if e:
+                prefix = v[:i + 1] + (0,) * (len(v) - i - 1)
+                kept = self.generators.get(prefix)
+                if kept is None:
+                    power = self.factors[i].poly ** e
+                    kept = self.generators[prefix] = power if g.is_one() else g * power
+                g = kept
+        return g
+
+    def multiply_out(self, exponents) -> Polynomial:
+        """``divisor`` without the store: the product of the factor powers,
+        for callers that build many divisors once each."""
+        out = Polynomial.one(self.field)
+        for e, entry in zip(exponents, self.factors, strict=True):
             if e:
                 power = entry.poly ** e
-                out = power if out is None else out * power
-        return Polynomial.one(self.field) if out is None else out
+                out = power if out.is_one() else out * power
+        return out
 
     def vector(self, g: Polynomial) -> tuple[int, ...]:
         """The exponent vector of g up to a unit, the inverse of ``divisor``.
@@ -254,8 +279,29 @@ class Factorization:
         return {a: tuple(factor_of[a * r % n_prime] for r in reps)
                 for a in range(n_prime) if gcd(a, n_prime) == 1}
 
+    def orbit(self, exponents) -> set[tuple[int, ...]]:
+        """The exponent vectors of the images of a code under every x -> x^a."""
+        return {tuple(exponents[i] for i in sigma) for sigma in set(self.multipliers.values())}
+
+    def weight_bound(self, exponents) -> int:
+        """The least generator weight over the multiplier orbit of a divisor.
+
+        x -> x^a maps a code's generator to a codeword of the image code
+        with the same weight, so this bounds the minimum distance of every
+        code in the orbit; it is at most deg g + 1 = n - k + 1, the
+        Singleton bound.  Kept in ``bounds`` for the whole orbit.
+        """
+        v = tuple(exponents)
+        bound = self.bounds.get(v)
+        if bound is None:
+            orbit = self.orbit(v)
+            bound = min(len(g.coeffs) - g.coeffs.count(0)
+                        for g in map(self.divisor, orbit))
+            self.bounds.update(dict.fromkeys(orbit, bound))
+        return bound
+
     def product(self) -> Polynomial:
-        return self.divisor([e.multiplicity for e in self.factors])
+        return self.multiply_out([e.multiplicity for e in self.factors])
 
     def factor_degrees(self) -> tuple[int, ...]:
         return tuple(e.poly.degree for e in self.factors)

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import importlib.resources
 from dataclasses import dataclass, field as dc_field
+from heapq import heappush, heappushpop
 from itertools import product
 from math import prod
 
 import numpy as np
 
-from cyclic_pairs.codes import DEFAULT_CAP, CyclicCode, EnumerationCapExceeded
+from cyclic_pairs.codes import DEFAULT_CAP, CyclicCode
 from cyclic_pairs.factorization import Factorization, factor_xn1
 from cyclic_pairs.fields import Field, field_from_order
 from cyclic_pairs.pairs import PairReport, exists_ell, pair_analyze
@@ -140,7 +141,25 @@ def all_divisors(n: int, f: Field):
     """All monic divisors of x^n - 1, in multiplicity-lattice order."""
     fac = factor_xn1(n, f)
     for v in _exponent_vectors(fac):
-        yield fac.divisor(v)
+        yield fac.multiply_out(v)
+
+
+def pair_census(fac: Factorization, ell: int) -> int:
+    """The number of ordered pairs of divisors of x^n - 1, the zero code's
+    generator x^n - 1 included, whose lcm has degree n - ell.
+
+    The lcm is the elementwise max of the exponent vectors, and max(a, b) = t
+    for 2t + 1 pairs (a, b), so this is the coefficient of z^(n - ell) in
+    prod_i sum_{t=0..mult_i} (2t + 1) z^(t * deg f_i).
+    """
+    target, counts = fac.n - ell, {0: 1}
+    for entry in fac.factors:
+        step, nxt = entry.poly.degree, {}
+        for degree, count in counts.items():
+            for t in range(min(entry.multiplicity, (target - degree) // step) + 1):
+                nxt[degree + t * step] = nxt.get(degree + t * step, 0) + count * (2 * t + 1)
+        counts = nxt
+    return counts.get(target, 0)
 
 
 @dataclass
@@ -149,6 +168,20 @@ class SearchResult:
     infeasible: bool = False
     reason: str = ""
     skipped_by_cap: int = 0
+
+
+# most int16 entries of one block of lcm degrees
+_LCM_BLOCK = 1 << 16
+
+
+def _lcm_degrees(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """deg lcm for every pair of a row of A and a row of B, rows being exponent
+    vectors scaled by the factor degrees: the sum of their elementwise max."""
+    out = np.zeros((len(A), len(B)), dtype=np.int16)
+    col = np.empty_like(out)
+    for a, b in zip(A.T, B.T):
+        out += np.maximum(a[:, None], b, out=col)
+    return out
 
 
 def search_pairs(n: int, f: Field, ell: int, min_d1: int = 1, min_d2: int = 1,
@@ -161,45 +194,77 @@ def search_pairs(n: int, f: Field, ell: int, min_d1: int = 1, min_d2: int = 1,
 
     Divisors are handled as exponent vectors over the factors of x^n - 1:
     C1 ∩ C2 is generated by lcm(g1, g2), the elementwise max of the
-    vectors, and C1 + C2 by gcd(g1, g2), the elementwise min.  A divisor
-    in some pair reads its distance once from the factorization's store,
-    and the pairs are filtered and ranked as arrays.  ValueError when
-    x^n - 1 has more than MAX_SEARCH_DIVISORS divisors.
+    vectors, and C1 + C2 by gcd(g1, g2), the elementwise min.  A pair is
+    ranked when the cap lets both its codes be enumerated; the pairs it
+    does not are counted as ``skipped_by_cap``, the census of pairs with
+    this ell (``pair_census``) less those of two enumerable codes.  Each
+    enumerable code v with an ell-partner gets the key ub(v) + max ub(w)
+    over its partners w, ub being ``Factorization.weight_bound``, and the
+    codes are walked, their distances read from the factorization's
+    store, in descending key.  The walk stops before a key below the
+    ``limit``-th best d1 + d2 among the pairs of walked codes: a pair with
+    an unwalked code sums to at most its key, so it cannot reach the top
+    ``limit``, ties included, and only the pairs of walked codes are
+    ranked.  ValueError when x^n - 1 has more than MAX_SEARCH_DIVISORS
+    divisors.
     """
     if limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
     fac = factor_xn1(n, f)
-    count = prod(e.multiplicity + 1 for e in fac.factors)
+    mults = [e.multiplicity for e in fac.factors]
+    count = prod(m + 1 for m in mults)
     if count > MAX_SEARCH_DIVISORS:
         raise ValueError(f"x^{n} - 1 has {count} divisors over {f!r}, "
                          f"more than the {MAX_SEARCH_DIVISORS} that search lists")
     if not exists_ell(n, f, ell, fac):
         return SearchResult([], infeasible=True,
                             reason=f"no monic divisor of x^{n} - 1 has degree {ell}")
-    degrees = fac.factor_degrees()
-    # the zero code (dimension 0) cannot meet a distance threshold
-    vectors = [v for v in _exponent_vectors(fac) if fac.degree(v) < n]
-    V = np.array(vectors)
-    # row i: the partners j whose elementwise max with vector i has dimension ell
-    rows = [np.flatnonzero(n - np.maximum(V, v) @ degrees == ell) for v in V]
-    sizes = [len(row) for row in rows]
-    I, J = np.repeat(np.arange(len(V)), sizes), np.concatenate(rows)
-    # ell is symmetric in the pair, so a vector is in some pair iff its row is not empty
-    codes = {i: CyclicCode._from_vector(fac, vectors[i]) for i in np.flatnonzero(sizes)}
-    dist = np.zeros(len(V), dtype=np.int64)  # stays 0 past the cap
-    for i, code in codes.items():
-        try:
-            dist[i] = code.min_distance(cap).d
-        except EnumerationCapExceeded:
-            pass
-    past = (dist[I] == 0) | (dist[J] == 0)
-    keep = ~past & (dist[I] >= min_d1) & (dist[J] >= min_d2)
-    I, J = I[keep], J[keep]
-    d1, d2 = dist[I], dist[J]
+    # every divisor's exponent vector, in multiplicity-lattice order
+    V = np.indices([m + 1 for m in mults]).reshape(len(mults), -1).T
+    scaled = (V * fac.factor_degrees()).astype(np.int16)
+    k = n - scaled.sum(axis=1)
+    k_max = 0  # the largest dimension whose q^k codewords the cap admits
+    while k_max < n and f.q ** (k_max + 1) <= cap:
+        k_max += 1
+    # the nonzero codes whose distance can be enumerated
+    enum = np.flatnonzero((k >= 1) & (k <= k_max))
+    vectors, scaled = [tuple(v) for v in V[enum].tolist()], scaled[enum]
+    ub = np.array([fac.weight_bound(v) for v in vectors], dtype=np.int64)
+    # each code's best partner bound, -1 for none; rows of the partner table a block at a time
+    mate_ub, matched = np.full(len(enum), -1, dtype=np.int64), 0
+    rows = max(1, _LCM_BLOCK // max(1, len(enum)))
+    for a in range(0, len(enum), rows):
+        mates = _lcm_degrees(scaled[a:a + rows], scaled) == n - ell
+        matched += int(mates.sum())
+        mate_ub[a:a + rows] = np.where(mates, ub, -1).max(axis=1, initial=-1)
+    # the pairs of the zero code (dimension 0) all have ell = 0
+    skipped = pair_census(fac, ell) - matched - (2 * count - 1 if ell == 0 else 0)
+    partnered, key = np.flatnonzero(mate_ub >= 0), ub + mate_ub
+    order = partnered[np.argsort(-key[partnered], kind="stable")]
+    codes, dist, I, J = [], [], [], []
+    best: list[int] = []  # min-heap of the limit best valid d1 + d2 so far
+    for e in order:
+        if len(best) == limit and (not limit or key[e] < best[0]):
+            break
+        code = CyclicCode._from_vector(fac, vectors[e])
+        codes.append(code)
+        dist.append(code.min_distance(cap).d)
+        new, walked = len(codes) - 1, order[:len(codes)]
+        for old in np.flatnonzero(_lcm_degrees(scaled[e, None], scaled[walked])[0]
+                                  == n - ell).tolist():
+            for i, j in {(new, old), (old, new)}:
+                if dist[i] >= min_d1 and dist[j] >= min_d2:
+                    I.append(i)
+                    J.append(j)
+                    if limit:
+                        (heappush if len(best) < limit else heappushpop)(
+                            best, dist[i] + dist[j])
+    I, J, d = np.array(I, dtype=np.int64), np.array(J, dtype=np.int64), np.array(dist)
+    d1, d2 = d[I], d[J]
     # the tie-break: each generator's rank in coefficient order
-    rank = np.zeros(len(V), dtype=np.int64)
-    rank[sorted(codes, key=lambda i: codes[i].g.coeffs)] = np.arange(len(codes))
+    rank = np.zeros(len(codes), dtype=np.int64)
+    rank[sorted(range(len(codes)), key=lambda i: codes[i].g.coeffs)] = np.arange(len(codes))
     top = np.lexsort((rank[J], rank[I], -(d1 * d2), -(d1 + d2)))[:limit]
     reports = [pair_analyze(codes[I[t]], codes[J[t]], with_distances=True, cap=cap)
                for t in top]
-    return SearchResult(reports, skipped_by_cap=int(past.sum()))
+    return SearchResult(reports, skipped_by_cap=skipped)

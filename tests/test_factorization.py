@@ -16,7 +16,9 @@ from cyclic_pairs.factorization import (CoercionError, factor_xn1,
 from cyclic_pairs.fields import (FieldMismatchError, _SlotRing, field_from_order,
                                  is_irreducible, make_field)
 from cyclic_pairs.poly import Polynomial, parse_poly, xn_minus_1
-from helpers import embed, naive_minimal_poly, poly_gcd, solve_mod_p
+from cyclic_pairs.codes import CyclicCode
+from helpers import (embed, naive_min_distance, naive_minimal_poly, naive_poly_mul,
+                     poly_gcd, solve_mod_p)
 
 GF2 = make_field(2)
 
@@ -305,6 +307,51 @@ def test_vector_inverts_divisor_on_every_divisor(n, q):
         g = fac.divisor(v)
         assert fac.vector(g) == v
         assert fac.degree(v) == (g.degree or 0)
+
+
+@pytest.mark.parametrize("n, q", VECTOR_CASES)
+def test_divisor_store_matches_the_product_from_scratch(n, q):
+    f = field_from_order(q)
+    fac = factor_xn1(n, f)
+    fac.generators.clear()
+    assert fac.product() == xn_minus_1(f, n)
+    assert not fac.generators  # product() multiplies out past the store
+    vectors = list(product(*(range(e.multiplicity + 1) for e in fac.factors)))
+    random.Random(n * q).shuffle(vectors)
+    for v in vectors:
+        expected = Polynomial.one(f)
+        for e, entry in zip(v, fac.factors):
+            for _ in range(e):
+                expected = naive_poly_mul(expected, entry.poly)
+        g = fac.divisor(v)
+        assert g == expected and fac.generators[v] is g, v
+        assert fac.divisor(v) is g and fac.multiply_out(v) == g
+
+
+def test_divisor_refuses_exponents_outside_the_lattice():
+    fac = factor_xn1(7, GF2)
+    with pytest.raises(ValueError, match="outside 0..1"):
+        fac.divisor((0, 2, 0))
+    with pytest.raises(ValueError, match="2 exponents for 3 factors"):
+        fac.divisor((0, 1))
+
+
+@pytest.mark.parametrize("n, q", [(15, 2), (21, 2), (9, 3), (6, 4), (12, 2)])
+def test_weight_bound_is_the_least_generator_weight_over_the_orbit(n, q):
+    f = field_from_order(q)
+    fac = factor_xn1(n, f)
+    fac.bounds.clear()
+    for v in product(*(range(e.multiplicity + 1) for e in fac.factors)):
+        if fac.degree(v) == n:
+            continue  # the zero code
+        images = [tuple(v[i] for i in sigma) for sigma in fac.multipliers.values()]
+        weights = [sum(map(bool, fac.divisor(u).coeffs)) for u in images]
+        code = CyclicCode._from_vector(fac, v)
+        bound = fac.weight_bound(v)
+        assert bound == min(weights), v
+        assert code.min_distance().d <= bound <= n - code.k + 1, v
+        if code.k <= 8:
+            assert naive_min_distance(code) == code.min_distance().d, v
 
 
 def test_vector_refuses_a_non_divisor_and_a_foreign_field():

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -182,36 +183,101 @@ def test_search_matches_brute_force_pair_analysis(n, q, cap, min_d1, min_d2):
             [_report_fields(r) for r in within if r.d1 >= min_d1 and r.d2 >= min_d2], ell
 
 
-def test_search_walks_each_multiplier_orbit_once(monkeypatch):
-    fac = factor_xn1(31, GF2)
+def _search_walks(monkeypatch, n):
+    """The vectors walked by a default search at ell = 0 on an empty distance
+    store, after checking that each was one orbit and every reported code is stored."""
+    fac = factor_xn1(n, GF2)
     fac.distances.clear()
     walked = []
     walk = CyclicCode._enumerate
     monkeypatch.setattr(CyclicCode, "_enumerate",
                         lambda code: walked.append(code.vector) or walk(code))
-    search_pairs(31, GF2, 0)
+    result = search_pairs(n, GF2, 0)
     orbits = {frozenset(tuple(v[i] for i in sigma) for sigma in fac.multipliers.values())
               for v in walked}
-    # one walk per divisor was 113
-    assert len(walked) == len(orbits) == 23
+    assert len(walked) == len(orbits)
+    assert all(c.vector in fac.distances for r in result.reports for c in (r.c1, r.c2))
+    return walked
 
 
-def test_search_does_not_depend_on_the_store_or_the_order_asked():
+def test_search_walks_each_multiplier_orbit_once(monkeypatch):
+    # walking every enumerable code with a partner took 23 walks; at most 7
+    # orbits hold a code whose bounds can reach the top 20
+    assert len(_search_walks(monkeypatch, 31)) <= 7
+
+
+def test_search_at_n63_walks_only_orbits_that_can_reach_the_top(monkeypatch):
+    # 399 walks without the bounds; at most 45 orbits can matter
+    assert len(_search_walks(monkeypatch, 63)) <= 45
+
+
+def _clear_stores(fac):
+    for store in (fac.distances, fac.generators, fac.bounds):
+        store.clear()
+
+
+PRUNING_CASES = [(15, 2, DEFAULT_CAP), (21, 2, DEFAULT_CAP), (31, 2, DEFAULT_CAP),
+                 (12, 2, DEFAULT_CAP), (9, 3, DEFAULT_CAP), (6, 4, DEFAULT_CAP), (31, 2, 2 ** 8)]
+
+
+@pytest.mark.parametrize("n, q, cap", PRUNING_CASES)
+def test_search_with_a_limit_is_the_head_of_the_full_ranking(n, q, cap):
+    f = field_from_order(q)
+    fac = factor_xn1(n, f)
+    for ell in range(n + 1):
+        _clear_stores(fac)
+        full = search_pairs(n, f, ell, limit=10 ** 6, cap=cap)
+        for limit in (0, 1, 3, 20):
+            _clear_stores(fac)
+            head = search_pairs(n, f, ell, limit=limit, cap=cap)
+            assert (head.infeasible, head.skipped_by_cap) == \
+                (full.infeasible, full.skipped_by_cap), (ell, limit)
+            assert [_report_fields(r) for r in head.reports] == \
+                [_report_fields(r) for r in full.reports[:limit]], (ell, limit)
+
+
+@pytest.mark.parametrize("n", [21, 31])
+def test_pair_census_counts_every_pair_of_divisors(n):
+    fac = factor_xn1(n, GF2)
+    vectors = list(tables._exponent_vectors(fac))
+    counts = Counter(fac.degree(map(max, a, b)) for a in vectors for b in vectors)
+    assert [tables.pair_census(fac, ell) for ell in range(n + 1)] == \
+        [counts[n - ell] for ell in range(n + 1)]
+
+
+def test_all_divisors_leave_the_generator_store_empty():
+    fac = factor_xn1(15, GF2)
+    fac.generators.clear()
+    assert len(list(all_divisors(15, GF2))) == 32
+    assert not fac.generators
+
+
+def _answers_in_any_order(limit):
+    """search_pairs at n = 21 for every ell, asked on one store, on a cleared
+    store each time, and in a shuffled order; all three must agree."""
     fac = factor_xn1(21, GF2)
 
     def answer(ell):
-        result = search_pairs(21, GF2, ell, limit=10 ** 6)
+        result = search_pairs(21, GF2, ell, limit=limit)
         return (result.infeasible, result.skipped_by_cap,
                 [_report_fields(r) for r in result.reports])
 
-    fac.distances.clear()
+    _clear_stores(fac)
     shared = {ell: answer(ell) for ell in range(22)}
     cleared = {}
     for ell in range(22):
-        fac.distances.clear()
+        _clear_stores(fac)
         cleared[ell] = answer(ell)
     order = list(range(22))
     random.Random(21).shuffle(order)
-    fac.distances.clear()
+    _clear_stores(fac)
     shuffled = {ell: answer(ell) for ell in order}
     assert shared == cleared == shuffled
+
+
+def test_search_does_not_depend_on_the_store_or_the_order_asked():
+    _answers_in_any_order(10 ** 6)
+
+
+def test_pruned_search_does_not_depend_on_the_store_or_the_order_asked():
+    _answers_in_any_order(20)
