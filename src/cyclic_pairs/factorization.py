@@ -181,10 +181,18 @@ class Factorization:
     # DistanceReport by exponent vector, shared by every code of the cached factor_xn1;
     # one walk fills it for the whole multiplier orbit of the vector
     distances: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
-    # generator polynomial by exponent vector, filled by ``divisor``
-    generators: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
-    # ``weight_bound`` by exponent vector, filled for a whole multiplier orbit at once
-    bounds: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
+
+    # the two stores below are made on first use, so a factorization that
+    # no code or search asks about holds neither
+    @cached_property
+    def generators(self) -> dict:
+        """Generator polynomial by exponent vector, filled by ``divisor``."""
+        return {}
+
+    @cached_property
+    def bounds(self) -> dict:
+        """``weight_bound`` by exponent vector, filled one multiplier orbit at a time."""
+        return {}
 
     def divisor(self, exponents) -> Polynomial:
         """The monic divisor prod f_i^e_i of x^n - 1, e_i given in factor order.

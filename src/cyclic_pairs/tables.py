@@ -252,13 +252,11 @@ def search_pairs(n: int, f: Field, ell: int, min_d1: int = 1, min_d2: int = 1,
         new, walked = len(codes) - 1, order[:len(codes)]
         for old in np.flatnonzero(_lcm_degrees(scaled[e, None], scaled[walked])[0]
                                   == n - ell).tolist():
-            for i, j in {(new, old), (old, new)}:
+            for i, j in {(new, old), (old, new)}:  # one pair when old is new
                 if dist[i] >= min_d1 and dist[j] >= min_d2:
                     I.append(i)
                     J.append(j)
-                    if limit:
-                        (heappush if len(best) < limit else heappushpop)(
-                            best, dist[i] + dist[j])
+                    (heappush if len(best) < limit else heappushpop)(best, dist[i] + dist[j])
     I, J, d = np.array(I, dtype=np.int64), np.array(J, dtype=np.int64), np.array(dist)
     d1, d2 = d[I], d[J]
     # the tie-break: each generator's rank in coefficient order
