@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import importlib.resources
+from bisect import insort
 from dataclasses import dataclass, field as dc_field
-from heapq import heappush, heappushpop
 from itertools import product
 from math import prod
 
@@ -242,7 +242,7 @@ def search_pairs(n: int, f: Field, ell: int, min_d1: int = 1, min_d2: int = 1,
     partnered, key = np.flatnonzero(mate_ub >= 0), ub + mate_ub
     order = partnered[np.argsort(-key[partnered], kind="stable")]
     codes, dist, I, J = [], [], [], []
-    best: list[int] = []  # min-heap of the limit best valid d1 + d2 so far
+    best: list[int] = []  # the limit best valid d1 + d2 so far, ascending
     for e in order:
         if len(best) == limit and (not limit or key[e] < best[0]):
             break
@@ -256,7 +256,8 @@ def search_pairs(n: int, f: Field, ell: int, min_d1: int = 1, min_d2: int = 1,
                 if dist[i] >= min_d1 and dist[j] >= min_d2:
                     I.append(i)
                     J.append(j)
-                    (heappush if len(best) < limit else heappushpop)(best, dist[i] + dist[j])
+                    insort(best, dist[i] + dist[j])
+                    del best[:-limit]
     I, J, d = np.array(I, dtype=np.int64), np.array(J, dtype=np.int64), np.array(dist)
     d1, d2 = d[I], d[J]
     # the tie-break: each generator's rank in coefficient order
