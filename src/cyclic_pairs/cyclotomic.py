@@ -5,20 +5,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
+from cyclic_pairs.fields import _prime_divisors
+
 
 def euler_phi(n: int) -> int:
     if n < 1:
         raise ValueError(f"phi needs a positive integer, got {n}")
     out = n
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out -= out // d
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out -= out // n
+    for r in _prime_divisors(n):
+        out -= out // r
     return out
 
 

@@ -21,9 +21,9 @@ multiplied, with one multiply-add and slot reduce as the row update.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
-from math import gcd
+from math import gcd, prod
 
 from cyclic_pairs.cyclotomic import additive_order, coset_partition, mult_order
 from cyclic_pairs.fields import (MAX_EXTENSION_DEGREE, Field,
@@ -178,12 +178,15 @@ class Factorization:
     nu: int
     n_prime: int
     factors: tuple[FactorEntry, ...]  # ordered by (order d, coset representative)
-    # DistanceReport by exponent vector, shared by every code of the cached factor_xn1;
-    # one walk fills it for the whole multiplier orbit of the vector
-    distances: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
-    # the two stores below are made on first use, so a factorization that
-    # no code or search asks about holds neither
+    # the stores below are made on first use, so a factorization that no
+    # code or search asks about holds none of them
+    @cached_property
+    def distances(self) -> dict:
+        """DistanceReport by exponent vector, shared by every code of the cached
+        factor_xn1; one walk fills it for the whole multiplier orbit of the vector."""
+        return {}
+
     @cached_property
     def generators(self) -> dict:
         """Generator polynomial by exponent vector, filled by ``divisor``."""
@@ -221,16 +224,6 @@ class Factorization:
                     kept = self.generators[prefix] = power if g.is_one() else g * power
                 g = kept
         return g
-
-    def multiply_out(self, exponents) -> Polynomial:
-        """``divisor`` without the store: the product of the factor powers,
-        for callers that build many divisors once each."""
-        out = Polynomial.one(self.field)
-        for e, entry in zip(exponents, self.factors, strict=True):
-            if e:
-                power = entry.poly ** e
-                out = power if out.is_one() else out * power
-        return out
 
     def vector(self, g: Polynomial) -> tuple[int, ...]:
         """The exponent vector of g up to a unit, the inverse of ``divisor``.
@@ -309,7 +302,8 @@ class Factorization:
         return bound
 
     def product(self) -> Polynomial:
-        return self.multiply_out([e.multiplicity for e in self.factors])
+        return prod((e.poly ** e.multiplicity for e in self.factors),
+                    start=Polynomial.one(self.field))
 
     def factor_degrees(self) -> tuple[int, ...]:
         return tuple(e.poly.degree for e in self.factors)

@@ -11,15 +11,11 @@ representative polynomial; every method takes and returns them.
 ``field_from_order``, the entry for user input, orders up to
 ``MAX_ORDER``.
 
-The arithmetic lanes of ``add``, ``mul`` and ``pow`` all give the same results:
+``add``, ``mul`` and ``pow`` have one lane per kind of field:
 
-* prime fields (m = 1) reduce integers mod p;
-* fields with m > 1 and at most ``_TABLE_LIMIT`` elements build, at
-  construction, log/antilog tables over a primitive element, so ``mul``
-  and ``pow`` are list lookups; in odd characteristic ``add`` uses a Zech
-  logarithm table (Lidl & Niederreiter, *Finite Fields*, §10.1), in
-  characteristic 2 it is XOR;
-* larger fields pack the coefficients of an element into one int,
+* prime fields (m = 1) reduce integers mod p, and ``pow`` is Python's
+  ``pow(a, e, p)``;
+* extension fields pack the coefficients of an element into one int,
   coefficient i in its own slot of w bits (``_SlotRing``).  A product is
   one int multiply (Kronecker substitution; Harvey 2009), every slot is
   taken mod p at once, and the reduction mod f is Barrett's (Barrett
@@ -52,9 +48,12 @@ block, so it is skipped and the block runs.  Lex order varies only the top
 coefficients, so the test runs mod whichever of f and its monic reciprocal
 x^m f(1/x) / f(0) has the shorter tail, where mu is closed-form (``_SlotRing``).
 
-A small field holds a slot ring too, for its log tables: on it
-``element_of_order`` finds the primitive element before the tables exist,
-and the element's powers are one multiply chain.  The minimal polynomials of ``factorization`` are
+Extension fields with at most ``_TABLE_LIMIT`` elements also build, at
+construction, log/antilog tables over a primitive element, and in odd
+characteristic a Zech logarithm table (Lidl & Niederreiter, *Finite
+Fields*, §10.1).  ``Field`` arithmetic reads none of them: they serve
+the inline product lane of ``poly.Polynomial.__mul__`` and the lookup
+tables of ``Field.tables``.  The minimal polynomials of ``factorization`` are
 solved on the packed rows of a slot ring, and its roots of unity come from
 ``element_of_order``, the one search for an element of given order.  Only
 the lookup tables of ``Field.tables`` use numpy.
@@ -364,8 +363,8 @@ class Field:
         g^(i mod n) for i < 2n and 0 beyond, ``_log[g^i] = i``; for odd p
         ``_zech[k]`` is log(1 + g^k), or 2n when 1 + g^k = 0, repeated
         twice so that differences of logs index it directly.  g is
-        ``element_of_order(n)``, whose powers run on the slot ring until
-        the tables exist, and its powers are one multiply chain on the ring.
+        ``element_of_order(n)`` and its powers are one multiply chain on
+        the slot ring.
         """
         p, q, ring = self.p, self.q, self._ring
         n = q - 1
@@ -390,14 +389,6 @@ class Field:
             return (a + b) % self.p
         if self.p == 2:
             return a ^ b
-        if self._small:
-            if not a:
-                return b
-            if not b:
-                return a
-            log = self._log
-            la = log[a]
-            return self._exp[la + self._zech[log[b] - la]]
         ring = self._ring
         return ring.unpack(ring.reduce(ring.pack(a) + ring.pack(b)))
 
@@ -410,11 +401,6 @@ class Field:
     def mul(self, a: int, b: int) -> int:
         if self.m == 1:
             return (a * b) % self.p
-        if self._small:
-            if a and b:
-                log = self._log
-                return self._exp[log[a] + log[b]]
-            return 0
         ring = self._ring
         return ring.unpack(ring.mul(ring.pack(a), ring.pack(b)))
 
@@ -424,21 +410,12 @@ class Field:
         return self.pow(a, self.q - 2)  # Fermat: a^(q-1) = 1
 
     def pow(self, a: int, e: int) -> int:
-        if self._exp and a:
-            return self._exp[self._log[a] * e % (self.q - 1)]
         if e < 0:
             a, e = self.inv(a), -e
-        if self._ring is not None and e:  # packed lane: pack once, work on slots
-            ring = self._ring
-            return ring.unpack(ring.pow(ring.pack(a), e))
-        r = 1
-        while e:
-            if e & 1:
-                r = self.mul(r, a)
-            e >>= 1
-            if e:
-                a = self.mul(a, a)
-        return r
+        if self.m == 1:
+            return pow(a, e, self.p)
+        ring = self._ring  # pack once, square and multiply on slots
+        return ring.unpack(ring.pow(ring.pack(a), e)) if e else 1
 
     def element_of_order(self, n: int) -> int:
         """The first gamma = beta^((q-1)/n), beta = 1, 2, ..., of order exactly n.

@@ -13,8 +13,8 @@ import numpy as np
 from cyclic_pairs.codes import DEFAULT_CAP, CyclicCode
 from cyclic_pairs.factorization import Factorization, factor_xn1
 from cyclic_pairs.fields import Field, field_from_order
-from cyclic_pairs.pairs import PairReport, exists_ell, pair_analyze
-from cyclic_pairs.poly import parse_poly
+from cyclic_pairs.pairs import PairReport, pair_analyze
+from cyclic_pairs.poly import Polynomial, parse_poly
 
 TABLES_RESOURCE = "binary_pair_tables.txt"
 
@@ -141,7 +141,8 @@ def all_divisors(n: int, f: Field):
     """All monic divisors of x^n - 1, in multiplicity-lattice order."""
     fac = factor_xn1(n, f)
     for v in _exponent_vectors(fac):
-        yield fac.multiply_out(v)
+        yield prod((entry.poly ** e for e, entry in zip(v, fac.factors) if e),
+                   start=Polynomial.one(f))
 
 
 def pair_census(fac: Factorization, ell: int) -> int:
@@ -205,8 +206,9 @@ def search_pairs(n: int, f: Field, ell: int, min_d1: int = 1, min_d2: int = 1,
     ``limit``-th best d1 + d2 among the pairs of walked codes: a pair with
     an unwalked code sums to at most its key, so it cannot reach the top
     ``limit``, ties included, and only the pairs of walked codes are
-    ranked.  ValueError when x^n - 1 has more than MAX_SEARCH_DIVISORS
-    divisors.
+    ranked.  A census of 0 means no divisor has degree ell, and the
+    result is infeasible.  ValueError when x^n - 1 has more than
+    MAX_SEARCH_DIVISORS divisors, or when ell is outside 0..n.
     """
     if limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
@@ -216,7 +218,11 @@ def search_pairs(n: int, f: Field, ell: int, min_d1: int = 1, min_d2: int = 1,
     if count > MAX_SEARCH_DIVISORS:
         raise ValueError(f"x^{n} - 1 has {count} divisors over {f!r}, "
                          f"more than the {MAX_SEARCH_DIVISORS} that search lists")
-    if not exists_ell(n, f, ell, fac):
+    if not 0 <= ell <= n:
+        raise ValueError(f"ell must satisfy 0 <= ell <= {n}, got {ell}")
+    # some lcm has degree n - ell exactly when some divisor has degree ell
+    census = pair_census(fac, ell)
+    if not census:
         return SearchResult([], infeasible=True,
                             reason=f"no monic divisor of x^{n} - 1 has degree {ell}")
     # every divisor's exponent vector, in multiplicity-lattice order
@@ -238,7 +244,7 @@ def search_pairs(n: int, f: Field, ell: int, min_d1: int = 1, min_d2: int = 1,
         matched += int(mates.sum())
         mate_ub[a:a + rows] = np.where(mates, ub, -1).max(axis=1, initial=-1)
     # the pairs of the zero code (dimension 0) all have ell = 0
-    skipped = pair_census(fac, ell) - matched - (2 * count - 1 if ell == 0 else 0)
+    skipped = census - matched - (2 * count - 1 if ell == 0 else 0)
     partnered, key = np.flatnonzero(mate_ub >= 0), ub + mate_ub
     order = partnered[np.argsort(-key[partnered], kind="stable")]
     codes, dist, I, J = [], [], [], []

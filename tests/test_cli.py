@@ -214,6 +214,13 @@ def test_search_infeasible(capsys):
     assert err.startswith("infeasible: no monic divisor of x^9 - 1 has degree 4")
 
 
+@pytest.mark.parametrize("ell", ["-1", "8"])
+def test_search_refuses_an_ell_outside_zero_to_n(ell, capsys):
+    code, out, err = run(["search", "--n", "7", "--ell", ell], capsys)
+    assert code == EXIT_USAGE and out == ""
+    assert err == f"error: ell must satisfy 0 <= ell <= 7, got {ell}\n"
+
+
 @pytest.mark.parametrize("fmt", [[], ["--csv"]])
 def test_search_reports_cap_skips_on_stderr(fmt, capsys):
     code, out, err = run(["search", "--n", "31", "--ell", "0", "--cap", "4096"] + fmt, capsys)

@@ -16,7 +16,8 @@ from cyclic_pairs.poly import Polynomial
 SMALL_ORDERS = [2, 3, 4, 5, 7, 8, 9]
 # every extension field of order <= 81, and a prime field for tables(): every pair is checked
 EXHAUSTIVE_ORDERS = [7, 4, 8, 9, 16, 25, 27, 32, 49, 64, 81]
-# the remaining extension fields that take the table path (order <= 2^12)
+# the remaining extension fields that hold log tables (order <= 2^12); their Field
+# operations run on the slot ring, the tables serve Polynomial products and tables()
 TABLE_ORDERS = [121, 125, 128, 169, 243, 256, 289, 343, 361, 512, 625, 729,
                 961, 1024, 1331, 2048, 2187, 2197, 2401, 3125, 3481, 4096]
 
@@ -484,6 +485,28 @@ def test_table_path_matches_naive_reference_on_random_pairs(q):
             assert naive_mul(f, a, f.inv(a)) == 1
             e = rng.randrange(2, 50)
             assert f.pow(a, e) == naive_mul(f, f.pow(a, e - 1), a)
+
+
+@pytest.mark.parametrize("p, m", [(2, 4), (2, 6), (3, 2), (5, 2), (3, 3)])
+def test_field_arithmetic_reads_no_lookup_list(p, m):
+    f = fields.Field(p, m, lex_least_irreducible(p, m))
+    f._exp = f._log = f._zech = None
+    q = f.q
+    for a, b in product(range(q), repeat=2):
+        _check_against_naive(f, a, b)
+    for a in range(q):
+        powers = [1]  # a^0 .. a^(q+1)
+        for _ in range(q + 1):
+            powers.append(naive_mul(f, powers[-1], a))
+        assert [f.pow(a, e) for e in range(q + 2)] == powers
+        for e in (1, 2):
+            if a:
+                assert naive_mul(f, f.pow(a, -e), powers[e]) == 1
+            else:
+                with pytest.raises(ZeroDivisionError):
+                    f.pow(a, -e)
+        if a:
+            assert naive_mul(f, a, f.inv(a)) == 1
 
 
 def test_pow_of_zero_keeps_its_conventions():

@@ -8,7 +8,7 @@ from cyclic_pairs import tables
 from cyclic_pairs.codes import DEFAULT_CAP, CyclicCode
 from cyclic_pairs.factorization import factor_xn1
 from cyclic_pairs.fields import field_from_order, make_field
-from cyclic_pairs.pairs import pair_analyze
+from cyclic_pairs.pairs import exists_ell, pair_analyze
 from cyclic_pairs.poly import xn_minus_1
 from cyclic_pairs.tables import (CHECK_NAMES, TableRow, all_divisors,
                                  load_table_rows, search_pairs, verify_row,
@@ -106,7 +106,7 @@ def test_search_refuses_too_many_divisors_before_listing_any(monkeypatch):
     # x^63 - 1 over GF(2), the largest length search targets, has exactly the bound
     assert tables.MAX_SEARCH_DIVISORS == 8192
     assert len(list(tables._exponent_vectors(factor_xn1(63, GF2)))) == 8192
-    monkeypatch.setattr(tables, "exists_ell", lambda *args: pytest.fail("ell was checked"))
+    monkeypatch.setattr(tables, "pair_census", lambda *args: pytest.fail("ell was checked"))
     monkeypatch.setattr(tables, "_exponent_vectors",
                         lambda *args: pytest.fail("divisors were listed"))
     with pytest.raises(ValueError, match="x\\^105 - 1 has 32768 divisors"):
@@ -117,6 +117,20 @@ def test_search_infeasible_reports_reason():
     result = search_pairs(9, GF2, 4)
     assert result.infeasible and result.reports == []
     assert result.reason
+
+
+@pytest.mark.parametrize("ell", [-1, 8])
+def test_search_refuses_an_ell_outside_zero_to_n(ell):
+    with pytest.raises(ValueError, match=f"ell must satisfy 0 <= ell <= 7, got {ell}"):
+        search_pairs(7, GF2, ell)
+
+
+@pytest.mark.parametrize("n, q", [(9, 2), (21, 2), (8, 3), (15, 4)])
+def test_search_is_infeasible_exactly_when_no_divisor_has_degree_ell(n, q):
+    f = field_from_order(q)
+    for ell in range(n + 1):
+        infeasible = search_pairs(n, f, ell, limit=0).infeasible
+        assert infeasible == (not exists_ell(n, f, ell).feasible), ell
 
 
 def test_search_min_distance_filters():
