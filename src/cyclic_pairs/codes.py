@@ -3,24 +3,29 @@
 A code keeps its generator both as a polynomial and as an exponent vector
 over the factors of x^n - 1; the dual is a permutation of that vector.
 
-Distance is exact full enumeration of all q^k codewords.  The cap on q^k
-is checked first; then the report is looked up, by exponent vector, in
-the distance store of ``factor_xn1(n, field)``, shared by every code of
-that length and field.  A miss walks the code once and stores the report
-under every vector of its multiplier orbit: x -> x^a, gcd(a, n) = 1,
-permutes coordinates, so d and the q^k - 1 words scanned are the same
-for every member (only g = 1 stops early, at d = 1, and its orbit is
-itself).  The walk is one for every field.  The span of the first
-generator rows (at most _BLOCK words) is built once as a table, and
-every codeword is a word of that table plus one offset in the span of
-the remaining rows, so one numpy op over the table scans a block of
-codewords.  The offsets run in modular p-ary Gray order (Knuth, TAOCP
-4A, 7.2.1.1) over the GF(p)-basis {p^j * row : j < m} of that span: each
-offset is the one before plus one basis vector.  Only the encoding of a
-word depends on the field: a binary word is ceil(n/64) uint64 words,
-added by XOR and weighed with np.bitwise_count (one word, summed over
-nothing, for n <= 64); any other word is n field elements, added
-through ``Field.tables()``.  Memory is O(_BLOCK * n) for any q^k.
+Distance is exact.  The cap on q^k is checked first; then the report is
+looked up, by exponent vector, in the distance store of
+``factor_xn1(n, field)``, shared by every code of that length and field.
+A miss answers once and stores the report under every vector of the
+multiplier orbit: x -> x^a, gcd(a, n) = 1, permutes coordinates, so d is
+the same for every member.  Where the BCH bound and the least generator
+weight, both over the orbit (``Factorization.bch_bound`` and
+``weight_bound``), meet, d is their value and no word is scanned (method
+"bounds").  Otherwise the code is walked over all q^k codewords (method
+"full-enumeration"), with q^k - 1 words scanned for every member (only
+g = 1 would stop early, at d = 1, and the bounds settle it).
+
+The walk is one for every field.  The span of the first generator rows
+(at most _BLOCK words) is built once as a table, and every codeword is a
+word of that table plus one offset in the span of the remaining rows, so
+one numpy op over the table scans a block of codewords.  The offsets
+run in modular p-ary Gray order (Knuth, TAOCP 4A, 7.2.1.1) over the
+GF(p)-basis {p^j * row : j < m} of that span: each offset is the one
+before plus one basis vector.  Only the encoding of a word depends on
+the field: a binary word is ceil(n/64) uint64 words, added by XOR and
+weighed with np.bitwise_count (one word, summed over nothing, for
+n <= 64); any other word is n field elements, added through
+``Field.tables()``.  Memory is O(_BLOCK * n) for any q^k.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ class EnumerationCapExceeded(RuntimeError):
 class DistanceReport:
     d: int | None                # None for the zero code (no nonzero codewords)
     codewords_scanned: int
-    method: str = "full-enumeration"
+    method: str = "full-enumeration"  # or "bounds": BCH bound = generator weight
 
 
 class CyclicCode:
@@ -112,8 +117,10 @@ class CyclicCode:
         fac = factor_xn1(self.n, self.field)
         report = fac.distances.get(self.vector)
         if report is None:
-            # x -> x^a preserves weights: one walk serves the vector's whole orbit
-            report = self._enumerate()
+            # x -> x^a preserves weights: one answer serves the vector's whole orbit
+            d = fac.weight_bound(self.vector)
+            report = (DistanceReport(d, 0, "bounds") if fac.bch_bound(self.vector) == d
+                      else self._enumerate())
             fac.distances.update(dict.fromkeys(fac.orbit(self.vector), report))
         return report
 

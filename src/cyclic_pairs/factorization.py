@@ -184,7 +184,7 @@ class Factorization:
     @cached_property
     def distances(self) -> dict:
         """DistanceReport by exponent vector, shared by every code of the cached
-        factor_xn1; one walk fills it for the whole multiplier orbit of the vector."""
+        factor_xn1; one answer fills it for the whole multiplier orbit of the vector."""
         return {}
 
     @cached_property
@@ -300,6 +300,41 @@ class Factorization:
                         for g in map(self.divisor, orbit))
             self.bounds.update(dict.fromkeys(orbit, bound))
         return bound
+
+    @cached_property
+    def coset_masks(self) -> tuple[int, ...]:
+        """Each factor's q-cyclotomic coset of Z_{n'} as an n'-bit mask."""
+        masks = []
+        for entry in self.factors:
+            mask, r = 0, entry.coset_rep
+            for _ in range(entry.poly.degree):  # the coset's size
+                mask |= 1 << r
+                r = r * self.field.q % self.n_prime
+            masks.append(mask)
+        return tuple(masks)
+
+    def bch_bound(self, exponents) -> int:
+        """The BCH bound, maximized over the multiplier orbit of a divisor.
+
+        A member's zeros are alpha^j for j in the cosets of its factors with
+        e_i >= 1; a cyclic run of delta - 1 of them gives d >= delta (Bose &
+        Ray-Chaudhuri 1960), and x -> x^a keeps d, so the longest run over
+        the orbit bounds every member.  The run is the number of steps
+        ``cur &= rotl(cur)`` takes to reach 0.  A length with nu >= 1 gets
+        1: the defining set forgets multiplicities, and x^n' - 1, of weight
+        2, vanishes on all of it, so the Vandermonde argument fails.
+        """
+        if self.nu:
+            return 1
+        n_prime, full, run = self.n_prime, (1 << self.n_prime) - 1, 0
+        for u in self.orbit(exponents):
+            # the defining set; the cosets are disjoint, so the sum is their OR
+            cur, steps = sum(mask for e, mask in zip(u, self.coset_masks) if e), 0
+            while cur and steps < n_prime:  # the zero code's full set never clears
+                cur &= (cur << 1 | cur >> (n_prime - 1)) & full
+                steps += 1
+            run = max(run, steps)
+        return 1 + run
 
     def product(self) -> Polynomial:
         return prod((e.poly ** e.multiplicity for e in self.factors),

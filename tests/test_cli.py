@@ -60,6 +60,14 @@ def test_code_with_distance_and_dual(capsys):
     assert (data["k"], data["d"]) == (3, 4)
 
 
+def test_a_code_the_bounds_settle_needs_no_lookup_tables(capsys):
+    # GF(4099) is past the lookup-table limit, so this code could not be walked;
+    # its BCH bound and generator weight are both 2
+    code, out, err = run(["--q", "4099", "code", "--n", "2", "--g", "x+1",
+                          "--min-distance"], capsys)
+    assert (code, out, err) == (EXIT_OK, "[2,1,2]_4099 g=x + 1\n", "")
+
+
 def test_pair_json_schema(capsys):
     data = run_json(["pair", "--n", "7", "--g1", "x^3+x+1",
                      "--g2", "x^3+x^2+1", "--distances"], capsys)

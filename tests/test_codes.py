@@ -1,13 +1,15 @@
 import random
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclic_pairs.codes import DEFAULT_CAP, CyclicCode, EnumerationCapExceeded
+from cyclic_pairs.codes import (DEFAULT_CAP, CyclicCode, DistanceReport,
+                                EnumerationCapExceeded)
 from cyclic_pairs.constructions import construct_mds
-from cyclic_pairs.factorization import factor_xn1
+from cyclic_pairs.factorization import Factorization, factor_xn1
 from cyclic_pairs.fields import field_from_order, make_field
 from cyclic_pairs.poly import Polynomial, parse_poly, xn_minus_1
 
@@ -118,6 +120,7 @@ def test_dual_involution_and_dimension():
 def test_distance_matches_naive_oracle():
     rng = random.Random(3)
     cases = [(7, 2), (9, 2), (15, 2), (8, 3), (10, 3), (5, 4), (6, 5)]
+    methods = set()
     for (n, q) in cases:
         f = field_from_order(q)
         fact = factor_xn1(n, f)
@@ -127,7 +130,13 @@ def test_distance_matches_naive_oracle():
                 continue
             report = code.min_distance()
             assert report.d == naive_min_distance(code)
-            assert report.codewords_scanned >= 1
+            # a walk scans at least one word; bounds that meet scan none
+            if report.method == "full-enumeration":
+                assert report.codewords_scanned >= 1
+            else:
+                assert (report.method, report.codewords_scanned) == ("bounds", 0)
+            methods.add(report.method)
+    assert methods == {"full-enumeration", "bounds"}
 
 
 def _bch_31(reps):
@@ -142,7 +151,7 @@ def test_bch_distance_past_one_block(reps, k, d):
     # k > 14: the Gray-code walk over the high rows runs
     code = _bch_31(reps)
     assert code.k == k
-    assert code.min_distance().d == d
+    assert code.min_distance().d == code._enumerate().d == d
 
 
 def test_quadratic_residue_47_at_default_cap():
@@ -171,21 +180,35 @@ def test_reed_solomon_distance_past_one_block(q, n, ks):
         assert code.min_distance().d == n - k + 1
 
 
+@pytest.mark.parametrize("q", [16, 17, 25, 27, 32, 49, 64, 81])
+def test_reed_solomon_walk_past_one_block(q):
+    # the bounds settle these codes, so the walk is called directly: the least
+    # k with q^k past one block, n = q - 1, walks high rows of m basis digits each
+    f = field_from_order(q)
+    k = next(k for k in range(1, 5) if q ** k > 1 << 14)
+    code = construct_mds(f, q - 1, k, k, k).c1
+    assert code._enumerate() == DistanceReport(q - k, q ** k - 1)
+
+
 def test_codewords_scanned_counts_every_nonzero_word():
     gf13, gf9 = field_from_order(13), field_from_order(9)
-    # GF(9) RS [8,6] (d = 3) walks two high rows of two basis digits each
-    for code in (_bch_31((1, 3)), construct_mds(gf13, 12, 5, 5, 5).c1,
-                 C(11, "x^5 + x^4 + 2*x^3 + x^2 + 2", q=3),
-                 construct_mds(gf9, 8, 6, 6, 6).c1):
+    # GF(9) RS [8,6] (d = 3) walks two high rows of two basis digits each; the
+    # ternary Golay code is the one the bounds leave open (BCH 4, weight 5)
+    for code, method in ((_bch_31((1, 3)), "bounds"),
+                         (construct_mds(gf13, 12, 5, 5, 5).c1, "bounds"),
+                         (C(11, "x^5 + x^4 + 2*x^3 + x^2 + 2", q=3), "full-enumeration"),
+                         (construct_mds(gf9, 8, 6, 6, 6).c1, "bounds")):
+        walk = code._enumerate()
+        assert walk.d > 1
+        assert walk.codewords_scanned == code.field.q ** code.k - 1
         report = code.min_distance()
-        assert report.d > 1
-        assert report.codewords_scanned == code.field.q ** code.k - 1
+        assert (report.d, report.method) == (walk.d, method)
 
 
 @pytest.mark.parametrize("q, n", [(2, 20), (3, 14), (4, 11)])
 def test_weight_one_word_stops_the_scan(q, n):
     whole = C(n, "[1]", q=q)  # every word of length n, q^n of them
-    report = whole.min_distance()
+    report = whole._enumerate()
     assert report.d == 1
     assert report.codewords_scanned < q ** n - 1
 
@@ -213,10 +236,11 @@ def test_repeated_construction_computes_no_distance(monkeypatch):
     gf11 = field_from_order(11)
     first = construct_mds(gf11, 10, 4, 6, 2, with_distances=True)
 
-    def fail(self):
-        raise AssertionError(f"{self} recomputed its distance")
+    def fail(self, *args):
+        raise AssertionError(f"a distance was recomputed: {type(self).__name__}{args}")
 
     monkeypatch.setattr(CyclicCode, "_enumerate", fail)
+    monkeypatch.setattr(Factorization, "bch_bound", fail)
     again = construct_mds(gf11, 10, 4, 6, 2, with_distances=True)
     assert (again.report.d1, again.report.d2) == (first.report.d1, first.report.d2) == (7, 5)
 
@@ -240,8 +264,9 @@ WALK_LIMIT = 1 << 20  # q^k; at n = 31 over GF(2) that is k <= 20
 @pytest.mark.parametrize("n, q", [(15, 2), (21, 2), (31, 2), (14, 2), (18, 3), (12, 4), (15, 4),
                                   (10, 11)])
 def test_one_walk_fills_the_store_for_the_whole_multiplier_orbit(n, q):
-    """Asked once per orbit, the store then holds every member, and each stored
-    report equals a fresh walk of that member (and the naive oracle on small ones)."""
+    """Asked once per orbit, the store then holds every member.  A walked
+    member's report equals a fresh walk of it, a settled one has its d and no
+    word scanned, and the naive oracle agrees on small ones."""
     f = field_from_order(q)
     fac = factor_xn1(n, f)
     codes = [CyclicCode._from_vector(fac, v)
@@ -254,6 +279,57 @@ def test_one_walk_fills_the_store_for_the_whole_multiplier_orbit(n, q):
     assert len(asked) == len(orbits)
     for code in codes:
         stored = fac.distances[code.vector]
-        assert code._enumerate() == stored, code
+        if stored.method == "bounds":
+            assert (code._enumerate().d, stored.codewords_scanned) == (stored.d, 0), code
+        else:
+            assert code._enumerate() == stored, code
         if q ** code.k <= 1 << 12:
             assert naive_min_distance(code) == stored.d, code
+
+
+def _naive_bch(fac, v):
+    """1 + the longest run b, b + a, b + 2a, ... of zeros alpha^j, j mod n', over
+    every step a coprime to n' (x -> x^a turns step a into step 1)."""
+    n_prime, q = fac.n_prime, fac.field.q
+    zeros = {e.coset_rep * q ** i % n_prime
+             for e, ei in zip(fac.factors, v) if ei for i in range(e.poly.degree)}
+    best = 0
+    for a in (a for a in range(n_prime) if gcd(a, n_prime) == 1):
+        for b in range(n_prime):
+            run = 0
+            while run < n_prime and (b + run * a) % n_prime in zeros:
+                run += 1
+            best = max(best, run)
+    return 1 + best
+
+
+ORACLE_LIMIT = 1 << 12  # q^k of the codes walked below
+
+
+# every q of the bound checks, plus a repeated-root length (n = 4 * 3 over GF(2))
+@pytest.mark.parametrize("n, q", [(15, 2), (21, 2), (13, 3), (15, 4), (12, 5), (8, 7), (7, 8),
+                                  (8, 9), (10, 11), (12, 2)])
+def test_every_walked_distance_lies_between_the_bch_and_weight_bounds(n, q):
+    """Over every nonzero divisor code: the BCH bound is one value on each
+    multiplier orbit and matches a run count over every step, bch <= walked
+    d <= weight, and the store holds the same reports whichever orbit member
+    is asked first."""
+    f = field_from_order(q)
+    fac = factor_xn1(n, f)
+    vectors = [v for v in product(*(range(e.multiplicity + 1) for e in fac.factors))
+               if fac.degree(v) < n]
+    small = [v for v in vectors if q ** (n - fac.degree(v)) <= ORACLE_LIMIT]
+    for v in vectors:
+        bch = fac.bch_bound(v)
+        assert bch == (_naive_bch(fac, v) if fac.nu == 0 else 1), v
+        assert {fac.bch_bound(u) for u in fac.orbit(v)} == {bch}, v
+    for v in small:
+        d = CyclicCode._from_vector(fac, v)._enumerate().d
+        assert fac.bch_bound(v) <= d <= fac.weight_bound(v), v
+    stores = []
+    for order in (small, small[::-1]):
+        fac.distances.clear()
+        for v in order:
+            CyclicCode._from_vector(fac, v).min_distance()
+        stores.append(dict(fac.distances))
+    assert stores[0] == stores[1]

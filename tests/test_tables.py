@@ -215,14 +215,14 @@ def _search_walks(monkeypatch, n):
 
 
 def test_search_walks_each_multiplier_orbit_once(monkeypatch):
-    # walking every enumerable code with a partner took 23 walks; at most 7
-    # orbits hold a code whose bounds can reach the top 20
-    assert len(_search_walks(monkeypatch, 31)) <= 7
+    # walking every enumerable code with a partner took 23 walks, and 4 before
+    # a distance whose BCH and weight bounds meet was settled without a walk
+    assert len(_search_walks(monkeypatch, 31)) <= 1
 
 
 def test_search_at_n63_walks_only_orbits_that_can_reach_the_top(monkeypatch):
-    # 399 walks without the bounds; at most 45 orbits can matter
-    assert len(_search_walks(monkeypatch, 63)) <= 45
+    # 399 walks without the bounds, 13 before the BCH bound settled distances
+    assert len(_search_walks(monkeypatch, 63)) <= 8
 
 
 def _clear_stores(fac):
