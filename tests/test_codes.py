@@ -171,23 +171,18 @@ def test_simplex_127_longer_than_one_word():
     assert simplex.min_distance().d == 64
 
 
-@pytest.mark.parametrize("q, n, ks", [(13, 12, (4, 5, 6)), (16, 15, (4, 5))])
+# GF(17) .. GF(81) at the least k past one block walk high rows of m basis digits each
+@pytest.mark.parametrize("q, n, ks", [(13, 12, (4, 5, 6)), (16, 15, (4, 5)), (17, 16, (4,)),
+                                      (25, 24, (4,)), (27, 26, (3,)), (32, 31, (3,)),
+                                      (49, 48, (3,)), (64, 63, (3,)), (81, 80, (3,))])
 def test_reed_solomon_distance_past_one_block(q, n, ks):
+    # the bounds settle these codes, so the walk is also called directly
     f = field_from_order(q)
     for k in ks:
         assert q ** k > 1 << 14
         code = construct_mds(f, n, k, k, k).c1
-        assert code.min_distance().d == n - k + 1
-
-
-@pytest.mark.parametrize("q", [16, 17, 25, 27, 32, 49, 64, 81])
-def test_reed_solomon_walk_past_one_block(q):
-    # the bounds settle these codes, so the walk is called directly: the least
-    # k with q^k past one block, n = q - 1, walks high rows of m basis digits each
-    f = field_from_order(q)
-    k = next(k for k in range(1, 5) if q ** k > 1 << 14)
-    code = construct_mds(f, q - 1, k, k, k).c1
-    assert code._enumerate() == DistanceReport(q - k, q ** k - 1)
+        assert code._enumerate() == DistanceReport(n - k + 1, q ** k - 1)
+        assert code.min_distance() == DistanceReport(n - k + 1, 0, "bounds")
 
 
 def test_codewords_scanned_counts_every_nonzero_word():
