@@ -84,6 +84,7 @@ def verify_row(row: TableRow, cap: int = DEFAULT_CAP) -> VerificationOutcome:
     out = VerificationOutcome(row)
     try:
         f = field_from_order(row.q)
+        factor_xn1(row.n, f)  # refuses a length outside 1..MAX_LENGTH
         g1 = parse_poly(row.g1_text, f)
         g2 = parse_poly(row.g2_text, f)
     except ValueError as exc:
@@ -206,7 +207,11 @@ def search_pairs(n: int, f: Field, ell: int, min_d1: int = 1, min_d2: int = 1,
     ``limit``-th best d1 + d2 among the pairs of walked codes: a pair with
     an unwalked code sums to at most its key, so it cannot reach the top
     ``limit``, ties included, and only the pairs of walked codes are
-    ranked.  A census of 0 means no divisor has degree ell, and the
+    ranked.  The walk takes its partner rows a chunk of walk positions at
+    a time, each row against every code up to the chunk's end, so the code
+    at position t reads its partners among the walked codes from columns
+    0..t; chunks grow with the walk, O(log W) of them for W walked codes,
+    but hold at most ``_LCM_BLOCK`` entries (or one row).  A census of 0 means no divisor has degree ell, and the
     result is infeasible.  ValueError when x^n - 1 has more than
     MAX_SEARCH_DIVISORS divisors, or when ell is outside 0..n.
     """
@@ -249,15 +254,18 @@ def search_pairs(n: int, f: Field, ell: int, min_d1: int = 1, min_d2: int = 1,
     order = partnered[np.argsort(-key[partnered], kind="stable")]
     codes, dist, I, J = [], [], [], []
     best: list[int] = []  # the limit best valid d1 + d2 so far, ascending
-    for e in order:
+    start = stop = 0  # the walk positions whose partner rows `chunk` holds
+    for new, e in enumerate(order.tolist()):
         if len(best) == limit and (not limit or key[e] < best[0]):
             break
         code = CyclicCode._from_vector(fac, vectors[e])
         codes.append(code)
         dist.append(code.min_distance(cap).d)
-        new, walked = len(codes) - 1, order[:len(codes)]
-        for old in np.flatnonzero(_lcm_degrees(scaled[e, None], scaled[walked])[0]
-                                  == n - ell).tolist():
+        if new == stop:  # the next chunk: about as many rows as walked, within one block
+            rows = max(1, min(new + 8, _LCM_BLOCK // (2 * new + 8)))
+            start, stop = new, min(len(order), new + rows)
+            chunk = _lcm_degrees(scaled[order[start:stop]], scaled[order[:stop]]) == n - ell
+        for old in np.flatnonzero(chunk[new - start, :new + 1]).tolist():
             for i, j in {(new, old), (old, new)}:  # one pair when old is new
                 if dist[i] >= min_d1 and dist[j] >= min_d2:
                     I.append(i)

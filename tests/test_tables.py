@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from dataclasses import replace
+from itertools import product
 
 import pytest
 
@@ -60,6 +61,11 @@ def test_verify_row_detects_each_kind_of_error():
     assert not bad.passed
     broken = verify_row(tweak(g1_text="x^"))
     assert not broken.passed and broken.error is not None
+    # a bad length is the row's error, as a bad q is, not a failed divisibility check
+    for n in (0, 4097):
+        outcome = verify_row(tweak(n=n))
+        assert outcome.error == f"length must be in 1..4096, got {n}"
+        assert not outcome.passed and outcome.checks == {}
 
 
 def test_all_divisors_matches_brute_force_degrees():
@@ -248,6 +254,60 @@ def test_search_with_a_limit_is_the_head_of_the_full_ranking(n, q, cap):
                 (full.infeasible, full.skipped_by_cap), (ell, limit)
             assert [_report_fields(r) for r in head.reports] == \
                 [_report_fields(r) for r in full.reports[:limit]], (ell, limit)
+
+
+def _count_lcm_work(monkeypatch):
+    """Record the (rows, columns) of every _lcm_degrees call and the vector of
+    every code the walk builds."""
+    calls, walked = [], []
+    lcm, from_vector = tables._lcm_degrees, CyclicCode._from_vector
+    monkeypatch.setattr(tables, "_lcm_degrees",
+                        lambda A, B: calls.append((len(A), len(B))) or lcm(A, B))
+    monkeypatch.setattr(CyclicCode, "_from_vector",
+                        classmethod(lambda cls, fac, v: walked.append(v) or from_vector(fac, v)))
+    return calls, walked
+
+
+def test_search_walk_reads_its_partners_from_a_few_chunks(monkeypatch):
+    # one _lcm_degrees call per walked code made 398 calls over the 22 searches at n = 21
+    calls, walked = _count_lcm_work(monkeypatch)
+    fac, total = factor_xn1(21, GF2), 0
+    for ell in range(22):
+        _clear_stores(fac)
+        calls.clear()
+        walked.clear()
+        result = search_pairs(21, GF2, ell, min_d1=2, min_d2=2)
+        # the 63 nonzero codes' partner rows fit one block; then chunks of the
+        # walk starting at positions 0, 8, 24, 56, ...
+        assert len(calls) <= (not result.infeasible) + len(walked).bit_length(), ell
+        assert all(rows * cols <= max(tables._LCM_BLOCK, cols) for rows, cols in calls)
+        total += len(calls)
+    assert total <= 70
+    # the full ranking at (31, 2) in PRUNING_CASES walks 113 codes at ell = 0,
+    # past the chunk boundaries at walk positions 8, 24 and 56
+    _clear_stores(factor_xn1(31, GF2))
+    calls.clear()
+    walked.clear()
+    search_pairs(31, GF2, 0, limit=10 ** 6)
+    assert len(walked) == 113 and len(calls) == 1 + 4
+
+
+@pytest.mark.parametrize("block", [1, 40, 600])
+def test_search_does_not_depend_on_the_lcm_block_size(monkeypatch, block):
+    # small blocks cap the walk's chunks early (600: from the chunk at walk position 24 on),
+    # down to one row per call; every chunk boundary moves
+    expected = {}
+    for n, ell, limit in product((21, 31), (0, 1, 5), (3, 10 ** 6)):
+        _clear_stores(factor_xn1(n, GF2))
+        result = search_pairs(n, GF2, ell, limit=limit)
+        expected[n, ell, limit] = [_report_fields(r) for r in result.reports]
+    calls, _ = _count_lcm_work(monkeypatch)
+    monkeypatch.setattr(tables, "_LCM_BLOCK", block)
+    for (n, ell, limit), fields in expected.items():
+        _clear_stores(factor_xn1(n, GF2))
+        result = search_pairs(n, GF2, ell, limit=limit)
+        assert [_report_fields(r) for r in result.reports] == fields, (n, ell, limit)
+    assert all(rows * cols <= max(block, cols) for rows, cols in calls)
 
 
 @pytest.mark.parametrize("n", [21, 31])
