@@ -211,9 +211,10 @@ def search_pairs(n: int, f: Field, ell: int, min_d1: int = 1, min_d2: int = 1,
     a time, each row against every code up to the chunk's end, so the code
     at position t reads its partners among the walked codes from columns
     0..t; chunks grow with the walk, O(log W) of them for W walked codes,
-    but hold at most ``_LCM_BLOCK`` entries (or one row).  A census of 0 means no divisor has degree ell, and the
-    result is infeasible.  ValueError when x^n - 1 has more than
-    MAX_SEARCH_DIVISORS divisors, or when ell is outside 0..n.
+    but hold at most ``_LCM_BLOCK`` entries (or one row).  A census of 0
+    means no divisor has degree ell, and the result is infeasible.
+    ValueError when x^n - 1 has more than MAX_SEARCH_DIVISORS divisors,
+    or when ell is outside 0..n.
     """
     if limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
