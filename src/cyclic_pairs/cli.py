@@ -277,7 +277,7 @@ def cmd_verify_tables(args, field) -> int:
         print(json.dumps({
             "rows": [{"line": o.row.lineno, "params": o.row.params(),
                       "passed": o.passed, "checks": o.checks,
-                      "computed": {k: v for k, v in o.computed.items()},
+                      "computed": o.computed,
                       "error": o.error}
                      for o in summary.outcomes],
             "passed": summary.passed, "failed": summary.failed}))

@@ -72,10 +72,11 @@ def load_table_rows(path=None) -> list[TableRow]:
         parts = [p.strip() for p in line.split("|")]
         if len(parts) != 3:
             raise ValueError(f"line {lineno}: expected 'params | g1 | g2', got {line!r}")
-        head = parts[0].split()
-        if len(head) != 7:
-            raise ValueError(f"line {lineno}: expected 7 integers before the first '|'")
-        n, q, k1, d1, k2, d2, ell = map(int, head)
+        try:  # a count other than 7 fails the unpacking, a non-integer int()
+            n, q, k1, d1, k2, d2, ell = map(int, parts[0].split())
+        except ValueError:
+            raise ValueError(
+                f"line {lineno}: expected 7 integers before the first '|'") from None
         rows.append(TableRow(n, q, k1, d1, k2, d2, ell, parts[1], parts[2], lineno))
     return rows
 
@@ -203,16 +204,18 @@ def search_pairs(n: int, f: Field, ell: int, min_d1: int = 1, min_d2: int = 1,
     enumerable code v with an ell-partner gets the key ub(v) + max ub(w)
     over its partners w, ub being ``Factorization.weight_bound``, and the
     codes are walked, their distances read from the factorization's
-    store, in descending key.  The walk stops before a key below the
-    ``limit``-th best d1 + d2 among the pairs of walked codes: a pair with
-    an unwalked code sums to at most its key, so it cannot reach the top
-    ``limit``, ties included, and only the pairs of walked codes are
-    ranked.  The walk takes its partner rows a chunk of walk positions at
-    a time, each row against every code up to the chunk's end, so the code
-    at position t reads its partners among the walked codes from columns
-    0..t; chunks grow with the walk, O(log W) of them for W walked codes,
-    but hold at most ``_LCM_BLOCK`` entries (or one row).  A census of 0
-    means no divisor has degree ell, and the result is infeasible.
+    store, in descending key.  The walk keeps one list, the ``limit`` best
+    valid pairs of walked codes in ranking order, sorted by
+    (-(d1 + d2), -d1 * d2, g1's coefficients, g2's coefficients); once it
+    is full, the walk stops before a key below the last pair's d1 + d2: a
+    pair with an unwalked code sums to at most its key, so it cannot enter
+    the list, ties included, and the list is the answer.  The walk takes
+    its partner rows a chunk of walk positions at a time, each row against
+    every code up to the chunk's end, so the code at position t reads its
+    partners among the walked codes from columns 0..t; chunks grow with
+    the walk, O(log W) of them for W walked codes, but hold at most
+    ``_LCM_BLOCK`` entries (or one row).  A census of 0 means no divisor
+    has degree ell, and the result is infeasible.
     ValueError when x^n - 1 has more than MAX_SEARCH_DIVISORS divisors,
     or when ell is outside 0..n.
     """
@@ -253,11 +256,11 @@ def search_pairs(n: int, f: Field, ell: int, min_d1: int = 1, min_d2: int = 1,
     skipped = census - matched - (2 * count - 1 if ell == 0 else 0)
     partnered, key = np.flatnonzero(mate_ub >= 0), ub + mate_ub
     order = partnered[np.argsort(-key[partnered], kind="stable")]
-    codes, dist, I, J = [], [], [], []
-    best: list[int] = []  # the limit best valid d1 + d2 so far, ascending
+    codes, dist = [], []
+    top: list[tuple] = []  # the limit best valid pairs so far, in ranking order
     start = stop = 0  # the walk positions whose partner rows `chunk` holds
     for new, e in enumerate(order.tolist()):
-        if len(best) == limit and (not limit or key[e] < best[0]):
+        if len(top) == limit and (not limit or key[e] < -top[-1][0]):
             break
         code = CyclicCode._from_vector(fac, vectors[e])
         codes.append(code)
@@ -268,17 +271,11 @@ def search_pairs(n: int, f: Field, ell: int, min_d1: int = 1, min_d2: int = 1,
             chunk = _lcm_degrees(scaled[order[start:stop]], scaled[order[:stop]]) == n - ell
         for old in np.flatnonzero(chunk[new - start, :new + 1]).tolist():
             for i, j in {(new, old), (old, new)}:  # one pair when old is new
-                if dist[i] >= min_d1 and dist[j] >= min_d2:
-                    I.append(i)
-                    J.append(j)
-                    insort(best, dist[i] + dist[j])
-                    del best[:-limit]
-    I, J, d = np.array(I, dtype=np.int64), np.array(J, dtype=np.int64), np.array(dist)
-    d1, d2 = d[I], d[J]
-    # the tie-break: each generator's rank in coefficient order
-    rank = np.zeros(len(codes), dtype=np.int64)
-    rank[sorted(range(len(codes)), key=lambda i: codes[i].g.coeffs)] = np.arange(len(codes))
-    top = np.lexsort((rank[J], rank[I], -(d1 * d2), -(d1 + d2)))[:limit]
-    reports = [pair_analyze(codes[I[t]], codes[J[t]], with_distances=True, cap=cap)
-               for t in top]
+                d1, d2 = dist[i], dist[j]
+                if d1 >= min_d1 and d2 >= min_d2:
+                    insort(top, (-(d1 + d2), -d1 * d2,
+                                 codes[i].g.coeffs, codes[j].g.coeffs, i, j))
+                    del top[limit:]
+    reports = [pair_analyze(codes[i], codes[j], with_distances=True, cap=cap)
+               for *_, i, j in top]
     return SearchResult(reports, skipped_by_cap=skipped)

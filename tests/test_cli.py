@@ -7,6 +7,7 @@ import pytest
 from cyclic_pairs import cli, constructions, factorization
 from cyclic_pairs.cli import (CSV_HEADER, EXIT_CAP, EXIT_OK, EXIT_USAGE,
                               EXIT_VERIFY_FAILED, main)
+from cyclic_pairs.tables import load_table_rows
 
 
 def run(argv, capsys):
@@ -258,6 +259,22 @@ def test_verify_tables_failure_exit(tmp_path, capsys):
     code, out, _ = run(["verify-tables", "--file", str(bad)], capsys)
     assert code == EXIT_VERIFY_FAILED
     assert "FAIL" in out and "dist_c" in out
+
+
+@pytest.mark.parametrize("row, message", [
+    ("9 2 3 3 4 3 1 | 1", "line 2: expected 'params | g1 | g2', got '9 2 3 3 4 3 1 | 1'"),
+    ("9 2 3 3 4 3 | 1 | 1", "line 2: expected 7 integers before the first '|'"),
+    ("9 2 a 3 4 3 1 | 1 | 1", "line 2: expected 7 integers before the first '|'"),
+])
+def test_a_malformed_corpus_row_names_its_line(row, message, tmp_path, capsys):
+    bad = tmp_path / "rows.txt"
+    bad.write_text(f"# n q k1 d1 k2 d2 ell | g1 | g2\n{row}\n")
+    with pytest.raises(ValueError) as exc:
+        load_table_rows(bad)
+    assert str(exc.value) == message
+    code, out, err = run(["verify-tables", "--file", str(bad)], capsys)
+    assert code == EXIT_USAGE and out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_verify_tables_missing_file_is_usage_error(tmp_path, capsys):

@@ -102,8 +102,10 @@ def test_search_respects_limit_and_order():
     assert scores == sorted(scores, reverse=True)
 
 
-def test_search_refuses_a_negative_limit():
+def test_search_refuses_a_negative_limit(monkeypatch):
+    _, walked = _count_lcm_work(monkeypatch)
     assert search_pairs(7, GF2, 0, limit=0).reports == []
+    assert walked == []  # a limit of 0 builds no code
     with pytest.raises(ValueError, match="limit"):
         search_pairs(7, GF2, 0, limit=-1)
 
