@@ -3,8 +3,9 @@
 The goldens cover ``search`` (CSV and JSON, binary with simple roots,
 repeated roots, nonbinary fields, a cap that skips pairs), ``factor
 --json`` (extension fields up to GF(2^508) and GF(3^100), and GF(257)
-itself, where every factor is linear), ``exists
---json`` (infeasible and repeated-root cases), and, over GF(2), GF(3)
+itself, where every factor is linear), ``exists --json`` (infeasible
+and repeated-root cases, among them the cold single-factor queries at
+n = 4096 over GF(2) and n = 2187 over GF(3)), and, over GF(2), GF(3)
 and GF(4), ``code --dual``, ``pair --distances``, the three ``construct``
 modes (exact and inexact L) and ``verify-tables``, all as JSON.  A further golden pins
 the lex-least modulus of every field ``factor_xn1(n, GF(q))`` builds for
@@ -49,6 +50,8 @@ CASES = {
     "exists_n54_q3_ell20_json": "--q 3 exists --n 54 --ell 20 --json",
     "exists_n63_q9_ell31_json": "--q 9 exists --n 63 --ell 31 --json",
     "exists_n48_ell17_json": "exists --n 48 --ell 17 --json",
+    "exists_n4096_ell4095_json": "exists --n 4096 --ell 4095 --json",
+    "exists_n2187_q3_ell2000_json": "--q 3 exists --n 2187 --ell 2000 --json",
     "search_n7_ell1_csv": "search --n 7 --ell 1 --csv",
     "search_n7_ell1_json": "search --n 7 --ell 1 --json",
     "search_n15_ell0_csv": "search --n 15 --ell 0 --csv",
