@@ -11,9 +11,12 @@ multiplier orbit: x -> x^a, gcd(a, n) = 1, permutes coordinates, so d is
 the same for every member.  Where the BCH bound and the least generator
 weight, both over the orbit (``Factorization.bch_bound`` and
 ``weight_bound``), meet, d is their value and no word is scanned (method
-"bounds").  Otherwise the code is walked over all q^k codewords (method
-"full-enumeration"), with q^k - 1 words scanned for every member (only
-g = 1 would stop early, at d = 1, and the bounds settle it).
+"bounds").  The BCH bound comes first: the weight is at most deg g + 1 =
+n - k + 1 (Singleton), so a BCH bound of n - k + 1 settles d with no
+generator built, as for every Reed-Solomon code.  Otherwise the code is
+walked over all q^k codewords (method "full-enumeration"), with q^k - 1
+words scanned for every member (only g = 1 would stop early, at d = 1,
+and the bounds settle it).
 
 The walk is one for every field.  The span of the first generator rows
 (at most _BLOCK words) is built once as a table, and every codeword is a
@@ -117,9 +120,11 @@ class CyclicCode:
         fac = factor_xn1(self.n, self.field)
         report = fac.distances.get(self.vector)
         if report is None:
-            # x -> x^a preserves weights: one answer serves the vector's whole orbit
-            d = fac.weight_bound(self.vector)
-            report = (DistanceReport(d, 0, "bounds") if fac.bch_bound(self.vector) == d
+            # x -> x^a preserves weights: one answer serves the vector's whole orbit;
+            # bch <= d <= weight <= n - k + 1, so a BCH bound at Singleton's settles d
+            d = fac.bch_bound(self.vector)
+            report = (DistanceReport(d, 0, "bounds")
+                      if d == self.n - k + 1 or d == fac.weight_bound(self.vector)
                       else self._enumerate())
             fac.distances.update(dict.fromkeys(fac.orbit(self.vector), report))
         return report

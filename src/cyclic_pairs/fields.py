@@ -42,21 +42,24 @@ exactly when it divides one factor, and a zero product gives gcd(0, f) = f.
 Most reducible candidates fall in the first blocks.  The gcds run on packed
 ints and only answer "is it 1?", reading a degree off the bit length.
 When p <= m + 1 the search first drops a candidate with a root in
-GF(p) by Horner evaluation in plain ints (about m^2 operations), which
-answers the block i = 1; for larger p that sieve would cost more than the
+GF(p), in plain ints: the coefficient sum tests a = 1 and Horner
+evaluation every other a (about m^2 operations in all), which answers
+the block i = 1; for larger p that sieve would cost more than the
 block, so it is skipped and the block runs.  Lex order varies only the top
 coefficients, so the test runs mod whichever of f and its monic reciprocal
 x^m f(1/x) / f(0) has the shorter tail, where mu is closed-form (``_SlotRing``).
 
-Extension fields with at most ``_TABLE_LIMIT`` elements also build, at
-construction, log/antilog tables over a primitive element, and in odd
-characteristic a Zech logarithm table (Lidl & Niederreiter, *Finite
-Fields*, §10.1).  ``Field`` arithmetic reads none of them: they serve
-the inline product lane of ``poly.Polynomial.__mul__`` and the lookup
-tables of ``Field.tables``.  The minimal polynomials of ``factorization`` are
-solved on the packed rows of a slot ring, and its roots of unity come from
-``element_of_order``, the one search for an element of given order.  Only
-the lookup tables of ``Field.tables`` use numpy.
+Extension fields with at most ``_TABLE_LIMIT`` elements also have
+log/antilog lists over a primitive element, and in odd characteristic a
+Zech logarithm list (Lidl & Niederreiter, *Finite Fields*, §10.1), built
+once by ``Field._logs`` when first read.  ``Field`` arithmetic reads none
+of them: their two readers are the inline product lane of
+``poly.Polynomial.__mul__`` and the lookup tables of ``Field.tables``, so
+a field that neither uses builds none.  The minimal polynomials of
+``factorization`` are solved on the packed rows of a slot ring, and its
+roots of unity come from ``element_of_order``, the one search for an
+element of given order.  Only the lookup tables of ``Field.tables`` use
+numpy.
 """
 
 from __future__ import annotations
@@ -251,8 +254,11 @@ def _prime_divisors(n: int) -> list[int]:
 
 
 def _has_root(coeffs: tuple[int, ...], p: int) -> bool:
-    """True when the polynomial vanishes at some nonzero a in GF(p) (Horner)."""
-    for a in range(1, p):
+    """True when the polynomial vanishes at some nonzero a in GF(p): at 1 when
+    the coefficients sum to 0 mod p, at a >= 2 by Horner."""
+    if sum(coeffs) % p == 0:
+        return True
+    for a in range(2, p):
         acc = 0
         for c in reversed(coeffs):
             acc = (acc * a + c) % p
@@ -342,12 +348,10 @@ class Field:
         self._small = m > 1 and self.q <= _TABLE_LIMIT
         self._ring = _slot_ring(modulus, p) if m > 1 else None
         self._orders = {}  # n -> element_of_order(n)
-        # log/antilog (and, for odd p, Zech) lists; see _logs()
+        # log/antilog (and, for odd p, Zech) lists, built by their first reader; see _logs()
         self._exp = self._log = self._zech = None
         self._add_table = None
         self._mul_table = None
-        if self._small:
-            self._logs()
 
     # -- encoding helpers ---------------------------------------------------
 
@@ -356,16 +360,18 @@ class Field:
             raise ValueError(f"{v!r} is not a canonical element of {self}")
         return v
 
-    def _logs(self) -> None:
-        """Build the lookup lists of a small field.
+    def _logs(self) -> tuple[list[int], list[int], list[int] | None]:
+        """(exp, log, zech), the lookup lists of a small field, built on first call.
 
-        With g the least primitive element and n = q - 1: ``_exp[i]`` is
-        g^(i mod n) for i < 2n and 0 beyond, ``_log[g^i] = i``; for odd p
-        ``_zech[k]`` is log(1 + g^k), or 2n when 1 + g^k = 0, repeated
-        twice so that differences of logs index it directly.  g is
-        ``element_of_order(n)`` and its powers are one multiply chain on
-        the slot ring.
+        With g the least primitive element and n = q - 1: ``exp[i]`` is
+        g^(i mod n) for i < 2n and 0 beyond, ``log[g^i] = i``; for odd p
+        ``zech[k]`` is log(1 + g^k), or 2n when 1 + g^k = 0, repeated
+        twice so that differences of logs index it directly, and for
+        p = 2 zech is None.  g is ``element_of_order(n)`` and its powers
+        are one multiply chain on the slot ring.
         """
+        if self._log is not None:
+            return self._exp, self._log, self._zech
         p, q, ring = self.p, self.q, self._ring
         n = q - 1
         g = ring.pack(self.element_of_order(n))
@@ -381,6 +387,7 @@ class Field:
             one_plus = (v - v % p + (v + 1) % p for v in exp)
             self._zech = [log[u] if u else 2 * n for u in one_plus] * 2
         self._log = log
+        return self._exp, log, self._zech
 
     # -- arithmetic on integer encodings ------------------------------------
 
@@ -457,8 +464,9 @@ class Field:
                     for i in range(self.m):
                         digit = v // p ** i % p
                         add += np.add.outer(digit, digit) % p * p ** i
-                log = np.array(self._log)
-                mul = np.array(self._exp)[np.add.outer(log, log)]
+                exp, log, _ = self._logs()
+                log = np.array(log)
+                mul = np.array(exp)[np.add.outer(log, log)]
                 mul[0, :] = 0
                 mul[:, 0] = 0
             dtype = np.uint8 if q <= 256 else np.uint16

@@ -4,9 +4,10 @@ degree-ell divisor of x^n - 1 by bounded subset-sum over the factor
 degrees, and the small-ell feasibility shortcuts.
 
 The subset-sum table of one x^n - 1 answers every ell, and the witness
-of each ell is a factor power times the witness of a smaller degree, so
-both are built once for the latest factorization asked about and reused
-for each ell.
+of each ell is a factor power times a kept witness of a smaller degree,
+so both are built once for the latest factorization asked about and
+reused for each ell: asked in ascending order, every ell costs one
+product.
 """
 
 from __future__ import annotations
@@ -92,40 +93,47 @@ class _DegreeSpectrum:
     with no mask answers every ell.  The greedy takes at each factor the
     fewest copies that leave an attainable rest, so it takes none before
     the first factor i whose successors cannot reach ell, then s copies of
-    f_i, and continues as it would for ell - s * deg f_i.  So the witness
-    of ell is f_i^s times the witness of that smaller degree, and the
-    witness of every degree met is kept, as is every power f_i^s taken.
+    f_i, and continues as it would for ell - s * d, d = deg f_i.  The
+    reach sets are nested and s is least, so for every 1 <= t <= s the
+    vector of ell - t * d is that of ell with t fewer copies of f_i, and
+    the witness of ell is f_i^t times the witness of ell - t * d.  The
+    least t whose witness is kept is taken, else t = s and the same step
+    is made for ell - s * d; every witness met is kept.  Asked in
+    ascending order, each ell is one product f_i * W(ell - d); asked cold,
+    it is one power per factor taken.
     """
 
     def __init__(self, fac: Factorization):
         self.fac = fac
         self.degrees = [e.poly.degree for e in fac.factors]
-        self.mults = [e.multiplicity for e in fac.factors]
         nf = len(self.degrees)
         self.reach = reach = [0] * nf + [1]
         for i in range(nf - 1, -1, -1):
             acc = cur = reach[i + 1]
-            for _ in range(self.mults[i]):
+            for _ in range(fac.factors[i].multiplicity):
                 cur <<= self.degrees[i]
                 acc |= cur
             reach[i] = acc
-        self.witnesses, self.powers = {0: ((0,) * nf, Polynomial.one(fac.field))}, {}
+        self.witnesses = {0: ((0,) * nf, Polynomial.one(fac.field))}
 
     def witness(self, ell: int) -> tuple[tuple[int, ...], Polynomial]:
         """The lex-least exponent vector of degree ell and its divisor; ell attainable."""
         reach, degrees, witnesses, chain = self.reach, self.degrees, self.witnesses, []
         while ell not in witnesses:
-            i = next(i for i in range(len(degrees)) if not reach[i + 1] >> ell & 1)
-            s = next(s for s in range(1, self.mults[i] + 1)
-                     if reach[i + 1] >> (ell - s * degrees[i]) & 1)
-            chain.append((ell, i, s))
-            ell -= s * degrees[i]
+            i = 0
+            while reach[i + 1] >> ell & 1:
+                i += 1
+            d, rest = degrees[i], ell - degrees[i]
+            # the least t <= s whose witness is kept, else s: the least t reach[i + 1] attains
+            while rest not in witnesses and not reach[i + 1] >> rest & 1:
+                rest -= d
+            chain.append((ell, i, (ell - rest) // d))
+            ell = rest
         vector, poly = witnesses[ell]
-        for ell, i, s in reversed(chain):
-            vector = vector[:i] + (s,) + vector[i + 1:]
-            power = self.powers.get((i, s)) or self.fac.factors[i].poly ** s
-            self.powers[i, s] = power
-            poly = power * poly if poly.degree else power
+        for ell, i, t in reversed(chain):
+            vector = vector[:i] + (vector[i] + t,) + vector[i + 1:]
+            f = self.fac.factors[i].poly
+            poly = (f ** t if t > 1 else f) * poly
             witnesses[ell] = vector, poly
         return vector, poly
 
@@ -143,9 +151,9 @@ def exists_ell(n: int, field: Field, ell: int,
     witness takes the lexicographically least multiplicity vector in the
     canonical factor order.  The bitmasks and the witnesses are built once
     per factorization and kept for the latest one only, so asking every
-    ell of one x^n - 1 in turn builds the bitmasks once and multiplies
-    each witness from a smaller one.  A factorization given must be that
-    of x^n - 1.
+    ell of one x^n - 1 in turn builds the bitmasks once and grows each
+    witness from a kept one, one product per ell in ascending order.  A
+    factorization given must be that of x^n - 1.
     """
     if not 0 <= ell <= n:
         raise ValueError(f"ell must satisfy 0 <= ell <= {n}, got {ell}")

@@ -10,9 +10,10 @@ Products take one lane per field, all giving the same coefficients:
 
 * prime fields, GF(2) among them: Python-int products summed per
   coefficient, reduced mod p once at the end;
-* extension fields with log tables (``Field._small``, built with the
-  field): each term is ``exp[log a + log b]``, XORed in for p = 2 and
-  added by the Zech logarithm table for odd p (Lidl & Niederreiter, §10.1);
+* extension fields with log tables (``Field._small``; the lists are
+  built by ``Field._logs`` on the first such product): each term is
+  ``exp[log a + log b]``, XORed in for p = 2 and added by the Zech
+  logarithm table for odd p (Lidl & Niederreiter, §10.1);
 * larger extension fields: ``Field.mul`` and ``Field.add`` per term.
 
 Products are canonical by construction and skip the constructor's
@@ -141,7 +142,7 @@ class Polynomial:
             p = f.p
             return Polynomial._trimmed(f, [c % p for c in out])
         if f._small:
-            log, exp = f._log, f._exp
+            exp, log, zech = f._logs()
             b_logs = [(j, log[cb]) for j, cb in enumerate(b) if cb]
             if f.p == 2:
                 for i, ca in enumerate(a):
@@ -150,7 +151,6 @@ class Polynomial:
                         for j, lb in b_logs:
                             out[i + j] ^= exp[la + lb]
             else:
-                zech = f._zech
                 for i, ca in enumerate(a):
                     if ca:
                         la = log[ca]

@@ -240,6 +240,30 @@ def test_repeated_construction_computes_no_distance(monkeypatch):
     assert (again.report.d1, again.report.d2) == (first.report.d1, first.report.d2) == (7, 5)
 
 
+@pytest.mark.parametrize("q", [5, 7, 8, 9])
+def test_a_bch_bound_at_singleton_settles_d_with_no_generator_weight(q, monkeypatch):
+    # every divisor of x^(q-1) - 1: where the BCH bound reaches n - k + 1, as for the
+    # Reed-Solomon codes of construct_mds, d is settled before weight_bound runs
+    f = field_from_order(q)
+    n, fac = q - 1, factor_xn1(q - 1, f)
+    rs = construct_mds(f, n, 2, 2, 0).c1.vector
+    vectors = [v for v in product((0, 1), repeat=n) if 0 < n - fac.degree(v) <= 3]
+    singleton = [v for v in vectors if fac.bch_bound(v) == fac.degree(v) + 1]
+    assert rs in singleton and len(singleton) < len(vectors)
+    expected = {v: naive_min_distance(CyclicCode._from_vector(fac, v)) for v in vectors}
+    fac.distances.clear()
+    weight_bound = Factorization.weight_bound
+    asked = []
+    monkeypatch.setattr(Factorization, "weight_bound",
+                        lambda self, v: asked.append(tuple(v)) or weight_bound(self, v))
+    for v in vectors:
+        report = CyclicCode._from_vector(fac, v).min_distance()
+        assert report.d == expected[v], v
+        if v in singleton:
+            assert (report.method, report.codewords_scanned) == ("bounds", 0), v
+    assert asked and not set(asked) & set(singleton)
+
+
 def test_singleton_bound_property():
     rng = random.Random(19)
     for (n, q) in [(21, 2), (13, 3), (17, 2)]:

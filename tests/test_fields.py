@@ -241,6 +241,17 @@ def test_split_polynomials_are_rejected_without_the_root_sieve(p, roots):
     assert not is_irreducible(f, p)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_root_sieve_matches_evaluation_at_every_nonzero_constant(p):
+    # a = 1 is read off the coefficient sum, a >= 2 by Horner; the oracle
+    # evaluates every monic polynomial of degree <= 4 at every a in GF(p)*
+    for m in range(1, 5):
+        for low in product(range(p), repeat=m):
+            c = low + (1,)
+            roots = any(sum(x * a ** i for i, x in enumerate(c)) % p == 0 for a in range(1, p))
+            assert fields._has_root(c, p) == roots, c
+
+
 # (3, 30), (5, 24) and (7, 20) run odd-p Ben-Or blocks up to i = 15, 12 and 10;
 # (2, 255) and (2, 256) run Ben-Or on byte and on two-byte slots
 def _reciprocal(c, p):
@@ -490,7 +501,7 @@ def test_table_path_matches_naive_reference_on_random_pairs(q):
 @pytest.mark.parametrize("p, m", [(2, 4), (2, 6), (3, 2), (5, 2), (3, 3)])
 def test_field_arithmetic_reads_no_lookup_list(p, m):
     f = fields.Field(p, m, lex_least_irreducible(p, m))
-    f._exp = f._log = f._zech = None
+    assert (f._exp, f._log, f._zech) == (None, None, None)  # a fresh field holds none
     q = f.q
     for a, b in product(range(q), repeat=2):
         _check_against_naive(f, a, b)
@@ -507,6 +518,34 @@ def test_field_arithmetic_reads_no_lookup_list(p, m):
                     f.pow(a, -e)
         if a:
             assert naive_mul(f, a, f.inv(a)) == 1
+    assert (f._exp, f._log, f._zech) == (None, None, None)  # and arithmetic built none
+
+
+@pytest.mark.parametrize("p, m", [(2, 2), (2, 3), (3, 2), (5, 2), (2, 6), (7, 3)])
+def test_log_lists_are_built_once_by_whichever_reader_runs_first(p, m):
+    # Polynomial products and tables() read one set of lists, built on the first
+    # read; the results do not depend on which reader comes first
+    rng = random.Random(p * m)
+    a, b = ([rng.randrange(p ** m) for _ in range(9)] + [1] for _ in range(2))
+    results = []
+    for product_first in (True, False):
+        f = fields.Field(p, m, lex_least_irreducible(p, m))
+        assert f._log is None
+        readers = [lambda: (Polynomial(f, a) * Polynomial(f, b)).coeffs,
+                   lambda: tuple(t.tobytes() for t in f.tables())]
+        if not product_first:
+            readers.reverse()
+        first = readers[0]()
+        lists = f._logs()
+        second = readers[1]()
+        assert all(x is y for x, y in zip(f._logs(), lists))  # not rebuilt
+        results.append((first, second) if product_first else (second, first))
+    assert results[0] == results[1]
+    naive = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            naive[i + j] = naive_add(f, naive[i + j], naive_mul(f, x, y))
+    assert results[0][0] == tuple(naive)
 
 
 def test_pow_of_zero_keeps_its_conventions():
@@ -591,16 +630,15 @@ def test_packed_lane_pow_matches_repeated_naive_multiply(p, m):
 @pytest.mark.parametrize("p, m", [(2, 2), (2, 12), (3, 7), (5, 5), (7, 4)])
 def test_log_tables_match_naive_arithmetic(p, m):
     f = make_field(p, m)
-    n, exp, log = f.q - 1, f._exp, f._log
+    (exp, log, zech), n = f._logs(), f.q - 1
     assert sorted(exp[:n]) == list(range(1, f.q))  # exp[1] is primitive
     assert exp[0] == 1 and exp[n:2 * n] == exp[:n] and exp[2 * n:] == [0] * n
     for i in range(n):
         assert exp[i + 1] == naive_mul(f, exp[i], exp[1])
         assert log[exp[i]] == i
     if p == 2:
-        assert f._zech is None
+        assert zech is None
         return
-    zech = f._zech
     assert len(zech) == 2 * n and zech[n:] == zech[:n]
     for k in range(n):
         one_plus = naive_add(f, 1, exp[k])
@@ -688,8 +726,9 @@ def test_log_tables_take_the_same_primitive_element():
     assert len(orders) == 40
     for q in orders:
         f = field_from_order(q)
-        f._orders.clear()  # forget the build's answer, so the scan reruns on the tables
-        assert f._exp[1] == f.element_of_order(q - 1), q
+        exp = f._logs()[0]
+        f._orders.clear()  # forget the build's answer, so the scan reruns on the ring
+        assert exp[1] == f.element_of_order(q - 1), q
 
 
 def test_element_of_order_keeps_its_answers(monkeypatch):

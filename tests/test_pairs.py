@@ -161,16 +161,31 @@ def test_exists_matches_brute_force():
                            zip(w.multiplicity_vector, fact.factors)) == ell
 
 
+# repeated-root lengths with several copies of several factors: x^12 - 1 over
+# GF(4) is (x^3 - 1)^4, three linear factors four times each
+LEX_LEAST_CASES = (BRUTE_FORCE_CASES + [(n, 4) for n in range(1, 13)]
+                   + [(n, 5) for n in range(1, 11)])
+
+
 def test_exists_witness_is_the_lex_least_vector_by_brute_force():
-    for (n, q) in BRUTE_FORCE_CASES:
+    # asked ascending, descending and shuffled from a fresh spectrum, so each
+    # witness is grown from a kept one of every kind: t = 1, 1 < t < s and t = s
+    rng = random.Random(5)
+    for (n, q) in LEX_LEAST_CASES:
         f = field_from_order(q)
         fact = factor_xn1(n, f)
         first = {}  # itertools.product runs through the vectors in lex order
         for vector in product(*(range(e.multiplicity + 1) for e in fact.factors)):
             first.setdefault(fact.degree(vector), vector)
-        for ell in range(n + 1):
-            w = exists_ell(n, f, ell, fact)
-            assert w.multiplicity_vector == first.get(ell), (n, q, ell)
+        shuffled = list(range(n + 1))
+        rng.shuffle(shuffled)
+        for order in (range(n + 1), range(n, -1, -1), shuffled):
+            pairs._latest[0] = None
+            for ell in order:
+                w = exists_ell(n, f, ell, fact)
+                assert w.multiplicity_vector == first.get(ell), (n, q, ell)
+                if w.feasible:
+                    assert w.witness == fact.divisor(w.multiplicity_vector), (n, q, ell)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
@@ -207,20 +222,50 @@ def test_exists_does_not_depend_on_what_was_asked_before():
             assert exists_ell(n, f, ell) == expected[n, ell], (n, ell)
 
 
-@pytest.mark.parametrize("n, q", [(60, 4), (63, 2), (40, 3)])  # every ell meets some f_i^s twice
-def test_exists_raises_each_factor_power_once(n, q, monkeypatch):
+def _count_products(monkeypatch):
+    """Lists every Polynomial.__mul__ (also inside __pow__) and __pow__ call."""
+    calls, mul, power = {"mul": 0, "pow": 0}, Polynomial.__mul__, Polynomial.__pow__
+
+    def counted_mul(a, b):
+        calls["mul"] += 1
+        return mul(a, b)
+
+    def counted_pow(a, e):
+        calls["pow"] += 1
+        return power(a, e)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counted_mul)
+    monkeypatch.setattr(Polynomial, "__pow__", counted_pow)
+    return calls
+
+
+@pytest.mark.parametrize("n, q", [(60, 4), (63, 2), (40, 3), (48, 2), (50, 5)])
+def test_exists_asked_in_ascending_order_makes_one_product_per_ell(n, q, monkeypatch):
+    # each witness is f_i times the kept witness of ell - deg f_i, raising no power
     f = field_from_order(q)
     fact = factor_xn1(n, f)
     pairs._latest[0] = None
-    calls, power = [], Polynomial.__pow__
-    monkeypatch.setattr(Polynomial, "__pow__", lambda g, s: calls.append(s) or power(g, s))
-    for ell in range(n + 1):
-        exists_ell(n, f, ell, fact)
+    calls = _count_products(monkeypatch)
+    feasible = sum(exists_ell(n, f, ell, fact).feasible for ell in range(1, n + 1))
+    assert calls == {"mul": feasible, "pow": 0}
+
+
+@pytest.mark.parametrize("n, q, ells", [(4096, 2, (4095, 2049)), (4096, 2, (2049, 4095)),
+                                        (2187, 3, (2000, 1093))])
+def test_cold_exists_makes_logarithmically_many_products(n, q, ells, monkeypatch):
+    # one factor of multiplicity n: a cold witness is one power by square-and-
+    # multiply, not ell products stepping one copy at a time from the kept ones
+    f = field_from_order(q)
+    fact = factor_xn1(n, f)
+    pairs._latest[0] = None
+    calls = _count_products(monkeypatch)
+    for ell in ells:
+        calls["mul"] = 0
+        w = exists_ell(n, f, ell, fact)
+        assert w.multiplicity_vector == (ell,)
+        assert calls["mul"] <= 2 * n.bit_length() + 1, (n, q, ell)
     monkeypatch.undo()
-    kept = pairs._latest[0].powers
-    assert len(calls) == len(kept)
-    for (i, s), p in kept.items():
-        assert p == fact.factors[i].poly ** s
+    assert w.witness == fact.factors[0].poly ** ells[-1]
 
 
 def test_exists_refuses_a_factorization_of_another_polynomial():
