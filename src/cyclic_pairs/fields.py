@@ -338,7 +338,7 @@ class Field:
     """The finite field GF(p^m) with canonical integer element encoding."""
 
     __slots__ = ("p", "m", "q", "modulus", "_ring", "_small", "_orders",
-                 "_exp", "_log", "_zech", "_add_table", "_mul_table")
+                 "_lists", "_add_table", "_mul_table")
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
         self.p = p
@@ -348,8 +348,7 @@ class Field:
         self._small = m > 1 and self.q <= _TABLE_LIMIT
         self._ring = _slot_ring(modulus, p) if m > 1 else None
         self._orders = {}  # n -> element_of_order(n)
-        # log/antilog (and, for odd p, Zech) lists, built by their first reader; see _logs()
-        self._exp = self._log = self._zech = None
+        self._lists = None  # log/antilog (and, for odd p, Zech) lists; see _logs()
         self._add_table = None
         self._mul_table = None
 
@@ -370,8 +369,8 @@ class Field:
         p = 2 zech is None.  g is ``element_of_order(n)`` and its powers
         are one multiply chain on the slot ring.
         """
-        if self._log is not None:
-            return self._exp, self._log, self._zech
+        if self._lists is not None:
+            return self._lists
         p, q, ring = self.p, self.q, self._ring
         n = q - 1
         g = ring.pack(self.element_of_order(n))
@@ -382,12 +381,12 @@ class Field:
         log = [0] * q
         for i, v in enumerate(exp):
             log[v] = i
-        self._exp = exp * 2 + [0] * n
+        zech = None
         if p != 2:
             one_plus = (v - v % p + (v + 1) % p for v in exp)
-            self._zech = [log[u] if u else 2 * n for u in one_plus] * 2
-        self._log = log
-        return self._exp, log, self._zech
+            zech = [log[u] if u else 2 * n for u in one_plus] * 2
+        self._lists = exp * 2 + [0] * n, log, zech
+        return self._lists
 
     # -- arithmetic on integer encodings ------------------------------------
 

@@ -223,7 +223,7 @@ def test_exists_does_not_depend_on_what_was_asked_before():
 
 
 def _count_products(monkeypatch):
-    """Lists every Polynomial.__mul__ (also inside __pow__) and __pow__ call."""
+    """Counts every Polynomial.__mul__ (also inside __pow__) and __pow__ call."""
     calls, mul, power = {"mul": 0, "pow": 0}, Polynomial.__mul__, Polynomial.__pow__
 
     def counted_mul(a, b):
