@@ -12,11 +12,15 @@ are refused up front.
 
 A minimal polynomial is the first GF(q)-linear dependency among the
 powers of beta = alpha^rep, found by one linear solve over GF(p) on a
-table of the powers of alpha.  The solve is one elimination for every p
-on rows packed into plain ints, one GF(p) digit per slot: for p = 2 the
-encodings' own bits, with XOR as the row update, and for odd p the slots
-of a ``_SlotRing`` mod the extension's modulus, on which the powers are
-multiplied, with one multiply-add and slot reduce as the row update.
+table of the powers of alpha.  The powers, and their multiples by the
+image gamma of GF(q)'s generator, are multiplied on the packed ints of
+the extension's own slot ring (``Field._ring``), with no ``Field.mul``.
+The solve is one elimination for every p on rows packed into plain
+ints, one GF(p) digit per slot: for p = 2 the encodings' own bits, each
+column unpacked from its byte slots once, with XOR as the row update,
+and for odd p the slots of the ring themselves, with one multiply-add
+and slot reduce as the row update.  Over ext = GF(p) every coset is one
+residue j and its factor is x - alpha^j.
 """
 
 from __future__ import annotations
@@ -81,29 +85,28 @@ def root_of_unity(field: Field, n_prime: int) -> tuple[Field, int, int]:
 
 
 @lru_cache(maxsize=1)
-def _alpha_powers(field: Field, n_prime: int) -> tuple[list[int], int, object, _SlotRing | None]:
-    """(alpha^0 .. alpha^(n'-1), gamma, mul, ring) as rows of ``_solve``, kept
-    for every coset of one (field, n').
+def _alpha_powers(field: Field, n_prime: int) -> tuple[list[int], int, _SlotRing | None]:
+    """(alpha^0 .. alpha^(n'-1), gamma, ring), kept for every coset of one
+    (field, n').
 
-    A row packs an element of ext into an int, one GF(p) digit per slot:
-    for p = 2 (ring None) its encoding's bits, for odd p the slots of ring.
-    For p = 2 and for ext = GF(p) the encoding already is the row, and
-    mul is ``ext.mul``; otherwise mul is ``ring.mul``, so the rows are
-    multiplied without unpacking.
+    ring is ``ext._ring`` and the powers and gamma are packed on it, so
+    they are multiplied without packing or unpacking; for ext = GF(p)
+    ring is None and they are plain ints mod p.
     """
     ext, gamma, alpha = root_of_unity(field, n_prime)
-    ring = None if field.p == 2 else _SlotRing(ext.modulus, field.p)
-    mul, pack = (ext.mul, int) if ring is None or ext.m == 1 else (ring.mul, ring.pack)
-    a, powers = pack(alpha), [1]  # 1 is its own row
+    ring = ext._ring
+    mul, pack = (ext.mul, int) if ring is None else (ring.mul, ring.pack)
+    a, powers = pack(alpha), [1]  # 1 packs as itself
     for _ in range(1, n_prime):
         powers.append(mul(powers[-1], a))
-    return powers, pack(gamma), mul, ring
+    return powers, pack(gamma), ring
 
 
 def _solve(cols: list[int], b: int, ring: _SlotRing | None) -> list[int] | None:
     """The unique x with sum_j x_j * cols[j] = -b over GF(p), or None.
 
-    cols and b are rows of ``_alpha_powers``.  A basis keyed by leading
+    cols and b are rows of ``minimal_poly``: bits for p = 2 (ring None),
+    packed slots of ring for odd p.  A basis keyed by leading
     slot holds the reduced columns, each with the packed combination of
     unknowns that gives it (slot j for cols[j]).  A row update subtracts a
     multiple of a basis row and its combination: XOR for p = 2,
@@ -148,14 +151,19 @@ def minimal_poly(n_prime: int, field: Field, coset: tuple[int, ...]) -> Polynomi
     if not coset or {coset[0] * pow(q, i, n_prime) % n_prime
                      for i in range(d)} != set(coset) or len(set(coset)) != d:
         raise CoercionError(f"{coset} is not a {q}-cyclotomic coset mod {n_prime}")
-    powers, gamma, mul, ring = _alpha_powers(field, n_prime)
+    powers, gamma, ring = _alpha_powers(field, n_prime)
     beta = [powers[coset[0] * i % n_prime] for i in range(d + 1)]
+    if ring is None:  # ext = GF(p): d = 1
+        return Polynomial(field, [field.neg(beta[1]), 1])
     cols = []  # column i*m + s is gamma^s * beta^i, the unknown c_(i,s)
     for power in beta[:d]:
         cols.append(power)
         for _ in range(1, m):
-            cols.append(mul(gamma, cols[-1]))
-    digits = _solve(cols, beta[d], ring)
+            cols.append(ring.mul(gamma, cols[-1]))
+    b = beta[d]
+    if p == 2:  # bit rows, each unpacked from its byte slots once
+        cols, b, ring = [ring.unpack(c) for c in cols], ring.unpack(b), None
+    digits = _solve(cols, b, ring)
     if digits is None:
         raise CoercionError(f"alpha^{coset[0]} has no degree-{d} minimal polynomial "
                             f"over {field!r}")

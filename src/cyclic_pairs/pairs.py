@@ -98,9 +98,14 @@ class _DegreeSpectrum:
     vector of ell - t * d is that of ell with t fewer copies of f_i, and
     the witness of ell is f_i^t times the witness of ell - t * d.  The
     least t whose witness is kept is taken, else t = s and the same step
-    is made for ell - s * d; every witness met is kept.  Asked in
+    is made for ell - s * d, its scan resumed at factor i + 1, since that
+    rest is in reach[i + 1]; every witness met is kept.  Asked in
     ascending order, each ell is one product f_i * W(ell - d); asked cold,
     it is one power per factor taken.
+
+    A kept witness stores its link (rest, i, t), W(ell) = f_i^t * W(rest),
+    and not its vector: the vector of an ell asked is that of the first
+    asked ell down its links plus their copies, and is kept in turn.
     """
 
     def __init__(self, fac: Factorization):
@@ -114,28 +119,44 @@ class _DegreeSpectrum:
                 cur <<= self.degrees[i]
                 acc |= cur
             reach[i] = acc
-        self.witnesses = {0: ((0,) * nf, Polynomial.one(fac.field))}
+        self.witnesses = {0: Polynomial.one(fac.field)}
+        self.links: dict[int, tuple[int, int, int]] = {}  # ell -> (rest, i, t)
+        self.vectors = {0: (0,) * nf}  # for the ell asked
 
     def witness(self, ell: int) -> tuple[tuple[int, ...], Polynomial]:
         """The lex-least exponent vector of degree ell and its divisor; ell attainable."""
-        reach, degrees, witnesses, chain = self.reach, self.degrees, self.witnesses, []
+        reach, degrees, witnesses, chain, i = self.reach, self.degrees, self.witnesses, [], 0
+        asked = ell
         while ell not in witnesses:
-            i = 0
             while reach[i + 1] >> ell & 1:
                 i += 1
             d, rest = degrees[i], ell - degrees[i]
             # the least t <= s whose witness is kept, else s: the least t reach[i + 1] attains
             while rest not in witnesses and not reach[i + 1] >> rest & 1:
                 rest -= d
-            chain.append((ell, i, (ell - rest) // d))
-            ell = rest
-        vector, poly = witnesses[ell]
-        for ell, i, t in reversed(chain):
-            vector = vector[:i] + (vector[i] + t,) + vector[i + 1:]
+            chain.append((ell, rest, i))
+            ell, i = rest, i + 1
+        poly = witnesses[ell]
+        for ell, rest, i in reversed(chain):
+            t = (ell - rest) // degrees[i]
             f = self.fac.factors[i].poly
-            poly = (f ** t if t > 1 else f) * poly
-            witnesses[ell] = vector, poly
-        return vector, poly
+            poly = witnesses[ell] = (f ** t if t > 1 else f) * poly
+            self.links[ell] = rest, i, t
+        return self._vector(asked), witnesses[asked]
+
+    def _vector(self, ell: int) -> tuple[int, ...]:
+        vectors = self.vectors
+        vector = vectors.get(ell)
+        if vector is None:
+            rest, copies = ell, []
+            while rest not in vectors:
+                rest, i, t = self.links[rest]
+                copies.append((i, t))
+            vector = list(vectors[rest])
+            for i, t in copies:
+                vector[i] += t
+            vector = vectors[ell] = tuple(vector)
+        return vector
 
 
 # one slot: the spectrum of the latest factorization asked about, compared by identity

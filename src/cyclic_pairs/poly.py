@@ -8,8 +8,11 @@ output form, so this module has no gcd or lcm.
 
 Products take one lane per field, all giving the same coefficients:
 
-* prime fields, GF(2) among them: Python-int products summed per
-  coefficient, reduced mod p once at the end;
+* prime fields, GF(2) among them: Kronecker substitution (Harvey 2009),
+  as in the field layer: each operand is packed once into an int,
+  coefficient i in slot i of u bytes, the ints are multiplied, and the
+  product is unpacked once, its slots taken mod p by ``bytes.translate``
+  (u = 1) or over a ``memoryview.cast`` (``_kronecker``);
 * extension fields with log tables (``Field._small``; the lists are
   built by ``Field._logs`` on the first such product): each term is
   ``exp[log a + log b]``, XORed in for p = 2 and added by the Zech
@@ -17,13 +20,16 @@ Products take one lane per field, all giving the same coefficients:
 * larger extension fields: ``Field.mul`` and ``Field.add`` per term.
 
 Products are canonical by construction and skip the constructor's
-per-coefficient check.  Subtraction adds the negation, and ``divmod``
-negates each quotient coefficient once and then adds.
+per-coefficient check and trim: over a field the product of two nonzero
+leading coefficients is nonzero.  Subtraction adds the negation, and
+``divmod`` negates each quotient coefficient once and then adds.
 """
 
 from __future__ import annotations
 
 import re
+import sys
+from functools import lru_cache
 
 from cyclic_pairs.fields import Field, FieldMismatchError
 
@@ -50,6 +56,47 @@ def _trim(coeffs: list[int]) -> tuple[int, ...]:
     return tuple(coeffs[:n])
 
 
+# slot width in bytes -> memoryview format of one unsigned slot
+_SLOT_FORMAT = {2: "H", 4: "I", 8: "Q"}
+
+
+@lru_cache(maxsize=None)
+def _mod_table(p: int) -> bytes:
+    return bytes(v % p for v in range(256))  # for bytes.translate: each byte mod p
+
+
+def _pack(coeffs: tuple[int, ...], p: int, u: int) -> int:
+    """Coefficient i in bytes [u*i, u*(i+1)) of a little-endian int, u > 1."""
+    if p >= 256:  # a coefficient is more than one byte: packed one by one
+        return int.from_bytes(b"".join(c.to_bytes(u, "little") for c in coeffs), "little")
+    slots = bytearray(u * len(coeffs))
+    slots[::u] = bytes(coeffs)
+    return int.from_bytes(slots, "little")
+
+
+def _kronecker(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """The coefficients of a * b over GF(p), by one int product.
+
+    A product slot sums at most min(len a, len b) terms of at most
+    (p - 1)^2, so a slot of u bytes, the least u in 1, 2, 4, 8, ... with
+    that sum below 2^(8u), never carries.  For p < MAX_ORDER = 2^20,
+    8 bytes cover every min(len a, len b) < 2^24.
+    """
+    top, u = min(len(a), len(b)) * (p - 1) ** 2, 1
+    while top >> (8 * u):
+        u *= 2
+    n = len(a) + len(b) - 1
+    if u == 1:  # p <= 13: a coefficient is a byte
+        prod = int.from_bytes(bytes(a), "little") * int.from_bytes(bytes(b), "little")
+        return tuple(prod.to_bytes(n, "little").translate(_mod_table(p)))
+    raw = (_pack(a, p, u) * _pack(b, p, u)).to_bytes(u * n, "little")
+    if u in _SLOT_FORMAT and sys.byteorder == "little":
+        slots = memoryview(raw).cast(_SLOT_FORMAT[u])
+    else:  # no native format of this width: one slot at a time
+        slots = (int.from_bytes(raw[k:k + u], "little") for k in range(0, len(raw), u))
+    return tuple([c % p for c in slots])
+
+
 class Polynomial:
     __slots__ = ("field", "coeffs")
 
@@ -60,11 +107,12 @@ class Polynomial:
     # -- constructors ---------------------------------------------------------
 
     @classmethod
-    def _trimmed(cls, field: Field, coeffs: list[int]) -> "Polynomial":
-        """From coefficients already canonical in ``field``: trims, checks nothing."""
+    def _product(cls, field: Field, coeffs) -> "Polynomial":
+        """From a product's coefficients, canonical in ``field`` with a nonzero
+        leading one: checks and trims nothing."""
         poly = object.__new__(cls)
         poly.field = field
-        poly.coeffs = _trim(coeffs)
+        poly.coeffs = tuple(coeffs)
         return poly
 
     @classmethod
@@ -133,14 +181,9 @@ class Polynomial:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Polynomial.zero(f)
-        out = [0] * (len(a) + len(b) - 1)
         if f.m == 1:
-            for i, ca in enumerate(a):
-                if ca:
-                    for j, cb in enumerate(b):
-                        out[i + j] += ca * cb
-            p = f.p
-            return Polynomial._trimmed(f, [c % p for c in out])
+            return Polynomial._product(f, _kronecker(a, b, f.p))
+        out = [0] * (len(a) + len(b) - 1)
         if f._small:
             exp, log, zech = f._logs()
             b_logs = [(j, log[cb]) for j, cb in enumerate(b) if cb]
@@ -163,14 +206,14 @@ class Polynomial:
                                 out[k] = exp[lacc + zech[la + lb - lacc]]
                             else:
                                 out[k] = exp[la + lb]
-            return Polynomial._trimmed(f, out)
+            return Polynomial._product(f, out)
         for i, ca in enumerate(a):
             if ca == 0:
                 continue
             for j, cb in enumerate(b):
                 if cb:
                     out[i + j] = f.add(out[i + j], f.mul(ca, cb))
-        return Polynomial._trimmed(f, out)
+        return Polynomial._product(f, out)
 
     def __pow__(self, e: int) -> "Polynomial":
         if not isinstance(e, int) or e < 0:

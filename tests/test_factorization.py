@@ -92,6 +92,29 @@ def test_minimal_poly_matches_coset_product():
                 (n_prime, q, coset)
 
 
+@pytest.mark.parametrize("n_prime, q", [(7, 2), (21, 2), (63, 2), (127, 2), (255, 2),
+                                        (5, 4), (21, 4), (9, 8), (13, 8), (17, 16)])
+def test_binary_minimal_polys_make_no_extension_field_mul(n_prime, q, monkeypatch):
+    # the alpha powers and gamma multiples are multiplied on the slot ring of
+    # GF(2^(m t)), and each column is unpacked to its bit row once
+    f = field_from_order(q)
+    root_of_unity(f, n_prime)  # the embedding's own search may use Field.mul
+    factorization._alpha_powers.cache_clear()
+    mul, calls = fields.Field.mul, []
+
+    def counted(self, a, b):
+        if self.m > 1:
+            calls.append(self)
+        return mul(self, a, b)
+
+    monkeypatch.setattr(fields.Field, "mul", counted)
+    cosets = coset_partition(n_prime, q).cosets
+    got = [minimal_poly(n_prime, f, coset) for coset in cosets]
+    assert calls == []
+    monkeypatch.undo()
+    assert got == [naive_minimal_poly(n_prime, f, coset) for coset in cosets]
+
+
 def test_minimal_poly_refuses_a_non_coset():
     with pytest.raises(CoercionError):
         naive_minimal_poly(7, GF2, (1,))  # alpha is not in GF(2)

@@ -268,6 +268,39 @@ def test_cold_exists_makes_logarithmically_many_products(n, q, ells, monkeypatch
     assert w.witness == fact.factors[0].poly ** ells[-1]
 
 
+@pytest.mark.parametrize("n", [16, 24, 256])
+def test_cold_chains_over_gf65537_match_an_ascending_sweep(n):
+    # 65536 = 2^16: x^16 - 1 and x^256 - 1 split into linear factors, and x^24 - 1
+    # into 8 linear and 8 quadratic ones, so a cold witness is a chain of many
+    # one-copy steps, each stored as a link; the vectors of 16 and 24 factors
+    # are checked against every vector in lex order too
+    f = field_from_order(65537)
+    fact = factor_xn1(n, f)
+    pairs._latest[0] = None
+    ascending = [exists_ell(n, f, ell, fact) for ell in range(n + 1)]
+    first = None
+    if len(fact.factors) <= 16:
+        first = {}
+        for vector in product(*(range(e.multiplicity + 1) for e in fact.factors)):
+            first.setdefault(fact.degree(vector), vector)
+    for ell in range(n + 1) if n < 256 else (1, 129, 200, 255, 256):
+        pairs._latest[0] = None
+        w = exists_ell(n, f, ell, fact)
+        assert w == ascending[ell], (n, ell)
+        assert first is None or w.multiplicity_vector == first.get(ell), (n, ell)
+        if w.feasible:
+            assert w.witness == fact.divisor(w.multiplicity_vector), (n, ell)
+    spectrum = pairs._latest[0]
+    # a chain keeps a link per witness, and a vector for the ell asked only
+    assert set(spectrum.vectors) == {0, ell}
+    assert set(spectrum.links) == set(spectrum.witnesses) - {0}
+    rng = random.Random(n)
+    shuffled = list(range(n + 1))
+    rng.shuffle(shuffled)
+    for ell in shuffled:  # cold chains that end at kept witnesses
+        assert exists_ell(n, f, ell, fact) == ascending[ell], (n, ell)
+
+
 def test_exists_refuses_a_factorization_of_another_polynomial():
     # x^7 - 1 has no degree-2 divisor; x^15 - 1 has x^2 + x + 1
     with pytest.raises(ValueError, match="not of x\\^7 - 1 over GF\\(2\\)"):

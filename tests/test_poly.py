@@ -1,10 +1,15 @@
+import os
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclic_pairs.fields import field_from_order, make_field
+import cyclic_pairs
+from cyclic_pairs.fields import Field, field_from_order, make_field
 from cyclic_pairs.poly import Polynomial, PolyParseError, parse_poly, xn_minus_1
 from helpers import divides, naive_poly_mul, poly_gcd, poly_lcm
 
@@ -92,6 +97,9 @@ def test_degree_sentinel():
 # every multiply lane: GF(2), prime fields, log tables in characteristic 2 and
 # odd, and the fields above the table limit (bit-packed 2^13, vector 3^9)
 MUL_ORDERS = [2, 3, 4, 5, 7, 8, 9, 16, 27, 2 ** 13, 3 ** 9]
+# prime fields whose Kronecker slots are 4 or 8 bytes from the first product on,
+# packed through bytes (251) or coefficient by coefficient (the others)
+WIDE_PRIMES = [251, 257, 65537, 1048573]
 
 
 @st.composite
@@ -105,7 +113,7 @@ def sparse_poly_over(draw, q, max_len=12):
 
 
 @settings(max_examples=150)
-@given(st.sampled_from(MUL_ORDERS), st.data())
+@given(st.sampled_from(MUL_ORDERS + WIDE_PRIMES), st.data())
 def test_mul_matches_naive_double_loop(q, data):
     a = data.draw(sparse_poly_over(q))
     b = data.draw(sparse_poly_over(q))
@@ -113,7 +121,7 @@ def test_mul_matches_naive_double_loop(q, data):
     assert b * a == naive_poly_mul(b, a)
 
 
-@pytest.mark.parametrize("q", MUL_ORDERS)
+@pytest.mark.parametrize("q", MUL_ORDERS + WIDE_PRIMES)
 def test_mul_of_constants_and_interior_zeros(q):
     f = field_from_order(q)
     c, d = q - 1, q // 2 or 1
@@ -125,6 +133,61 @@ def test_mul_of_constants_and_interior_zeros(q):
     # (x + c)(x - c): the two x terms cancel, which the Zech lane marks by a log past 2(q - 1)
     prod = Polynomial(f, [c, 1]) * Polynomial(f, [f.neg(c), 1])
     assert prod == Polynomial(f, [f.neg(f.mul(c, c)), 0, 1])
+
+
+# (p, e): a prime-field product slot sums up to min(len a, len b) * (p - 1)^2,
+# which crosses 2^e, and with it the Kronecker slot width, between the two
+# lengths the test takes; 2^32 + 15, past MAX_ORDER, needs 16-byte slots
+SLOT_EDGES = [(2, 8), (3, 8), (5, 8), (17, 8), (17, 16), (251, 16), (257, 16),
+              (4099, 32), (65537, 32), (2 ** 32 + 15, 64)]
+
+
+@pytest.mark.parametrize("p, e", SLOT_EDGES)
+def test_mul_of_full_operands_at_each_slot_width_edge(p, e):
+    # all coefficients p - 1, so the middle slots reach their largest sum
+    f = make_field(p)
+    shortest = -(-(1 << e) // (p - 1) ** 2)  # the least min(len a, len b) at or past 2^e
+    for length in (shortest - 1, shortest):
+        if length < 1:
+            continue
+        assert (length >= shortest) == (length * (p - 1) ** 2 >= 1 << e)
+        a = Polynomial(f, [p - 1] * length)
+        for b in (a, Polynomial(f, [p - 1] * (length + 3))):
+            assert a * b == naive_poly_mul(a, b) == b * a, (p, length, len(b.coeffs))
+
+
+def test_prime_field_products_make_no_field_mul_call(monkeypatch):
+    def refuse(self, a, b):
+        raise AssertionError(f"Field.mul called over {self!r}")
+
+    monkeypatch.setattr(Field, "mul", refuse)
+    for q in [2, 3, 5, 17] + WIDE_PRIMES:
+        f = field_from_order(q)
+        a = Polynomial(f, [q - 1, 0, 1] * 40)
+        b = Polynomial(f, [1, q - 1, 0, 0, q // 2 or 1])
+        for x, y in [(a, b), (a, a), (b, Polynomial.one(f)), (a, Polynomial.zero(f))]:
+            x * y
+        b ** 5
+
+
+def test_a_product_imports_no_module():
+    # a fresh interpreter: numpy's import already brings _struct, so what a product
+    # can add, array or anything else, shows as a change of sys.modules
+    code = ("import sys, cyclic_pairs\n"
+            "from cyclic_pairs import Polynomial, field_from_order\n"
+            "loaded = set(sys.modules)\n"
+            "for q in (2, 3, 65537):\n"
+            "    f = field_from_order(q)\n"
+            "    a = Polynomial(f, [1, 0, q - 1] * 30)\n"
+            "    a * a\n"
+            "print(sorted(set(sys.modules) - loaded), 'array' in sys.modules)\n")
+    env = dict(os.environ)
+    package_root = str(Path(cyclic_pairs.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["[]", "False"]
 
 
 @settings(max_examples=100)
