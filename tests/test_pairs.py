@@ -162,9 +162,11 @@ def test_exists_matches_brute_force():
 
 
 # repeated-root lengths with several copies of several factors: x^12 - 1 over
-# GF(4) is (x^3 - 1)^4, three linear factors four times each
+# GF(4) is (x^3 - 1)^4, three linear factors four times each; over GF(65537)
+# x^16 - 1 splits into 16 linear factors and x^24 - 1 into 8 linear and 8
+# quadratic ones, so a witness asked cold is a chain of many one-copy steps
 LEX_LEAST_CASES = (BRUTE_FORCE_CASES + [(n, 4) for n in range(1, 13)]
-                   + [(n, 5) for n in range(1, 11)])
+                   + [(n, 5) for n in range(1, 11)] + [(16, 65537), (24, 65537)])
 
 
 def test_exists_witness_is_the_lex_least_vector_by_brute_force():
@@ -270,24 +272,16 @@ def test_cold_exists_makes_logarithmically_many_products(n, q, ells, monkeypatch
 
 @pytest.mark.parametrize("n", [16, 24, 256])
 def test_cold_chains_over_gf65537_match_an_ascending_sweep(n):
-    # 65536 = 2^16: x^16 - 1 and x^256 - 1 split into linear factors, and x^24 - 1
-    # into 8 linear and 8 quadratic ones, so a cold witness is a chain of many
-    # one-copy steps, each stored as a link; the vectors of 16 and 24 factors
-    # are checked against every vector in lex order too
+    # every ell asked from a fresh spectrum, each witness of its chain stored as
+    # a link; x^256 - 1 splits into 256 linear factors
     f = field_from_order(65537)
     fact = factor_xn1(n, f)
     pairs._latest[0] = None
     ascending = [exists_ell(n, f, ell, fact) for ell in range(n + 1)]
-    first = None
-    if len(fact.factors) <= 16:
-        first = {}
-        for vector in product(*(range(e.multiplicity + 1) for e in fact.factors)):
-            first.setdefault(fact.degree(vector), vector)
     for ell in range(n + 1) if n < 256 else (1, 129, 200, 255, 256):
         pairs._latest[0] = None
         w = exists_ell(n, f, ell, fact)
         assert w == ascending[ell], (n, ell)
-        assert first is None or w.multiplicity_vector == first.get(ell), (n, ell)
         if w.feasible:
             assert w.witness == fact.divisor(w.multiplicity_vector), (n, ell)
     spectrum = pairs._latest[0]

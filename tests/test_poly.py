@@ -97,8 +97,8 @@ def test_degree_sentinel():
 # every multiply lane: GF(2), prime fields, log tables in characteristic 2 and
 # odd, and the fields above the table limit (bit-packed 2^13, vector 3^9)
 MUL_ORDERS = [2, 3, 4, 5, 7, 8, 9, 16, 27, 2 ** 13, 3 ** 9]
-# prime fields whose Kronecker slots are 4 or 8 bytes from the first product on,
-# packed through bytes (251) or coefficient by coefficient (the others)
+# prime fields whose Kronecker slots are 2 to 8 bytes wide from the shortest
+# operands on, packed through bytes (251) or one coefficient at a time (the others)
 WIDE_PRIMES = [251, 257, 65537, 1048573]
 
 
