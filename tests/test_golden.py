@@ -46,7 +46,9 @@ CASES = {
     "factor_n59_q8": "--q 8 factor --n 59 --json",
     "factor_n63_q4": "--q 4 factor --n 63 --json",
     "factor_n202_q3": "--q 3 factor --n 202 --json",
+    "factor_n404_q3": "--q 3 factor --n 404 --json",
     "factor_n509_q2": "factor --n 509 --json",
+    "factor_n1009_q2": "factor --n 1009 --json",
     "factor_n5_q4099": "--q 4099 factor --n 5 --json",
     "factor_n7_q1021": "--q 1021 factor --n 7 --json",
     "factor_n256_q257": "--q 257 factor --n 256 --json",
