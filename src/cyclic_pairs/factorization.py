@@ -2,13 +2,19 @@
 
 x^n - 1 = (x^{n'} - 1)^{p^nu} with n = p^nu * n', so a length with nu >= 1
 reuses the cached factors of x^{n'} - 1, each with multiplicity p^nu.
-Each q-cyclotomic coset of Z_{n'} yields one irreducible factor as the
-minimal polynomial of alpha^rep for a primitive n'-th root of unity alpha
-living in a deterministic extension field GF(p^(m*t)), t = ord_n'(q).
-alpha, and the generator of the copy of GF(q) in which the image gamma of
-GF(q)'s own generator is sought, both come from ``Field.element_of_order``.
-Lengths above ``MAX_LENGTH`` and degrees m*t above ``MAX_EXTENSION_DEGREE``
-are refused up front.
+Each q-cyclotomic coset of Z_{n'} yields one irreducible factor, the
+minimal polynomial of alpha^rep for a primitive n'-th root of unity alpha.
+A full coset, every residue of additive order d (|coset| = phi(d), that
+is ord_d(q) = phi(d)), has the cyclotomic polynomial Phi_d reduced mod p
+as its factor (Lidl & Niederreiter, Finite Fields, Thm 2.47), computed
+over Z with no root of unity; coset {0} is full, with Phi_1 = x - 1.
+Every other coset is solved by ``minimal_poly`` in a deterministic
+extension field GF(p^(m*t)), t = ord_n'(q), so a length whose cosets are
+all full builds no extension field.  alpha, and the generator of the copy
+of GF(q) in which the image gamma of GF(q)'s own generator is sought, both
+come from ``Field.element_of_order``.  Lengths above ``MAX_LENGTH`` and
+degrees m*t above ``MAX_EXTENSION_DEGREE`` are refused up front, whether
+or not a coset needs the extension.
 
 A minimal polynomial is the first GF(q)-linear dependency among the
 powers of beta = alpha^rep, found by one linear solve over GF(p) on a
@@ -29,9 +35,10 @@ from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from math import gcd, prod
 
-from cyclic_pairs.cyclotomic import additive_order, coset_partition, mult_order
-from cyclic_pairs.fields import (MAX_EXTENSION_DEGREE, Field,
-                                 FieldMismatchError, _SlotRing, make_field)
+from cyclic_pairs.cyclotomic import (additive_order, coset_partition, euler_phi,
+                                     mult_order)
+from cyclic_pairs.fields import (MAX_EXTENSION_DEGREE, Field, FieldMismatchError,
+                                 _prime_divisors, _SlotRing, make_field)
 from cyclic_pairs.poly import MAX_LENGTH, Polynomial
 
 
@@ -50,15 +57,28 @@ def _subfield_root(base: Field, ext: Field) -> int:
     w = ext.element_of_order(q - 1); the least power index wins, making
     the embedding reproducible.
     """
-    w = ext.element_of_order(base.q - 1)
-    # prime-field constants encode identically in ext
-    modulus = Polynomial(ext, base.modulus)
-    u = 1
+    ring = ext._ring  # Horner on packed ints, with no Field.mul
+    # prime-field constants encode identically in ext and pack as themselves
+    top, *rest = reversed(base.modulus)
+    w, u = ring.pack(ext.element_of_order(base.q - 1)), 1  # 1 packs as itself
     for _ in range(base.q - 1):
-        if not modulus.evaluate(u):
-            return u
-        u = ext.mul(u, w)
+        acc = top
+        for c in rest:
+            acc = ring.reduce(ring.mul(acc, u) + c)
+        if not acc:
+            return ring.unpack(u)
+        u = ring.mul(u, w)
     raise RuntimeError("base modulus has no root in the extension")
+
+
+def _extension_degree(field: Field, n_prime: int) -> int:
+    """t = ord_n'(q), after refusing with ValueError a degree m*t of the
+    root-of-unity extension above MAX_EXTENSION_DEGREE."""
+    t = mult_order(field.q, n_prime)
+    if field.m * t > MAX_EXTENSION_DEGREE:
+        raise ValueError(f"a root of unity of order {n_prime} over {field!r} needs "
+                         f"GF({field.p}^{field.m * t}), past degree {MAX_EXTENSION_DEGREE}")
+    return t
 
 
 @lru_cache(maxsize=None)
@@ -72,10 +92,7 @@ def root_of_unity(field: Field, n_prime: int) -> tuple[Field, int, int]:
     as themselves and gamma is 0.  alpha is ext.element_of_order(n'), so
     the factor labelling is implementation-independent.
     """
-    t = mult_order(field.q, n_prime)
-    if field.m * t > MAX_EXTENSION_DEGREE:
-        raise ValueError(f"a root of unity of order {n_prime} over {field!r} needs "
-                         f"GF({field.p}^{field.m * t}), past degree {MAX_EXTENSION_DEGREE}")
+    t = _extension_degree(field, n_prime)
     if t == 1:
         ext, gamma = field, field.p if field.m > 1 else 0
     else:
@@ -363,19 +380,54 @@ def split_length(n: int, field: Field) -> tuple[int, int]:
     return nu, n_prime
 
 
+def _cyclotomic_coeffs(d: int) -> list[int]:
+    """Phi_d over Z, ascending: prod over e | d of (x^e - 1)^mu(d/e).
+
+    Every factor with mu = 1 is multiplied in first; then each one with
+    mu = -1 is divided out exactly, quotient q_i = q_(i-e) - c_i.
+    """
+    ups, downs = [d], []  # e with mu(d/e) = 1 and -1
+    for r in _prime_divisors(d):
+        ups, downs = ups + [e // r for e in downs], downs + [e // r for e in ups]
+    c = [1]
+    for e in ups:
+        shifted = [0] * e + c
+        for i, v in enumerate(c):
+            shifted[i] -= v
+        c = shifted
+    for e in downs:
+        quo: list[int] = []
+        for i in range(len(c) - e):
+            quo.append((quo[i - e] if i >= e else 0) - c[i])
+        c = quo
+    return c
+
+
+def _coset_factor(n_prime: int, field: Field, coset: tuple[int, ...]) -> Polynomial:
+    """The irreducible factor of x^n' - 1 whose roots are alpha^j, j in the coset:
+    Phi_d mod p for a full coset of additive order d, else ``minimal_poly``."""
+    d = additive_order(coset[0], n_prime)
+    if len(coset) == euler_phi(d):
+        return Polynomial(field, [c % field.p for c in _cyclotomic_coeffs(d)])
+    return minimal_poly(n_prime, field, coset)
+
+
 @lru_cache(maxsize=None)
 def factor_xn1(n: int, field: Field) -> Factorization:
     """All irreducible factors of x^n - 1 over the field, with multiplicity p^nu.
 
     For nu >= 1 they are the factors of the cached x^n' - 1, each raised
-    to multiplicity p^nu.
+    to multiplicity p^nu.  A degree of the root-of-unity extension past
+    MAX_EXTENSION_DEGREE is refused before any coset is factored, even when
+    every coset is full and no extension would be built.
     """
     nu, n_prime = split_length(n, field)
     if nu:
         base = factor_xn1(n_prime, field).factors
         entries = [replace(e, multiplicity=field.p ** nu) for e in base]
     else:
-        entries = sorted((FactorEntry(minimal_poly(n, field, coset), 1, coset[0],
+        _extension_degree(field, n)
+        entries = sorted((FactorEntry(_coset_factor(n, field, coset), 1, coset[0],
                                       additive_order(coset[0], n))
                           for coset in coset_partition(n, field.q).cosets),
                          key=lambda e: (e.order, e.coset_rep))

@@ -143,9 +143,12 @@ def test_lengths_past_the_bound_are_refused(argv, capsys, monkeypatch):
 
 @pytest.mark.parametrize("argv", [["--q", "5", "factor", "--n", "3079"],
                                   ["code", "--n", "1031", "--g", "1"],
-                                  ["pair", "--n", "1031", "--g1", "1", "--g2", "1"]])
+                                  ["pair", "--n", "1031", "--g1", "1", "--g2", "1"],
+                                  ["factor", "--n", "523"]])
 def test_extension_degree_past_the_bound_is_refused(argv, capsys, monkeypatch):
-    # ord_3079(5) = 513 and ord_1031(2) = 515: one past degree 512 is not built
+    # ord_3079(5) = 513 and ord_1031(2) = 515: one past degree 512 is not built.
+    # ord_523(2) = 522 = phi(523): every coset is full and would need no
+    # extension, but the length is refused all the same
     monkeypatch.setattr(factorization, "make_field",
                         lambda *args, **kwargs: pytest.fail("a field was built"))
     code, out, err = run(argv, capsys)

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclic_pairs import factorization, fields
-from cyclic_pairs.cyclotomic import coset_count, coset_partition
+from cyclic_pairs.cyclotomic import (coset_count, coset_of, coset_partition, euler_phi,
+                                     mult_order)
 from cyclic_pairs.factorization import (CoercionError, factor_xn1,
                                         minimal_poly, root_of_unity,
                                         split_length)
@@ -98,7 +99,7 @@ def test_binary_minimal_polys_make_no_extension_field_mul(n_prime, q, monkeypatc
     # the alpha powers and gamma multiples are multiplied on the slot ring of
     # GF(2^(m t)), and each column is unpacked to its bit row once
     f = field_from_order(q)
-    root_of_unity(f, n_prime)  # the embedding's own search may use Field.mul
+    root_of_unity(f, n_prime)  # the embedding has its own test below
     factorization._alpha_powers.cache_clear()
     mul, calls = fields.Field.mul, []
 
@@ -432,6 +433,94 @@ def test_root_of_unity_refuses_an_extension_degree_past_the_bound(monkeypatch):
     for q, n_prime in [(5, 3079), (2, 1031), (4, 1031)]:
         with pytest.raises(ValueError, match="past degree 512"):
             root_of_unity(field_from_order(q), n_prime)
+
+
+def test_a_degree_past_the_bound_is_refused_when_every_coset_is_full(monkeypatch):
+    # ord_523(2) = 522 = phi(523): no coset needs GF(2^522), but the length is
+    # refused as before, with root_of_unity's message; so is 1046 = 2 * 523
+    for attr in ("make_field", "minimal_poly"):
+        monkeypatch.setattr(factorization, attr,
+                            lambda *args, **kwargs: pytest.fail("a coset was solved"))
+    for n in (523, 1046):
+        with pytest.raises(ValueError, match=r"needs GF\(2\^522\), past degree 512"):
+            factor_xn1(n, GF2)
+
+
+@pytest.mark.parametrize("n, q, ext_degree", [(509, 2, 508), (37, 5, 36), (59, 8, 174),
+                                               (53, 5, 52)])
+def test_lengths_with_only_full_cosets_build_no_extension_field(n, q, ext_degree,
+                                                                monkeypatch):
+    # every coset is full, so each factor is Phi_d mod p and GF(p^ext_degree)
+    # is neither built nor asked for; __wrapped__ skips the factorization cache
+    f = field_from_order(q)
+    assert f.m * mult_order(q, n) == ext_degree
+    for attr in ("make_field", "root_of_unity", "minimal_poly"):
+        monkeypatch.setattr(factorization, attr,
+                            lambda *args, **kwargs: pytest.fail("an extension was asked for"))
+    fact = factor_xn1.__wrapped__(n, f)
+    assert fact.product() == xn_minus_1(f, n)
+    monkeypatch.undo()
+    assert fact.factors == factor_xn1(n, f).factors
+
+
+@pytest.mark.parametrize("q, n_prime", [(4, 7), (8, 3), (9, 5), (16, 7)])
+def test_subfield_root_makes_no_extension_field_mul(q, n_prime, monkeypatch):
+    # the base modulus is evaluated by Horner on the extension's packed ints
+    f = field_from_order(q)
+    expected = root_of_unity(f, n_prime)
+    assert expected[0].m > f.m
+    mul, calls = fields.Field.mul, []
+
+    def counted(self, a, b):
+        if self is not f:
+            calls.append(self)
+        return mul(self, a, b)
+
+    monkeypatch.setattr(fields.Field, "mul", counted)
+    assert root_of_unity.__wrapped__(f, n_prime) == expected  # cold, past the cache
+    assert calls == []
+
+
+def _int_poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        if u:
+            for j, v in enumerate(b):
+                out[i + j] += u * v
+    return out
+
+
+def test_cyclotomic_coeffs_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    for d in range(1, 501):
+        expected = sympy.Poly(sympy.cyclotomic_poly(d, x), x).all_coeffs()[::-1]
+        assert factorization._cyclotomic_coeffs(d) == expected, d
+
+
+def test_cyclotomic_coeffs_multiply_to_xn_minus_1():
+    for n in range(1, 301):
+        acc = [1]
+        for d in range(1, n + 1):
+            if n % d == 0:
+                acc = _int_poly_mul(acc, factorization._cyclotomic_coeffs(d))
+        assert acc == [-1] + [0] * (n - 1) + [1], n
+
+
+@pytest.mark.parametrize("ns, q", [(range(1, 65), q) for q in (2, 3, 4, 5, 8, 9)]
+                         + [((509,), 2), ((202,), 3)])
+def test_full_cosets_give_the_minimal_polynomial(ns, q):
+    # Phi_d mod p for a full coset is the linear solve's answer in the extension
+    f, seen = field_from_order(q), 0
+    for n in ns:
+        if n % f.p == 0:
+            continue  # the factors of n' < n
+        for entry in factor_xn1(n, f).factors:
+            coset = coset_of(n, q, entry.coset_rep)
+            if len(coset) == euler_phi(entry.order):
+                assert entry.poly == minimal_poly(n, f, coset), (n, q, coset)
+                seen += 1
+    assert seen
 
 
 # simple roots over GF(2) (n = 15, 21, 31) and GF(4) (15), repeated roots over GF(2),

@@ -2,8 +2,11 @@
 
 The goldens cover ``search`` (CSV and JSON, binary with simple roots,
 repeated roots, nonbinary fields, a cap that skips pairs), ``factor
---json`` (extension fields up to GF(2^508) and GF(3^100), and GF(257)
-itself, where every factor is linear), ``exists --json`` (infeasible
+--json`` (extension fields up to GF(2^504) and GF(3^100), at n = 1009
+over GF(2) and n = 404 over GF(3); n = 509 over GF(2) and n = 202 over
+GF(3), whose cosets are all full and whose factors are cyclotomic
+polynomials mod p; and GF(257) itself, where every factor is linear),
+``exists --json`` (infeasible
 and repeated-root cases, among them the cold single-factor queries at
 n = 4096 over GF(2) and n = 2187 over GF(3), and n = 512 over GF(65537),
 where every factor is linear), and, over GF(2), GF(3)
