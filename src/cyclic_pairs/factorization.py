@@ -35,8 +35,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from math import gcd, prod
 
-from cyclic_pairs.cyclotomic import (additive_order, coset_partition, euler_phi,
-                                     mult_order)
+from cyclic_pairs.cyclotomic import coset_partition, mult_order
 from cyclic_pairs.fields import (MAX_EXTENSION_DEGREE, Field, FieldMismatchError,
                                  _prime_divisors, _SlotRing, make_field)
 from cyclic_pairs.poly import MAX_LENGTH, Polynomial
@@ -403,15 +402,6 @@ def _cyclotomic_coeffs(d: int) -> list[int]:
     return c
 
 
-def _coset_factor(n_prime: int, field: Field, coset: tuple[int, ...]) -> Polynomial:
-    """The irreducible factor of x^n' - 1 whose roots are alpha^j, j in the coset:
-    Phi_d mod p for a full coset of additive order d, else ``minimal_poly``."""
-    d = additive_order(coset[0], n_prime)
-    if len(coset) == euler_phi(d):
-        return Polynomial(field, [c % field.p for c in _cyclotomic_coeffs(d)])
-    return minimal_poly(n_prime, field, coset)
-
-
 @lru_cache(maxsize=None)
 def factor_xn1(n: int, field: Field) -> Factorization:
     """All irreducible factors of x^n - 1 over the field, with multiplicity p^nu.
@@ -427,8 +417,12 @@ def factor_xn1(n: int, field: Field) -> Factorization:
         entries = [replace(e, multiplicity=field.p ** nu) for e in base]
     else:
         _extension_degree(field, n)
-        entries = sorted((FactorEntry(_coset_factor(n, field, coset), 1, coset[0],
-                                      additive_order(coset[0], n))
-                          for coset in coset_partition(n, field.q).cosets),
-                         key=lambda e: (e.order, e.coset_rep))
+        entries = []  # by order d, then by coset representative
+        for d, cosets in coset_partition(n, field.q).by_order.items():
+            for coset in cosets:
+                # phi(d) residues have additive order d, so a coset holds them
+                # all (is full) exactly when it is the only coset of order d
+                poly = (Polynomial(field, [c % field.p for c in _cyclotomic_coeffs(d)])
+                        if len(cosets) == 1 else minimal_poly(n, field, coset))
+                entries.append(FactorEntry(poly, 1, coset[0], d))
     return Factorization(n, field, nu, n_prime, tuple(entries))
