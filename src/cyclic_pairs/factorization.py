@@ -12,9 +12,9 @@ Every other coset is solved by ``minimal_poly`` in a deterministic
 extension field GF(p^(m*t)), t = ord_n'(q), so a length whose cosets are
 all full builds no extension field.  alpha, and the generator of the copy
 of GF(q) in which the image gamma of GF(q)'s own generator is sought, both
-come from ``Field.element_of_order``.  Lengths above ``MAX_LENGTH`` and
-degrees m*t above ``MAX_EXTENSION_DEGREE`` are refused up front, whether
-or not a coset needs the extension.
+come from ``Field.element_of_order``.  Lengths above ``MAX_LENGTH`` are
+refused up front, and a degree m*t above ``MAX_EXTENSION_DEGREE`` only
+when a coset needs the extension.
 
 A minimal polynomial is the first GF(q)-linear dependency among the
 powers of beta = alpha^rep, found by one linear solve over GF(p) on a
@@ -70,16 +70,6 @@ def _subfield_root(base: Field, ext: Field) -> int:
     raise RuntimeError("base modulus has no root in the extension")
 
 
-def _extension_degree(field: Field, n_prime: int) -> int:
-    """t = ord_n'(q), after refusing with ValueError a degree m*t of the
-    root-of-unity extension above MAX_EXTENSION_DEGREE."""
-    t = mult_order(field.q, n_prime)
-    if field.m * t > MAX_EXTENSION_DEGREE:
-        raise ValueError(f"a root of unity of order {n_prime} over {field!r} needs "
-                         f"GF({field.p}^{field.m * t}), past degree {MAX_EXTENSION_DEGREE}")
-    return t
-
-
 @lru_cache(maxsize=None)
 def root_of_unity(field: Field, n_prime: int) -> tuple[Field, int, int]:
     """(ext, gamma, alpha) with alpha of multiplicative order n' in ext.
@@ -91,7 +81,10 @@ def root_of_unity(field: Field, n_prime: int) -> tuple[Field, int, int]:
     as themselves and gamma is 0.  alpha is ext.element_of_order(n'), so
     the factor labelling is implementation-independent.
     """
-    t = _extension_degree(field, n_prime)
+    t = mult_order(field.q, n_prime)
+    if field.m * t > MAX_EXTENSION_DEGREE:
+        raise ValueError(f"a root of unity of order {n_prime} over {field!r} needs "
+                         f"GF({field.p}^{field.m * t}), past degree {MAX_EXTENSION_DEGREE}")
     if t == 1:
         ext, gamma = field, field.p if field.m > 1 else 0
     else:
@@ -408,15 +401,15 @@ def factor_xn1(n: int, field: Field) -> Factorization:
 
     For nu >= 1 they are the factors of the cached x^n' - 1, each raised
     to multiplicity p^nu.  A degree of the root-of-unity extension past
-    MAX_EXTENSION_DEGREE is refused before any coset is factored, even when
-    every coset is full and no extension would be built.
+    MAX_EXTENSION_DEGREE is refused by ``root_of_unity`` when the first
+    coset that is not full needs it; a length whose cosets are all full
+    builds no extension and is answered whatever that degree.
     """
     nu, n_prime = split_length(n, field)
     if nu:
         base = factor_xn1(n_prime, field).factors
         entries = [replace(e, multiplicity=field.p ** nu) for e in base]
     else:
-        _extension_degree(field, n)
         entries = []  # by order d, then by coset representative
         for d, cosets in coset_partition(n, field.q).by_order.items():
             for coset in cosets:

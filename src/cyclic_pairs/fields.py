@@ -49,17 +49,17 @@ block, so it is skipped and the block runs.  Lex order varies only the top
 coefficients, so the test runs mod whichever of f and its monic reciprocal
 x^m f(1/x) / f(0) has the shorter tail, where mu is closed-form (``_SlotRing``).
 
-Extension fields with at most ``_TABLE_LIMIT`` elements also have
-log/antilog lists over a primitive element, and in odd characteristic a
-Zech logarithm list (Lidl & Niederreiter, *Finite Fields*, §10.1), built
-once by ``Field._logs`` when first read.  ``Field`` arithmetic reads none
-of them: their two readers are the inline product lane of
-``poly.Polynomial.__mul__`` and the lookup tables of ``Field.tables``, so
-a field that neither uses builds none.  The minimal polynomials of
-``factorization`` are solved on the packed rows of a slot ring, and its
-roots of unity come from ``element_of_order``, the one search for an
-element of given order.  Only the lookup tables of ``Field.tables`` use
-numpy.
+Fields with at most ``_TABLE_LIMIT`` elements also have log/antilog
+lists over a primitive element, and in odd characteristic a Zech
+logarithm list (Lidl & Niederreiter, *Finite Fields*, §10.1), built once
+by ``Field._logs`` when first read.  ``Field`` arithmetic reads none of
+them: their two readers are the inline product lane of
+``poly.Polynomial.__mul__`` (extension fields only) and the lookup
+tables of ``Field.tables``, so a field that neither uses builds none.
+The minimal polynomials of ``factorization`` are solved on the packed
+rows of a slot ring, and its roots of unity come from
+``element_of_order``, the one search for an element of given order.
+Only the lookup tables of ``Field.tables`` use numpy.
 """
 
 from __future__ import annotations
@@ -360,24 +360,28 @@ class Field:
         return v
 
     def _logs(self) -> tuple[list[int], list[int], list[int] | None]:
-        """(exp, log, zech), the lookup lists of a small field, built on first call.
+        """(exp, log, zech), the lookup lists of a field of order at most
+        ``_TABLE_LIMIT``, built on first call.
 
         With g the least primitive element and n = q - 1: ``exp[i]`` is
         g^(i mod n) for i < 2n and 0 beyond, ``log[g^i] = i``; for odd p
         ``zech[k]`` is log(1 + g^k), or 2n when 1 + g^k = 0, repeated
         twice so that differences of logs index it directly, and for
         p = 2 zech is None.  g is ``element_of_order(n)`` and its powers
-        are one multiply chain on the slot ring.
+        are one multiply chain on the slot ring, or on ints mod p for a
+        prime field, whose lists only ``tables`` reads.
         """
         if self._lists is not None:
             return self._lists
         p, q, ring = self.p, self.q, self._ring
+        pack, mul, unpack = ((int, self.mul, int) if ring is None
+                             else (ring.pack, ring.mul, ring.unpack))
         n = q - 1
-        g = ring.pack(self.element_of_order(n))
+        g = pack(self.element_of_order(n))
         exp, power = [], 1  # packed 1 is 1
         for _ in range(n):
-            exp.append(ring.unpack(power))
-            power = ring.mul(power, g)
+            exp.append(unpack(power))
+            power = mul(power, g)
         log = [0] * q
         for i, v in enumerate(exp):
             log[v] = i
@@ -446,30 +450,33 @@ class Field:
     # -- lookup tables for vectorized codeword enumeration -------------------
 
     def tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """(add, mul) q-by-q lookup tables, uint8 (q <= 256) or uint16; small fields only."""
+        """(add, mul) q-by-q lookup tables, uint8 (q <= 256) or uint16; small fields only.
+
+        Both are built in uint16, with no q-by-q intermediate of a wider
+        dtype: the product is exp[log a + log b] over ``_logs``, its row
+        and column 0 zeroed.
+        """
         if self.q > _TABLE_LIMIT:
             raise ValueError(f"lookup tables limited to order {_TABLE_LIMIT}")
         if self._add_table is None:
             p, q = self.p, self.q
-            v = np.arange(q, dtype=np.int64)
-            if self.m == 1:
-                add = np.add.outer(v, v) % p
-                mul = np.multiply.outer(v, v) % p
+            v = np.arange(q, dtype=np.uint16)  # a sum of two digits fits
+            if p == 2:
+                add = np.bitwise_xor.outer(v, v)
             else:
-                if p == 2:
-                    add = np.bitwise_xor.outer(v, v)
-                else:
-                    add = np.zeros((q, q), dtype=np.int64)
-                    for i in range(self.m):
-                        digit = v // p ** i % p
-                        add += np.add.outer(digit, digit) % p * p ** i
-                exp, log, _ = self._logs()
-                log = np.array(log)
-                mul = np.array(exp)[np.add.outer(log, log)]
-                mul[0, :] = 0
-                mul[:, 0] = 0
+                add = np.zeros((q, q), dtype=np.uint16)
+                for i in range(self.m):
+                    digit = v // p ** i % p
+                    add += np.add.outer(digit, digit) % p * p ** i
+            exp, log, _ = self._logs()
+            # exp[i + j] for every pair of logs, read through a Hankel view of exp
+            hankel = np.lib.stride_tricks.sliding_window_view(np.array(exp, np.uint16), q)
+            mul = hankel[np.ix_(log, log)]
+            mul[0, :] = 0
+            mul[:, 0] = 0
             dtype = np.uint8 if q <= 256 else np.uint16
-            self._add_table, self._mul_table = add.astype(dtype), mul.astype(dtype)
+            self._add_table, self._mul_table = (add.astype(dtype, copy=False),
+                                                mul.astype(dtype, copy=False))
         return self._add_table, self._mul_table
 
     # -- text form ------------------------------------------------------------

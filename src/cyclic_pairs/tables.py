@@ -209,13 +209,12 @@ def search_pairs(n: int, f: Field, ell: int, min_d1: int = 1, min_d2: int = 1,
     (-(d1 + d2), -d1 * d2, g1's coefficients, g2's coefficients); once it
     is full, the walk stops before a key below the last pair's d1 + d2: a
     pair with an unwalked code sums to at most its key, so it cannot enter
-    the list, ties included, and the list is the answer.  The walk takes
-    its partner rows a chunk of walk positions at a time, each row against
-    every code up to the chunk's end, so the code at position t reads its
-    partners among the walked codes from columns 0..t; chunks grow with
-    the walk, O(log W) of them for W walked codes, but hold at most
-    ``_LCM_BLOCK`` entries (or one row).  A census of 0 means no divisor
-    has degree ell, and the result is infeasible.
+    the list, ties included, and the list is the answer.  The partners of
+    every pair of enumerable codes are one boolean table, filled by the
+    lcm pass that sets the keys, ``_LCM_BLOCK`` lcm degrees at a time; the
+    walked code at position t reads its partners among the walked codes
+    from its row at the walk order's first t + 1 columns.  A census of 0
+    means no divisor has degree ell, and the result is infeasible.
     ValueError when x^n - 1 has more than MAX_SEARCH_DIVISORS divisors,
     or when ell is outside 0..n.
     """
@@ -245,31 +244,27 @@ def search_pairs(n: int, f: Field, ell: int, min_d1: int = 1, min_d2: int = 1,
     enum = np.flatnonzero((k >= 1) & (k <= k_max))
     vectors, scaled = [tuple(v) for v in V[enum].tolist()], scaled[enum]
     ub = np.array([fac.weight_bound(v) for v in vectors], dtype=np.int64)
-    # each code's best partner bound, -1 for none; rows of the partner table a block at a time
-    mate_ub, matched = np.full(len(enum), -1, dtype=np.int64), 0
+    # the partner table (E^2 bytes) and each code's best partner bound, -1 for none,
+    # a block of rows at a time
+    mates, mate_ub = np.empty((len(enum), len(enum)), dtype=bool), np.empty(len(enum), np.int64)
     rows = max(1, _LCM_BLOCK // max(1, len(enum)))
     for a in range(0, len(enum), rows):
-        mates = _lcm_degrees(scaled[a:a + rows], scaled) == n - ell
-        matched += int(mates.sum())
-        mate_ub[a:a + rows] = np.where(mates, ub, -1).max(axis=1, initial=-1)
+        mates[a:a + rows] = _lcm_degrees(scaled[a:a + rows], scaled) == n - ell
+        mate_ub[a:a + rows] = np.where(mates[a:a + rows], ub, -1).max(axis=1, initial=-1)
+    matched = int(np.count_nonzero(mates))
     # the pairs of the zero code (dimension 0) all have ell = 0
     skipped = census - matched - (2 * count - 1 if ell == 0 else 0)
     partnered, key = np.flatnonzero(mate_ub >= 0), ub + mate_ub
     order = partnered[np.argsort(-key[partnered], kind="stable")]
     codes, dist = [], []
     top: list[tuple] = []  # the limit best valid pairs so far, in ranking order
-    start = stop = 0  # the walk positions whose partner rows `chunk` holds
     for new, e in enumerate(order.tolist()):
         if len(top) == limit and (not limit or key[e] < -top[-1][0]):
             break
         code = CyclicCode._from_vector(fac, vectors[e])
         codes.append(code)
         dist.append(code.min_distance(cap).d)
-        if new == stop:  # the next chunk: about as many rows as walked, within one block
-            rows = max(1, min(new + 8, _LCM_BLOCK // (2 * new + 8)))
-            start, stop = new, min(len(order), new + rows)
-            chunk = _lcm_degrees(scaled[order[start:stop]], scaled[order[:stop]]) == n - ell
-        for old in np.flatnonzero(chunk[new - start, :new + 1]).tolist():
+        for old in np.flatnonzero(mates[e, order[:new + 1]]).tolist():
             for i, j in {(new, old), (old, new)}:  # one pair when old is new
                 d1, d2 = dist[i], dist[j]
                 if d1 >= min_d1 and d2 >= min_d2:

@@ -143,17 +143,24 @@ def test_lengths_past_the_bound_are_refused(argv, capsys, monkeypatch):
 
 @pytest.mark.parametrize("argv", [["--q", "5", "factor", "--n", "3079"],
                                   ["code", "--n", "1031", "--g", "1"],
-                                  ["pair", "--n", "1031", "--g1", "1", "--g2", "1"],
-                                  ["factor", "--n", "523"]])
+                                  ["pair", "--n", "1031", "--g1", "1", "--g2", "1"]])
 def test_extension_degree_past_the_bound_is_refused(argv, capsys, monkeypatch):
-    # ord_3079(5) = 513 and ord_1031(2) = 515: one past degree 512 is not built.
-    # ord_523(2) = 522 = phi(523): every coset is full and would need no
-    # extension, but the length is refused all the same
+    # ord_3079(5) = 513 and ord_1031(2) = 515: one past degree 512 is not built
     monkeypatch.setattr(factorization, "make_field",
                         lambda *args, **kwargs: pytest.fail("a field was built"))
     code, out, err = run(argv, capsys)
     assert code == EXIT_USAGE and out == ""
     assert err.startswith("error:") and "past degree 512" in err
+
+
+def test_factor_past_the_degree_bound_is_answered_when_every_coset_is_full(capsys,
+                                                                          monkeypatch):
+    # ord_523(2) = 522 = phi(523): every coset is full and needs no extension
+    monkeypatch.setattr(factorization, "make_field",
+                        lambda *args, **kwargs: pytest.fail("a field was built"))
+    code, out, err = run(["factor", "--n", "523", "--json"], capsys)
+    assert code == EXIT_OK and err == ""
+    assert [(f["d"], f["multiplicity"]) for f in json.loads(out)["factors"]] == [(1, 1), (523, 1)]
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -435,15 +435,16 @@ def test_root_of_unity_refuses_an_extension_degree_past_the_bound(monkeypatch):
             root_of_unity(field_from_order(q), n_prime)
 
 
-def test_a_degree_past_the_bound_is_refused_when_every_coset_is_full(monkeypatch):
-    # ord_523(2) = 522 = phi(523): no coset needs GF(2^522), but the length is
-    # refused as before, with root_of_unity's message; so is 1046 = 2 * 523
+def test_a_degree_past_the_bound_is_answered_when_every_coset_is_full(monkeypatch):
+    # ord_523(2) = 522 = phi(523) and ord_4093(2) = 4092 = phi(4093): no coset
+    # needs GF(2^522) or GF(2^4092), so neither is refused; nor is 1046 = 2 * 523.
+    # __wrapped__ skips the factorization cache
     for attr in ("make_field", "minimal_poly"):
         monkeypatch.setattr(factorization, attr,
                             lambda *args, **kwargs: pytest.fail("a coset was solved"))
-    for n in (523, 1046):
-        with pytest.raises(ValueError, match=r"needs GF\(2\^522\), past degree 512"):
-            factor_xn1(n, GF2)
+    for n in (523, 1046, 4093):
+        fact = factor_xn1.__wrapped__(n, GF2)
+        assert fact.product() == xn_minus_1(GF2, n), n
 
 
 @pytest.mark.parametrize("n, q, ext_degree", [(509, 2, 508), (37, 5, 36), (59, 8, 174),

@@ -1,5 +1,6 @@
 import operator
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -717,6 +718,20 @@ def test_element_of_order_refuses_orders_not_dividing_q_minus_1(q):
     for n in [0, -1, q, q + 1] + [n for n in range(2, 40) if (q - 1) % n]:
         with pytest.raises(ValueError):
             f.element_of_order(n)
+
+
+@pytest.mark.parametrize("p, m", [(2, 12), (5, 5), (4093, 1)])
+def test_lookup_tables_are_built_with_no_wide_intermediate(p, m):
+    # the two uint16 tables and at most two temporaries of their size; int64
+    # outer tables took GF(4096) to 384 MiB
+    f = fields.Field(p, m, lex_least_irreducible(p, m))
+    tracemalloc.start()
+    try:
+        f.tables()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 * f.q ** 2
 
 
 def test_log_tables_take_the_same_primitive_element():

@@ -5,7 +5,8 @@ repeated roots, nonbinary fields, a cap that skips pairs), ``factor
 --json`` (extension fields up to GF(2^504) and GF(3^100), at n = 1009
 over GF(2) and n = 404 over GF(3); n = 509 over GF(2) and n = 202 over
 GF(3), whose cosets are all full and whose factors are cyclotomic
-polynomials mod p; and GF(257) itself, where every factor is linear),
+polynomials mod p, and n = 523 over GF(2), all full too though its
+root-of-unity extension GF(2^522) is past the degree bound; and GF(257) itself, where every factor is linear),
 ``exists --json`` (infeasible
 and repeated-root cases, among them the cold single-factor queries at
 n = 4096 over GF(2) and n = 2187 over GF(3), and n = 512 over GF(65537),
@@ -52,6 +53,7 @@ CASES = {
     "factor_n404_q3": "--q 3 factor --n 404 --json",
     "factor_n509_q2": "factor --n 509 --json",
     "factor_n1009_q2": "factor --n 1009 --json",
+    "factor_n523_q2": "factor --n 523 --json",
     "factor_n5_q4099": "--q 4099 factor --n 5 --json",
     "factor_n7_q1021": "--q 1021 factor --n 7 --json",
     "factor_n256_q257": "--q 257 factor --n 256 --json",

@@ -270,34 +270,50 @@ def _count_lcm_work(monkeypatch):
     return calls, walked
 
 
-def test_search_walk_reads_its_partners_from_a_few_chunks(monkeypatch):
-    # one _lcm_degrees call per walked code made 398 calls over the 22 searches at n = 21
+def _admitted(n, f, cap=DEFAULT_CAP):
+    """E, the number of nonzero codes of length n whose q^k codewords the cap admits."""
+    fac = factor_xn1(n, f)
+    return sum(1 <= n - fac.degree(v) and f.q ** (n - fac.degree(v)) <= cap
+               for v in tables._exponent_vectors(fac))
+
+
+def test_search_walk_reads_its_partners_from_the_block_pass(monkeypatch):
+    # one _lcm_degrees call per walked code made 398 calls over the 22 searches at n = 21,
+    # and partner rows computed again in chunks as the walk grew made 68
     calls, walked = _count_lcm_work(monkeypatch)
-    fac, total = factor_xn1(21, GF2), 0
+    lcm = tables._lcm_degrees
+
+    def before_the_walk(A, B):
+        assert not walked, "an lcm call after the walk began"
+        return lcm(A, B)
+
+    monkeypatch.setattr(tables, "_lcm_degrees", before_the_walk)
+    fac, admitted, total = factor_xn1(21, GF2), _admitted(21, GF2), 0
     for ell in range(22):
         _clear_stores(fac)
         calls.clear()
         walked.clear()
         result = search_pairs(21, GF2, ell, min_d1=2, min_d2=2)
-        # the 63 nonzero codes' partner rows fit one block; then chunks of the
-        # walk starting at positions 0, 8, 24, 56, ...
+        # the 63 nonzero codes' partner rows fit one block
         assert len(calls) <= (not result.infeasible) + len(walked).bit_length(), ell
         assert all(rows * cols <= max(tables._LCM_BLOCK, cols) for rows, cols in calls)
+        assert sum(rows for rows, _ in calls) == (0 if result.infeasible else admitted), ell
         total += len(calls)
     assert total <= 70
-    # the full ranking at (31, 2) in PRUNING_CASES walks 113 codes at ell = 0,
-    # past the chunk boundaries at walk positions 8, 24 and 56
+    # the full ranking at (31, 2) in PRUNING_CASES walks 113 codes at ell = 0, and
+    # the one pass before the walk gives every admitted code its row, once
     _clear_stores(factor_xn1(31, GF2))
     calls.clear()
     walked.clear()
     search_pairs(31, GF2, 0, limit=10 ** 6)
-    assert len(walked) == 113 and len(calls) == 1 + 4
+    admitted = _admitted(31, GF2)
+    assert len(walked) == 113
+    assert sum(rows for rows, _ in calls) == admitted and all(cols == admitted for _, cols in calls)
 
 
 @pytest.mark.parametrize("block", [1, 40, 600])
 def test_search_does_not_depend_on_the_lcm_block_size(monkeypatch, block):
-    # small blocks cap the walk's chunks early (600: from the chunk at walk position 24 on),
-    # down to one row per call; every chunk boundary moves
+    # small blocks split the partner table's pass into more calls, down to one row per call
     expected = {}
     for n, ell, limit in product((21, 31), (0, 1, 5), (3, 10 ** 6)):
         _clear_stores(factor_xn1(n, GF2))
