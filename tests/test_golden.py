@@ -9,8 +9,10 @@ polynomials mod p, and n = 523 over GF(2), all full too though its
 root-of-unity extension GF(2^522) is past the degree bound; and GF(257) itself, where every factor is linear),
 ``exists --json`` (infeasible
 and repeated-root cases, among them the cold single-factor queries at
-n = 4096 over GF(2) and n = 2187 over GF(3), and n = 512 over GF(65537),
-where every factor is linear), and, over GF(2), GF(3)
+n = 4096 over GF(2) and n = 2187 over GF(3), n = 512 over GF(65537),
+where every factor is linear, and n = 255 over GF(256) and n = 85 over
+GF(16), whose witnesses are products over extension fields of
+characteristic 2), and, over GF(2), GF(3)
 and GF(4), ``code --dual``, ``pair --distances``, the three ``construct``
 modes (exact and inexact L) and ``verify-tables``, all as JSON.  A further golden pins
 the lex-least modulus of every field ``factor_xn1(n, GF(q))`` builds for
@@ -64,6 +66,8 @@ CASES = {
     "exists_n4096_ell4095_json": "exists --n 4096 --ell 4095 --json",
     "exists_n2187_q3_ell2000_json": "--q 3 exists --n 2187 --ell 2000 --json",
     "exists_n512_q65537_ell300_json": "--q 65537 exists --n 512 --ell 300 --json",
+    "exists_n255_q256_ell128_json": "--q 256 exists --n 255 --ell 128 --json",
+    "exists_n85_q16_ell40_json": "--q 16 exists --n 85 --ell 40 --json",
     "search_n7_ell1_csv": "search --n 7 --ell 1 --csv",
     "search_n7_ell1_json": "search --n 7 --ell 1 --json",
     "search_n15_ell0_csv": "search --n 15 --ell 0 --csv",
