@@ -53,9 +53,12 @@ Fields with at most ``_TABLE_LIMIT`` elements also have log/antilog
 lists over a primitive element, and in odd characteristic a Zech
 logarithm list (Lidl & Niederreiter, *Finite Fields*, §10.1), built once
 by ``Field._logs`` when first read.  ``Field`` arithmetic reads none of
-them: their two readers are the inline product lane of
-``poly.Polynomial.__mul__`` (extension fields only) and the lookup
-tables of ``Field.tables``, so a field that neither uses builds none.
+them: their three readers are the inline log lane of
+``poly.Polynomial.__mul__`` (extension fields only), the multiplication
+rows of ``Field._mul_row`` (one ``bytes.translate`` table per coefficient
+met, for GF(2^m) with q <= 256, which that product reads in place of the
+log lane) and the lookup tables of ``Field.tables``, so a field that
+none uses builds none.
 The minimal polynomials of ``factorization`` are solved on the packed
 rows of a slot ring, and its roots of unity come from
 ``element_of_order``, the one search for an element of given order.
@@ -338,7 +341,7 @@ class Field:
     """The finite field GF(p^m) with canonical integer element encoding."""
 
     __slots__ = ("p", "m", "q", "modulus", "_ring", "_small", "_orders",
-                 "_lists", "_add_table", "_mul_table")
+                 "_lists", "_rows", "_add_table", "_mul_table")
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
         self.p = p
@@ -349,6 +352,7 @@ class Field:
         self._ring = _slot_ring(modulus, p) if m > 1 else None
         self._orders = {}  # n -> element_of_order(n)
         self._lists = None  # log/antilog (and, for odd p, Zech) lists; see _logs()
+        self._rows = {}  # c -> bytes.translate table of v -> c * v; see _mul_row()
         self._add_table = None
         self._mul_table = None
 
@@ -391,6 +395,16 @@ class Field:
             zech = [log[u] if u else 2 * n for u in one_plus] * 2
         self._lists = exp * 2 + [0] * n, log, zech
         return self._lists
+
+    def _mul_row(self, c: int) -> bytes:
+        """Build, keep in ``_rows`` and return the ``bytes.translate`` table of
+        v -> c * v, c != 0, of a field of order at most 256; bytes at q and
+        above are 0.  Products call it for a c not kept yet."""
+        exp, log, _ = self._logs()
+        lc = log[c]
+        row = bytes([0] + [exp[lc + log[v]] for v in range(1, self.q)]).ljust(256, b"\0")
+        self._rows[c] = row
+        return row
 
     # -- arithmetic on integer encodings ------------------------------------
 

@@ -13,6 +13,7 @@ product.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from cyclic_pairs.codes import DEFAULT_CAP, CyclicCode
 from cyclic_pairs.cyclotomic import mult_order
@@ -72,8 +73,9 @@ def hull_dim(c: CyclicCode) -> int:
     return c.n - fac.degree(map(max, c.vector, fac.dual(c.vector)))
 
 
-@dataclass(frozen=True)
-class ExistenceWitness:
+class ExistenceWitness(NamedTuple):
+    """A tuple of its fields, true exactly when ``feasible``."""
+
     n: int
     q: int
     ell: int

@@ -13,8 +13,15 @@ Products take one lane per field, all giving the same coefficients:
   coefficient i in slot i of u bytes, the ints are multiplied, and the
   product is unpacked once, its slots taken mod p by ``bytes.translate``
   (u = 1) or over a ``memoryview.cast`` (``_kronecker``);
-* extension fields with log tables (``Field._small``; the lists are
-  built by ``Field._logs`` on the first such product): each term is
+* GF(2^m) with q <= 256, where an element is one byte: the loop runs
+  over the shorter operand, and each nonzero coefficient c translates
+  the longer operand's bytes by c's multiplication row
+  (``Field._mul_row``, 256 bytes built from ``Field._logs`` the first
+  time c is met), shifts the result and XORs it into one int, which is
+  unpacked once;
+* the other extension fields with log tables (``Field._small``:
+  GF(2^m) with 512 <= q <= 4096 and odd p; the lists are built by
+  ``Field._logs`` on the first such product): each term is
   ``exp[log a + log b]``, XORed in for p = 2 and added by the Zech
   logarithm table for odd p (Lidl & Niederreiter, §10.1);
 * larger extension fields: ``Field.mul`` and ``Field.add`` per term.
@@ -183,6 +190,17 @@ class Polynomial:
             return Polynomial.zero(f)
         if f.m == 1:
             return Polynomial._product(f, _kronecker(a, b, f.p))
+        if f.p == 2 and f.q <= 256:
+            # one translate of the longer operand's bytes per nonzero coefficient
+            # of the shorter, shifted and XORed into one int
+            if len(a) < len(b):
+                a, b = b, a
+            longer, rows, acc = bytes(a), f._rows, 0
+            for j, c in enumerate(b):
+                if c:
+                    term = longer if c == 1 else longer.translate(rows.get(c) or f._mul_row(c))
+                    acc ^= int.from_bytes(term, "little") << (8 * j)
+            return Polynomial._product(f, acc.to_bytes(len(a) + len(b) - 1, "little"))
         out = [0] * (len(a) + len(b) - 1)
         if f._small:
             exp, log, zech = f._logs()

@@ -9,8 +9,8 @@ from cyclic_pairs import pairs
 from cyclic_pairs.codes import CyclicCode
 from cyclic_pairs.factorization import factor_xn1
 from cyclic_pairs.fields import field_from_order, make_field
-from cyclic_pairs.pairs import (exists_ell, hull_dim, pair_analyze,
-                                small_ell_predicate)
+from cyclic_pairs.pairs import (ExistenceWitness, exists_ell, hull_dim,
+                                pair_analyze, small_ell_predicate)
 from cyclic_pairs.poly import Polynomial, parse_poly, xn_minus_1
 from cyclic_pairs.tables import all_divisors
 
@@ -141,6 +141,24 @@ def test_exists_witness_is_lex_least_vector():
     # lex-least vector takes zero copies of the earlier cubic: (1, 0, 1)
     w = exists_ell(7, GF2, 4)
     assert w.multiplicity_vector == (1, 0, 1)
+
+
+def test_existence_witness_is_an_immutable_named_tuple():
+    assert ExistenceWitness._fields == ("n", "q", "ell", "feasible",
+                                        "multiplicity_vector", "witness")
+    pairs._latest[0] = None
+    w, no = exists_ell(7, GF2, 4), exists_ell(9, GF2, 4)
+    assert (w.n, w.q, w.ell, w.feasible, w.multiplicity_vector) == (7, 2, 4, True, (1, 0, 1))
+    assert w.witness == parse_poly("x^4+x^3+x^2+1", GF2)
+    assert tuple(no) == (9, 2, 4, False, None, None)
+    # truth is feasibility, not the length of the tuple
+    assert bool(w) is w.feasible is True and bool(no) is no.feasible is False
+    with pytest.raises(AttributeError):
+        w.ell = 3
+    pairs._latest[0] = None  # a fresh spectrum builds an equal witness polynomial
+    again = exists_ell(7, GF2, 4)
+    assert again.witness is not w.witness
+    assert again == w and hash(again) == hash(w)
 
 
 BRUTE_FORCE_CASES = [(n, 2) for n in range(1, 25)] + [(n, 3) for n in range(1, 13)]

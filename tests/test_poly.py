@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cyclic_pairs
-from cyclic_pairs.fields import Field, field_from_order, make_field
+from cyclic_pairs.fields import Field, field_from_order, lex_least_irreducible, make_field
 from cyclic_pairs.poly import Polynomial, PolyParseError, parse_poly, xn_minus_1
 from helpers import divides, naive_poly_mul, poly_gcd, poly_lcm
 
@@ -94,9 +94,10 @@ def test_degree_sentinel():
     assert P("x^5+x").degree == 5
 
 
-# every multiply lane: GF(2), prime fields, log tables in characteristic 2 and
-# odd, and the fields above the table limit (bit-packed 2^13, vector 3^9)
-MUL_ORDERS = [2, 3, 4, 5, 7, 8, 9, 16, 27, 2 ** 13, 3 ** 9]
+# every multiply lane: GF(2), prime fields, translate rows in characteristic 2
+# up to GF(256), log tables past it (GF(512)) and in odd characteristic, and the
+# fields above the table limit (bit-packed 2^13, vector 3^9)
+MUL_ORDERS = [2, 3, 4, 5, 7, 8, 9, 16, 27, 32, 256, 512, 2 ** 13, 3 ** 9]
 # prime fields whose Kronecker slots are 2 to 8 bytes wide from the shortest
 # operands on, packed through bytes (251) or one coefficient at a time (the others)
 WIDE_PRIMES = [251, 257, 65537, 1048573]
@@ -168,6 +169,42 @@ def test_prime_field_products_make_no_field_mul_call(monkeypatch):
         for x, y in [(a, b), (a, a), (b, Polynomial.one(f)), (a, Polynomial.zero(f))]:
             x * y
         b ** 5
+
+
+@pytest.mark.parametrize("q", [4, 32, 256, 512])
+def test_row_lane_products_with_either_operand_shorter(q):
+    # GF(256) is the row lane's largest field and GF(512) the first past it
+    f = field_from_order(q)
+    c, d = q - 1, q // 2
+    longer = Polynomial(f, [(7 * i + 3) % q for i in range(40)] + [1])
+    for shorter in ([c], [1], [0, 0, d], [c, 0, 0, 1, 0, d], [0, 1, 0, c], [d, c, 1]):
+        b = Polynomial(f, shorter)
+        assert longer * b == naive_poly_mul(longer, b) == b * longer, shorter
+
+
+def test_gf256_products_build_one_row_per_coefficient_and_no_field_mul(monkeypatch):
+    # a field of its own, so no earlier product has built its rows
+    f = Field(2, 8, lex_least_irreducible(2, 8))
+    longer = Polynomial(f, [(37 * i + 11) % 256 for i in range(60)] + [1])
+    shorter = Polynomial(f, [5, 0, 1, 200, 5, 0, 77, 1])
+    expected = naive_poly_mul(longer, shorter)
+    built, build = [], Field._mul_row
+
+    def counted_row(self, c):
+        built.append(c)
+        return build(self, c)
+
+    def refuse(self, *args):
+        raise AssertionError(f"Field.mul called over {self!r}")
+
+    monkeypatch.setattr(Field, "_mul_row", counted_row)
+    monkeypatch.setattr(Field, "mul", refuse)
+    assert longer * shorter == expected == shorter * longer
+    assert sorted(built) == [5, 77, 200]
+    # with its rows built, a product reads no log list: no per-coefficient log loop
+    monkeypatch.setattr(Field, "_logs", refuse)
+    assert shorter * (longer + Polynomial.one(f)) == expected + shorter
+    assert sorted(built) == [5, 77, 200]
 
 
 def test_a_product_imports_no_module():
