@@ -191,8 +191,7 @@ class Polynomial:
         if f.m == 1:
             return Polynomial._product(f, _kronecker(a, b, f.p))
         if f.p == 2 and f.q <= 256:
-            # one translate of the longer operand's bytes per nonzero coefficient
-            # of the shorter, shifted and XORed into one int
+            # an element is one byte, so one translate multiplies a whole operand by c
             if len(a) < len(b):
                 a, b = b, a
             longer, rows, acc = bytes(a), f._rows, 0

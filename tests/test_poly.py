@@ -195,7 +195,7 @@ def test_gf256_products_build_one_row_per_coefficient_and_no_field_mul(monkeypat
         return build(self, c)
 
     def refuse(self, *args):
-        raise AssertionError(f"Field.mul called over {self!r}")
+        raise AssertionError(f"a product over {self!r} read Field.mul or the log lists")
 
     monkeypatch.setattr(Field, "_mul_row", counted_row)
     monkeypatch.setattr(Field, "mul", refuse)
