@@ -3,7 +3,8 @@
 The goldens cover ``search`` (CSV and JSON, binary with simple roots,
 repeated roots, nonbinary fields, a cap that skips pairs), ``factor
 --json`` (extension fields up to GF(2^504) and GF(3^100), at n = 1009
-over GF(2) and n = 404 over GF(3); n = 509 over GF(2) and n = 202 over
+over GF(2) and n = 404 over GF(3); GF(3^82) at n = 83 over GF(9), two
+cosets of 41, and GF(5^4) at n = 26 over GF(25); n = 509 over GF(2) and n = 202 over
 GF(3), whose cosets are all full and whose factors are cyclotomic
 polynomials mod p, and n = 523 over GF(2), all full too though its
 root-of-unity extension GF(2^522) is past the degree bound; and GF(257) itself, where every factor is linear),
@@ -53,6 +54,8 @@ CASES = {
     "factor_n63_q4": "--q 4 factor --n 63 --json",
     "factor_n202_q3": "--q 3 factor --n 202 --json",
     "factor_n404_q3": "--q 3 factor --n 404 --json",
+    "factor_n83_q9": "--q 9 factor --n 83 --json",
+    "factor_n26_q25": "--q 25 factor --n 26 --json",
     "factor_n509_q2": "factor --n 509 --json",
     "factor_n1009_q2": "factor --n 1009 --json",
     "factor_n523_q2": "factor --n 523 --json",
