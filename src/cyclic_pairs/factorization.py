@@ -16,23 +16,26 @@ come from ``Field.element_of_order``.  Lengths above ``MAX_LENGTH`` are
 refused up front, and a degree m*t above ``MAX_EXTENSION_DEGREE`` only
 when a coset needs the extension.
 
-A minimal polynomial is the first GF(q)-linear dependency among the
-powers of beta = alpha^rep, found by one linear solve over GF(p) on a
-table of the powers of alpha.  The powers, and their multiples by the
-image gamma of GF(q)'s generator, are multiplied on the packed ints of
-the extension's own slot ring (``Field._ring``), with no ``Field.mul``.
-The solve is one elimination for every p on rows packed into plain
-ints, one GF(p) digit per slot: for p = 2 the encodings' own bits, each
-column unpacked from its byte slots once, with XOR as the row update,
-and for odd p the slots of the ring themselves, with one multiply-add
-and slot reduce as the row update.  Over ext = GF(p) every coset is one
-residue j and its factor is x - alpha^j.
+A minimal polynomial is that of a linear recurring sequence (Lidl &
+Niederreiter, Finite Fields, Sec. 8.6): the trace Tr from the extension
+down to GF(q) is GF(q)-linear, so s_k = Tr(alpha^c beta^k), beta =
+alpha^rep, is annihilated by the minimal polynomial of beta, and
+Berlekamp-Massey (Massey 1969) finds it from 2|coset| terms in
+O(|coset|^2) operations of GF(q), on lookup lists for q <= 16 and by
+``Field`` calls above.  Tr is constant on each cyclotomic coset, so one
+table of n' traces per (field, n') serves every coset.  It is built from
+the powers of alpha, multiplied on the packed ints of the extension's
+own slot ring (``Field._ring``) with no ``Field.mul``; for m > 1 each
+coset's trace is read as a base-field encoding by one GF(p) solve on the
+m columns gamma^0 .. gamma^(m-1), gamma the image of GF(q)'s generator.
+When t = 1 the extension is the field itself, every coset is one
+residue j, and its factor is x - alpha^j.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from math import gcd, prod
 
 from cyclic_pairs.cyclotomic import coset_partition, mult_order
@@ -94,27 +97,49 @@ def root_of_unity(field: Field, n_prime: int) -> tuple[Field, int, int]:
 
 
 @lru_cache(maxsize=1)
-def _alpha_powers(field: Field, n_prime: int) -> tuple[list[int], int, _SlotRing | None]:
-    """(alpha^0 .. alpha^(n'-1), gamma, ring), kept for every coset of one
+def _traces(field: Field, n_prime: int) -> list[int]:
+    """Tr(alpha^e) from ext = GF(q^t), t = ord_n'(q) > 1, down to the field,
+    for e = 0 .. n'-1 as base-field encodings; kept for every coset of one
     (field, n').
 
-    ring is ``ext._ring`` and the powers and gamma are packed on it, so
-    they are multiplied without packing or unpacking; for ext = GF(p)
-    ring is None and they are plain ints mod p.
+    Tr is (t/|C| mod p) times the sum of alpha^e over the q-cyclotomic
+    coset C of e.  The powers and sums are on the packed ints of
+    ``ext._ring``; a sum of |C| <= t reduced slots is within the ring's
+    ``reduce`` bound.  For m = 1 a trace is a prime-field constant, which
+    packs as itself; for m > 1 its digits are read by one ``_solve`` on
+    the m columns gamma^0 .. gamma^(m-1).
     """
     ext, gamma, alpha = root_of_unity(field, n_prime)
-    ring = ext._ring
-    mul, pack = (ext.mul, int) if ring is None else (ring.mul, ring.pack)
-    a, powers = pack(alpha), [1]  # 1 packs as itself
+    ring, p, m, q = ext._ring, field.p, field.m, field.q
+    t = ext.m // m
+    a, g, powers, cols = ring.pack(alpha), ring.pack(gamma), [1], [1]  # 1 packs as itself
     for _ in range(1, n_prime):
-        powers.append(mul(powers[-1], a))
-    return powers, pack(gamma), ring
+        powers.append(ring.mul(powers[-1], a))
+    for _ in range(1, m):
+        cols.append(ring.mul(cols[-1], g))
+    rows = None if p == 2 else ring  # _solve's rows: bits for p = 2, the ring's slots for odd p
+    cols = [ring.unpack(c) for c in cols] if p == 2 else cols
+    table: list = [None] * n_prime
+    for e in range(n_prime):
+        if table[e] is not None:
+            continue
+        coset, r = [e], e * q % n_prime
+        while r != e:
+            coset.append(r)
+            r = r * q % n_prime
+        tr = ring.reduce(t // len(coset) % p * ring.reduce(sum(powers[r] for r in coset)))
+        if m > 1:  # _solve gives the digits x of -tr; negate them mod p
+            digits = _solve(cols, ring.unpack(tr) if p == 2 else tr, rows)
+            tr = sum(-x % p * p ** s for s, x in enumerate(digits))
+        for r in coset:
+            table[r] = tr
+    return table
 
 
 def _solve(cols: list[int], b: int, ring: _SlotRing | None) -> list[int] | None:
     """The unique x with sum_j x_j * cols[j] = -b over GF(p), or None.
 
-    cols and b are rows of ``minimal_poly``: bits for p = 2 (ring None),
+    cols and b are rows of ``_traces``: bits for p = 2 (ring None),
     packed slots of ring for odd p.  A basis keyed by leading
     slot holds the reduced columns, each with the packed combination of
     unknowns that gives it (slot j for cols[j]).  A row update subtracts a
@@ -146,38 +171,98 @@ def _solve(cols: list[int], b: int, ring: _SlotRing | None) -> list[int] | None:
     return None if b else [x >> (w * j) & mask for j in range(len(cols))]
 
 
-def minimal_poly(n_prime: int, field: Field, coset: tuple[int, ...]) -> Polynomial:
-    """Minimal polynomial over the field of beta = alpha^j, j = coset[0].
+# fields of at most this order do Berlekamp-Massey's arithmetic by lookup lists
+_LIST_LIMIT = 16
 
-    It is x^d + sum c_i x^i with d = |coset|, where beta^d + sum c_i beta^i
-    = 0 is the one GF(q)-linear dependency among 1, beta, ..., beta^d.
-    Writing c_i = sum_s c_(i,s) gamma^s turns it into one linear system
-    over GF(p) in the m*d digits c_(i,s), which are the base-field
-    encodings of the coefficients.  A tuple that is not a q-cyclotomic
-    coset, or a system without a unique solution, raises CoercionError.
+
+class _Calls:
+    """A lookup list's stand-in past ``_LIST_LIMIT``: x[a] is f(a) for a
+    unary f, and x[a][b] is f(a, b) for a binary one."""
+
+    __slots__ = ("f", "arity")
+
+    def __init__(self, f, arity: int):
+        self.f, self.arity = f, arity
+
+    def __getitem__(self, a: int):
+        return self.f(a) if self.arity == 1 else _Calls(partial(self.f, a), 1)
+
+
+@lru_cache(maxsize=None)
+def _scalar_ops(field: Field) -> tuple:
+    """(add, mul, neg, inv) of the field, read add[a][b], mul[a][b], neg[a]
+    and inv[a]: pure-Python lists for q <= ``_LIST_LIMIT``, addition and
+    negation digit by digit and the products and inverses from
+    ``Field._logs``; ``Field`` calls above it."""
+    p, q = field.p, field.q
+    if q > _LIST_LIMIT:
+        return (_Calls(field.add, 2), _Calls(field.mul, 2),
+                _Calls(field.neg, 1), _Calls(field.inv, 1))
+    exp, log, _ = field._logs()
+    places = [p ** i for i in range(field.m)]
+    add = [[sum((a // s + b // s) % p * s for s in places) for b in range(q)]
+           for a in range(q)]
+    mul = [[exp[log[a] + log[b]] if a and b else 0 for b in range(q)] for a in range(q)]
+    neg = [sum(-(a // s) % p * s for s in places) for a in range(q)]
+    inv = [exp[q - 1 - log[a]] if a else 0 for a in range(q)]
+    return add, mul, neg, inv
+
+
+def _berlekamp_massey(s: list[int], field: Field) -> list[int]:
+    """The connection polynomial C of s, C[0] = 1 and len(C) = L + 1: the
+    shortest recurrence sum_(i <= L) C[i] s[k-i] = 0, L <= k < len(s)
+    (Massey 1969), with the field's arithmetic from ``_scalar_ops``."""
+    add, mul, neg, inv = _scalar_ops(field)
+    c, b = [1], [1]  # the current connection polynomial and the one before the last length change
+    length, shift, last = 0, 1, 1  # last: the discrepancy that made b current
+    for k in range(len(s)):
+        delta = 0
+        for ci, v in zip(c, s[k::-1]):
+            delta = add[delta][mul[ci][v]]
+        if not delta:
+            shift += 1
+            continue
+        row = mul[neg[mul[delta][inv[last]]]]  # c -= (delta / last) x^shift b
+        new = c + [0] * (len(b) + shift - len(c))
+        for i, v in enumerate(b, shift):
+            new[i] = add[new[i]][row[v]]
+        if 2 * length <= k:
+            length, b, last, shift = k + 1 - length, c, delta, 1
+        else:
+            shift += 1
+        c = new
+    return (c + [0] * length)[:length + 1]  # deg C <= L
+
+
+def minimal_poly(n_prime: int, field: Field, coset: tuple[int, ...]) -> Polynomial:
+    """Minimal polynomial M_j over the field of beta = alpha^j, j = coset[0].
+
+    M_j is irreducible and annihilates s_k = Tr(alpha^c beta^k), read from
+    ``_traces`` at c + j*k mod n', so it is the minimal polynomial of any
+    nonzero such s, found by Berlekamp-Massey from 2d terms, d = |coset|.
+    c is the least shift whose first d terms are not all zero: 0 unless p
+    divides t/d, and below t since alpha^0 .. alpha^(t-1) span ext.  For
+    t = 1 M_j is x - alpha^j.  A tuple that is not a q-cyclotomic coset,
+    in any order, or a recurrence of length other than d raises
+    CoercionError.
     """
-    q, p, m, d = field.q, field.p, field.m, len(coset)
-    if not coset or {coset[0] * pow(q, i, n_prime) % n_prime
-                     for i in range(d)} != set(coset) or len(set(coset)) != d:
+    q, d = field.q, len(coset)
+    j = coset[0] if coset else 0
+    if (not coset or len(set(coset)) != d or j * pow(q, d, n_prime) % n_prime != j
+            or {j * pow(q, i, n_prime) % n_prime for i in range(d)} != set(coset)):
         raise CoercionError(f"{coset} is not a {q}-cyclotomic coset mod {n_prime}")
-    powers, gamma, ring = _alpha_powers(field, n_prime)
-    beta = [powers[coset[0] * i % n_prime] for i in range(d + 1)]
-    if ring is None:  # ext = GF(p): d = 1
-        return Polynomial(field, [field.neg(beta[1]), 1])
-    cols = []  # column i*m + s is gamma^s * beta^i, the unknown c_(i,s)
-    for power in beta[:d]:
-        cols.append(power)
-        for _ in range(1, m):
-            cols.append(ring.mul(gamma, cols[-1]))
-    b = beta[d]
-    if p == 2:  # bit rows, each unpacked from its byte slots once
-        cols, b, ring = [ring.unpack(c) for c in cols], ring.unpack(b), None
-    digits = _solve(cols, b, ring)
-    if digits is None:
-        raise CoercionError(f"alpha^{coset[0]} has no degree-{d} minimal polynomial "
-                            f"over {field!r}")
-    return Polynomial(field, [sum(digits[i * m + s] * p ** s for s in range(m))
-                              for i in range(d)] + [1])
+    ext, _, alpha = root_of_unity(field, n_prime)
+    if ext is field:  # t = 1, so d = 1
+        return Polynomial(field, [field.neg(field.pow(alpha, j)), 1])
+    table = _traces(field, n_prime)
+    for c in range(n_prime):
+        s = [table[(c + j * k) % n_prime] for k in range(2 * d)]
+        if any(s[:d]):
+            break
+    conn = _berlekamp_massey(s, field)
+    if len(conn) != d + 1:
+        raise CoercionError(f"alpha^{j} has no degree-{d} minimal polynomial over {field!r}")
+    return Polynomial(field, conn[::-1])
 
 
 @dataclass(frozen=True)

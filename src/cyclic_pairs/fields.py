@@ -53,14 +53,15 @@ Fields with at most ``_TABLE_LIMIT`` elements also have log/antilog
 lists over a primitive element, and in odd characteristic a Zech
 logarithm list (Lidl & Niederreiter, *Finite Fields*, §10.1), built once
 by ``Field._logs`` when first read.  ``Field`` arithmetic reads none of
-them: their three readers are the inline log lane of
+them: their four readers are the inline log lane of
 ``poly.Polynomial.__mul__`` (extension fields only), the multiplication
 rows of ``Field._mul_row`` (one ``bytes.translate`` table per coefficient
 met, for GF(2^m) with q <= 256, which that product reads in place of the
-log lane) and the lookup tables of ``Field.tables``, so a field that
-none uses builds none.
-The minimal polynomials of ``factorization`` are solved on the packed
-rows of a slot ring, and its roots of unity come from
+log lane), the lookup tables of ``Field.tables`` and the Berlekamp-Massey
+lists of ``factorization`` (fields of order at most 16, prime fields
+too), so a field that none uses builds none.
+The trace tables behind the minimal polynomials of ``factorization`` are
+built on a slot ring, and its roots of unity come from
 ``element_of_order``, the one search for an element of given order.
 Only the lookup tables of ``Field.tables`` use numpy.
 """
@@ -98,9 +99,11 @@ class _SlotRing:
     depend on p: for odd p, w holds the largest slot sum times the constant
     c of ``reduce``, so nothing carries into the next slot.  That sum is
     m(p-1)^2 in a product and p(p-1) in a multiply-add a + c*b of reduced
-    slots (division steps, and the row updates of
-    ``factorization.minimal_poly``); the second is larger only for m = 1.
-    p = 2 is ``_BinarySlotRing``.
+    slots (division steps, and the row updates of ``factorization._solve``,
+    which reads a trace's m base-field digits); the second is larger only
+    for m = 1.  A sum of at most m reduced slots (a trace over a coset of
+    ``factorization._traces``) is within the first.  p = 2 is
+    ``_BinarySlotRing``.
     """
 
     __slots__ = ("p", "m", "w", "k", "c", "qmask", "low", "f", "mu", "negf")
@@ -373,7 +376,8 @@ class Field:
         twice so that differences of logs index it directly, and for
         p = 2 zech is None.  g is ``element_of_order(n)`` and its powers
         are one multiply chain on the slot ring, or on ints mod p for a
-        prime field, whose lists only ``tables`` reads.
+        prime field, whose lists ``tables`` and the Berlekamp-Massey lists
+        of ``factorization`` (q <= 16) read.
         """
         if self._lists is not None:
             return self._lists

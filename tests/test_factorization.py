@@ -84,7 +84,7 @@ def test_minimal_poly_is_irreducible_with_matching_degree():
 
 def test_minimal_poly_matches_coset_product():
     # sympy covers prime q; these need GF(q) embedded in the extension
-    cases = [(n, q) for q in (4, 8, 9) for n in range(1, 65)
+    cases = [(n, q) for q in (4, 8, 9, 16, 25, 27, 32) for n in range(1, 65)
              if n % field_from_order(q).p] + [(202, 3)]
     for n_prime, q in cases:
         f = field_from_order(q)
@@ -96,11 +96,13 @@ def test_minimal_poly_matches_coset_product():
 @pytest.mark.parametrize("n_prime, q", [(7, 2), (21, 2), (63, 2), (127, 2), (255, 2),
                                         (5, 4), (21, 4), (9, 8), (13, 8), (17, 16)])
 def test_binary_minimal_polys_make_no_extension_field_mul(n_prime, q, monkeypatch):
-    # the alpha powers and gamma multiples are multiplied on the slot ring of
-    # GF(2^(m t)), and each column is unpacked to its bit row once
+    # the alpha and gamma powers of the trace table are multiplied on the slot
+    # ring of GF(2^(m t)), a trace's digits are negated mod p, and
+    # Berlekamp-Massey reads the lookup lists of _scalar_ops
     f = field_from_order(q)
     root_of_unity(f, n_prime)  # the embedding has its own test below
-    factorization._alpha_powers.cache_clear()
+    factorization._traces.cache_clear()
+    factorization._scalar_ops.cache_clear()
     mul, calls = fields.Field.mul, []
 
     def counted(self, a, b):
@@ -119,9 +121,46 @@ def test_binary_minimal_polys_make_no_extension_field_mul(n_prime, q, monkeypatc
 def test_minimal_poly_refuses_a_non_coset():
     with pytest.raises(CoercionError):
         naive_minimal_poly(7, GF2, (1,))  # alpha is not in GF(2)
-    for coset in [(1,), (1, 3), (1, 1, 1), (0, 0), ()]:
+    # (1,), (1, 2) and (3, 6) are each the first powers j * 2^i of a coset of
+    # 3, but 2 * 1, 4 * 1 and 4 * 3 are not back at j
+    for coset in [(1,), (1, 2), (3, 6), (1, 3), (1, 1, 1), (0, 0), (), (8, 1, 2, 4)]:
         with pytest.raises(CoercionError):
             minimal_poly(7, GF2, coset)
+    # a true coset is accepted in any order, and its first member is the root
+    assert minimal_poly(7, GF2, (2, 4, 1)) == minimal_poly(7, GF2, (1, 2, 4))
+    assert minimal_poly(7, GF2, (3, 5, 6)) == naive_minimal_poly(7, GF2, (3, 6, 5))
+
+
+@pytest.mark.parametrize("n_prime, q, rep", [(63, 2, 9), (63, 2, 27), (56, 3, 7), (56, 9, 14)])
+def test_minimal_poly_shifts_a_sequence_whose_traces_vanish(n_prime, q, rep):
+    # p divides t/|C| here (t = 6, |C| = 3 over GF(2); t = 6, |C| = 2 over GF(3);
+    # t = 3, |C| = 1 over GF(9)), so Tr(beta^k) = 0 for every k, and the sequence
+    # has to start at a shift c > 0
+    f = field_from_order(q)
+    coset = coset_of(n_prime, q, rep)
+    assert (mult_order(q, n_prime) // len(coset)) % f.p == 0
+    table = factorization._traces(f, n_prime)
+    assert not any(table[rep * k % n_prime] for k in range(len(coset)))
+    assert minimal_poly(n_prime, f, coset) == naive_minimal_poly(n_prime, f, coset)
+
+
+@pytest.mark.parametrize("n_prime, q", [(63, 4), (47, 9)])
+def test_traces_are_read_by_solves_of_m_columns(n_prime, q, monkeypatch):
+    # only a trace's m base-field digits are solved for, never a column per
+    # power of beta and per digit
+    f = field_from_order(q)
+    solve, widths = factorization._solve, []
+
+    def counted(cols, b, ring):
+        widths.append(len(cols))
+        return solve(cols, b, ring)
+
+    factorization._traces.cache_clear()
+    monkeypatch.setattr(factorization, "_solve", counted)
+    fresh = factor_xn1.__wrapped__(n_prime, f)
+    monkeypatch.undo()
+    assert widths and set(widths) == {f.m}
+    assert fresh.factors == factor_xn1(n_prime, f).factors
 
 
 def _packed_solve(a, b, p):
