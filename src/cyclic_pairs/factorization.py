@@ -251,8 +251,8 @@ def minimal_poly(n_prime: int, field: Field, coset: tuple[int, ...]) -> Polynomi
     if (not coset or len(set(coset)) != d or j * pow(q, d, n_prime) % n_prime != j
             or {j * pow(q, i, n_prime) % n_prime for i in range(d)} != set(coset)):
         raise CoercionError(f"{coset} is not a {q}-cyclotomic coset mod {n_prime}")
-    ext, _, alpha = root_of_unity(field, n_prime)
-    if ext is field:  # t = 1, so d = 1
+    if (q - 1) % n_prime == 0:  # t = 1: alpha is in the field, and d = 1
+        alpha = root_of_unity(field, n_prime)[2]
         return Polynomial(field, [field.neg(field.pow(alpha, j)), 1])
     table = _traces(field, n_prime)
     for c in range(n_prime):

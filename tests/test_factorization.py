@@ -121,8 +121,8 @@ def test_binary_minimal_polys_make_no_extension_field_mul(n_prime, q, monkeypatc
 def test_minimal_poly_refuses_a_non_coset():
     with pytest.raises(CoercionError):
         naive_minimal_poly(7, GF2, (1,))  # alpha is not in GF(2)
-    # (1,), (1, 2) and (3, 6) are each the first powers j * 2^i of a coset of
-    # 3, but 2 * 1, 4 * 1 and 4 * 3 are not back at j
+    # (1,), (1, 2) and (3, 6) are the first d members j * 2^i of a coset of 3,
+    # but j * 2^d (2, 4 and 12 = 5 mod 7) is not back at j
     for coset in [(1,), (1, 2), (3, 6), (1, 3), (1, 1, 1), (0, 0), (), (8, 1, 2, 4)]:
         with pytest.raises(CoercionError):
             minimal_poly(7, GF2, coset)
@@ -220,7 +220,7 @@ def test_packed_row_solve_matches_gauss_jordan(p):
 
 @pytest.mark.parametrize("p, n_prime", [(3, 2), (5, 4), (17, 16), (257, 256), (4099, 683)])
 def test_minimal_poly_over_the_prime_field_itself(p, n_prime):
-    # n' | p - 1, so t = 1: ext is GF(p), and each system has one unknown in one slot
+    # n' | p - 1, so t = 1: ext is GF(p), and each factor is x - alpha^j, with no trace table
     f = make_field(p)
     assert root_of_unity(f, n_prime)[0] is f
     for coset in coset_partition(n_prime, p).cosets:
@@ -550,7 +550,7 @@ def test_cyclotomic_coeffs_multiply_to_xn_minus_1():
 @pytest.mark.parametrize("ns, q", [(range(1, 65), q) for q in (2, 3, 4, 5, 8, 9)]
                          + [((509,), 2), ((202,), 3)])
 def test_full_cosets_give_the_minimal_polynomial(ns, q):
-    # Phi_d mod p for a full coset is the linear solve's answer in the extension
+    # Phi_d mod p for a full coset is minimal_poly's Berlekamp-Massey answer
     f, seen = field_from_order(q), 0
     for n in ns:
         if n % f.p == 0:

@@ -4,7 +4,8 @@ The goldens cover ``search`` (CSV and JSON, binary with simple roots,
 repeated roots, nonbinary fields, a cap that skips pairs), ``factor
 --json`` (extension fields up to GF(2^504) and GF(3^100), at n = 1009
 over GF(2) and n = 404 over GF(3); GF(3^82) at n = 83 over GF(9), two
-cosets of 41, and GF(5^4) at n = 26 over GF(25); n = 509 over GF(2) and n = 202 over
+cosets of 41, and GF(5^4) at n = 26 over GF(25), a base field past the
+minimal polynomials' lookup lists; n = 509 over GF(2) and n = 202 over
 GF(3), whose cosets are all full and whose factors are cyclotomic
 polynomials mod p, and n = 523 over GF(2), all full too though its
 root-of-unity extension GF(2^522) is past the degree bound; and GF(257) itself, where every factor is linear),
