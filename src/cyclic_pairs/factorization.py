@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache, partial
 from math import gcd, prod
 
-from cyclic_pairs.cyclotomic import coset_partition, mult_order
+from cyclic_pairs.cyclotomic import coset_of, coset_partition, mult_order
 from cyclic_pairs.fields import (MAX_EXTENSION_DEGREE, Field, FieldMismatchError,
                                  _prime_divisors, _SlotRing, make_field)
 from cyclic_pairs.poly import MAX_LENGTH, Polynomial
@@ -119,14 +119,8 @@ def _traces(field: Field, n_prime: int) -> list[int]:
         cols.append(ring.mul(cols[-1], g))
     rows = None if p == 2 else ring  # _solve's rows: bits for p = 2, the ring's slots for odd p
     cols = [ring.unpack(c) for c in cols] if p == 2 else cols
-    table: list = [None] * n_prime
-    for e in range(n_prime):
-        if table[e] is not None:
-            continue
-        coset, r = [e], e * q % n_prime
-        while r != e:
-            coset.append(r)
-            r = r * q % n_prime
+    table = [0] * n_prime
+    for coset in coset_partition(n_prime, q).cosets:
         tr = ring.reduce(t // len(coset) % p * ring.reduce(sum(powers[r] for r in coset)))
         if m > 1:  # _solve gives the digits x of -tr; negate them mod p
             digits = _solve(cols, ring.unpack(tr) if p == 2 else tr, rows)
@@ -247,10 +241,10 @@ def minimal_poly(n_prime: int, field: Field, coset: tuple[int, ...]) -> Polynomi
     CoercionError.
     """
     q, d = field.q, len(coset)
-    j = coset[0] if coset else 0
-    if (not coset or len(set(coset)) != d or j * pow(q, d, n_prime) % n_prime != j
-            or {j * pow(q, i, n_prime) % n_prime for i in range(d)} != set(coset)):
+    if (not coset or not 0 <= coset[0] < n_prime or len(set(coset)) != d
+            or set(coset) != set(coset_of(n_prime, q, coset[0]))):
         raise CoercionError(f"{coset} is not a {q}-cyclotomic coset mod {n_prime}")
+    j = coset[0]
     if (q - 1) % n_prime == 0:  # t = 1: alpha is in the field, and d = 1
         alpha = root_of_unity(field, n_prime)[2]
         return Polynomial(field, [field.neg(field.pow(alpha, j)), 1])
