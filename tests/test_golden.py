@@ -3,7 +3,8 @@
 The goldens cover ``search`` (CSV and JSON, binary with simple roots,
 repeated roots, nonbinary fields, a cap that skips pairs), ``factor
 --json`` (extension fields up to GF(2^504) and GF(3^100), at n = 1009
-over GF(2) and n = 404 over GF(3); GF(3^82) at n = 83 over GF(9), two
+over GF(2) and n = 404 over GF(3); GF(2^260) at n = 131 over GF(16),
+whose trace digits are solved on 4 columns of two-byte slots; GF(3^82) at n = 83 over GF(9), two
 cosets of 41, and GF(5^4) at n = 26 over GF(25), a base field past the
 minimal polynomials' lookup lists; n = 509 over GF(2) and n = 202 over
 GF(3), whose cosets are all full and whose factors are cyclotomic
@@ -59,6 +60,7 @@ CASES = {
     "factor_n26_q25": "--q 25 factor --n 26 --json",
     "factor_n509_q2": "factor --n 509 --json",
     "factor_n1009_q2": "factor --n 1009 --json",
+    "factor_n131_q16": "--q 16 factor --n 131 --json",
     "factor_n523_q2": "factor --n 523 --json",
     "factor_n5_q4099": "--q 4099 factor --n 5 --json",
     "factor_n7_q1021": "--q 1021 factor --n 7 --json",
