@@ -107,7 +107,8 @@ def _traces(field: Field, n_prime: int) -> list[int]:
     ``ext._ring``; a sum of |C| <= t reduced slots is within the ring's
     ``reduce`` bound.  For m = 1 a trace is a prime-field constant, which
     packs as itself; for m > 1 its digits are read by one ``_solve`` on
-    the m columns gamma^0 .. gamma^(m-1).
+    the m columns gamma^0 .. gamma^(m-1), and a trace outside their span
+    (alpha and gamma inconsistent) raises CoercionError.
     """
     ext, gamma, alpha = root_of_unity(field, n_prime)
     ring, p, m, q = ext._ring, field.p, field.m, field.q
@@ -117,41 +118,39 @@ def _traces(field: Field, n_prime: int) -> list[int]:
         powers.append(ring.mul(powers[-1], a))
     for _ in range(1, m):
         cols.append(ring.mul(cols[-1], g))
-    rows = None if p == 2 else ring  # _solve's rows: bits for p = 2, the ring's slots for odd p
-    cols = [ring.unpack(c) for c in cols] if p == 2 else cols
     table = [0] * n_prime
     for coset in coset_partition(n_prime, q).cosets:
         tr = ring.reduce(t // len(coset) % p * ring.reduce(sum(powers[r] for r in coset)))
         if m > 1:  # _solve gives the digits x of -tr; negate them mod p
-            digits = _solve(cols, ring.unpack(tr) if p == 2 else tr, rows)
+            digits = _solve(cols, tr, ring)
+            if digits is None:
+                raise CoercionError(f"alpha and gamma of {ext!r} are inconsistent over {field!r}")
             tr = sum(-x % p * p ** s for s, x in enumerate(digits))
         for r in coset:
             table[r] = tr
     return table
 
 
-def _solve(cols: list[int], b: int, ring: _SlotRing | None) -> list[int] | None:
+def _solve(cols: list[int], b: int, ring: _SlotRing) -> list[int] | None:
     """The unique x with sum_j x_j * cols[j] = -b over GF(p), or None.
 
-    cols and b are rows of ``_traces``: bits for p = 2 (ring None),
-    packed slots of ring for odd p.  A basis keyed by leading
-    slot holds the reduced columns, each with the packed combination of
+    cols and b are elements of ``_traces``' extension, one encoding for
+    every p: the packed slots of its ring.  A basis keyed by leading slot
+    holds the reduced columns, each with the packed combination of
     unknowns that gives it (slot j for cols[j]).  A row update subtracts a
-    multiple of a basis row and its combination: XOR for p = 2,
-    reduce(v + c * row) for odd p.  A column that reduces to 0 (many
-    solutions) or a b that does not (none) gives None.
+    multiple c of a basis row and its combination, reduce(v + c * row).
+    A column that reduces to 0 (many solutions) or a b that does not
+    (none) gives None.
     """
-    p, w = (2, 1) if ring is None else (ring.p, ring.w)
+    p, w = ring.p, ring.w
     basis: dict[int, tuple[int, int, int]] = {}  # leading slot -> (row, combination, 1 / lead)
 
     def eliminate(v: int, combo: int) -> tuple[int, int]:
         while v and (top := (v.bit_length() - 1) // w) in basis:
             row, row_combo, inv = basis[top]
-            if ring is None:
-                v, combo = v ^ row, combo ^ row_combo
-            else:  # c * lead(row) = -lead(v); every slot sum is at most p(p - 1)
-                c = (p - (v >> (w * top))) * inv % p
-                v, combo = ring.reduce(v + c * row), ring.reduce(combo + c * row_combo)
+            # c * lead(row) = -lead(v); every slot sum is at most p(p - 1)
+            c = (p - (v >> (w * top))) * inv % p
+            v, combo = ring.reduce(v + c * row), ring.reduce(combo + c * row_combo)
         return v, combo
 
     for j, col in enumerate(cols):
@@ -241,8 +240,8 @@ def minimal_poly(n_prime: int, field: Field, coset: tuple[int, ...]) -> Polynomi
     CoercionError.
     """
     q, d = field.q, len(coset)
-    if (not coset or not 0 <= coset[0] < n_prime or len(set(coset)) != d
-            or set(coset) != set(coset_of(n_prime, q, coset[0]))):
+    if (not coset or not 0 <= coset[0] < n_prime
+            or tuple(sorted(coset)) != coset_of(n_prime, q, coset[0])):
         raise CoercionError(f"{coset} is not a {q}-cyclotomic coset mod {n_prime}")
     j = coset[0]
     if (q - 1) % n_prime == 0:  # t = 1: alpha is in the field, and d = 1
@@ -368,10 +367,8 @@ class Factorization:
         n_prime, q = self.n_prime, self.field.q
         factor_of = [0] * n_prime  # residue -> index of the factor whose coset holds it
         for i, entry in enumerate(self.factors):
-            r = entry.coset_rep
-            for _ in range(entry.poly.degree):  # the coset's size
+            for r in coset_of(n_prime, q, entry.coset_rep):
                 factor_of[r] = i
-                r = r * q % n_prime
         reps = [entry.coset_rep for entry in self.factors]
         return {a: tuple(factor_of[a * r % n_prime] for r in reps)
                 for a in range(n_prime) if gcd(a, n_prime) == 1}
@@ -400,14 +397,8 @@ class Factorization:
     @cached_property
     def coset_masks(self) -> tuple[int, ...]:
         """Each factor's q-cyclotomic coset of Z_{n'} as an n'-bit mask."""
-        masks = []
-        for entry in self.factors:
-            mask, r = 0, entry.coset_rep
-            for _ in range(entry.poly.degree):  # the coset's size
-                mask |= 1 << r
-                r = r * self.field.q % self.n_prime
-            masks.append(mask)
-        return tuple(masks)
+        return tuple(sum(1 << r for r in coset_of(self.n_prime, self.field.q, entry.coset_rep))
+                     for entry in self.factors)
 
     def bch_bound(self, exponents) -> int:
         """The BCH bound, maximized over the multiplier orbit of a divisor.

@@ -99,9 +99,10 @@ class _SlotRing:
     depend on p: for odd p, w holds the largest slot sum times the constant
     c of ``reduce``, so nothing carries into the next slot.  That sum is
     m(p-1)^2 in a product and p(p-1) in a multiply-add a + c*b of reduced
-    slots (division steps, and the row updates of ``factorization._solve``,
-    which reads a trace's m base-field digits); the second is larger only
-    for m = 1.  A sum of at most m reduced slots (a trace over a coset of
+    slots (division steps, and the row updates by which
+    ``factorization._solve`` reads a trace's m base-field digits on the
+    extension's ring, for every p); the second is larger only for m = 1.
+    A sum of at most m reduced slots (a trace over a coset of
     ``factorization._traces``) is within the first.  p = 2 is
     ``_BinarySlotRing``.
     """
@@ -211,9 +212,11 @@ class _BinarySlotRing(_SlotRing):
 
     A slot of a product sums at most m products of bits, so w = 8 for
     m <= 255 and w = 16 up to ``MAX_EXTENSION_DEGREE`` never carries, nor
-    does Barrett's step, whose sums are smaller.  Mod 2 is one AND with the
-    slots' low bits.  Packing spreads the bits of an element's encoding
-    into bytes with C-level ``bytes`` operations, not a loop over slots.
+    does Barrett's step, whose sums are smaller, nor a row update of
+    ``factorization._solve``, which adds a row once (c = 1) and so sums at
+    most 2 per slot.  Mod 2 is one AND with the slots' low bits.  Packing
+    spreads the bits of an element's encoding into bytes with C-level
+    ``bytes`` operations, not a loop over slots.
     """
 
     __slots__ = ("ones",)

@@ -14,7 +14,7 @@ from cyclic_pairs.cyclotomic import (coset_count, coset_of, coset_partition, eul
 from cyclic_pairs.factorization import (CoercionError, factor_xn1,
                                         minimal_poly, root_of_unity,
                                         split_length)
-from cyclic_pairs.fields import (FieldMismatchError, _SlotRing, field_from_order,
+from cyclic_pairs.fields import (FieldMismatchError, field_from_order,
                                  is_irreducible, make_field)
 from cyclic_pairs.poly import Polynomial, parse_poly, xn_minus_1
 from cyclic_pairs.codes import CyclicCode
@@ -166,17 +166,32 @@ def test_traces_are_read_by_solves_of_m_columns(n_prime, q, monkeypatch):
 def _packed_solve(a, b, p):
     """factorization._solve on the columns of a, for the right-hand side b.
 
-    For odd p the rows sit in the slots of a ring of degree len(a), whose
+    The rows sit in the slots of the ring of degree len(a) that
+    ``fields._slot_ring`` builds for p, byte-aligned for p = 2; its
     modulus plays no part in a row update.
     """
     rows = len(a)
-    ring = None if p == 2 else _SlotRing((1,) + (0,) * (rows - 1) + (1,), p)
-    w = 1 if ring is None else ring.w
+    ring = fields._slot_ring((1,) + (0,) * (rows - 1) + (1,), p)
+    w = ring.w
 
     def pack(vec):
         return sum(v << (w * r) for r, v in enumerate(vec))
 
     return factorization._solve([pack(col) for col in zip(*a)], pack([-v % p for v in b]), ring)
+
+
+def test_an_inconsistent_embedding_raises_coercion_error(monkeypatch):
+    # gamma = 0 makes the second column of the trace-digit solve zero, so no
+    # trace over GF(4) has digits: the documented error, not a TypeError
+    f = field_from_order(4)
+    ext, _, alpha = root_of_unity(f, 9)
+    monkeypatch.setattr(factorization, "root_of_unity", lambda field, n_prime: (ext, 0, alpha))
+    factorization._traces.cache_clear()
+    with pytest.raises(CoercionError):
+        minimal_poly(9, f, (1, 4, 7))
+    monkeypatch.undo()
+    factorization._traces.cache_clear()
+    assert minimal_poly(9, f, (1, 4, 7)) == naive_minimal_poly(9, f, (1, 4, 7))
 
 
 def _mat_vec(a, x, p):
@@ -589,3 +604,23 @@ def test_multiplier_maps_a_divisor_as_x_to_x_a(n, q):
             assert rem.is_zero(), (v, a)
             assert fac.degree(image) == fac.degree(v)
 
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+def test_coset_masks_partition_z_n_prime(q):
+    # the masks are the factors' cosets: disjoint, covering Z_{n'}, one bit per
+    # root of each factor, and each holds its coset representative
+    f = field_from_order(q)
+    for n_prime in range(1, 65):
+        if gcd(n_prime, q) != 1:
+            continue
+        fac = factor_xn1(n_prime, f)
+        masks = fac.coset_masks
+        assert len(masks) == len(fac.factors)
+        union = 0
+        for mask, entry in zip(masks, fac.factors):
+            assert not union & mask, (n_prime, entry.coset_rep)
+            union |= mask
+            assert mask.bit_count() == entry.poly.degree
+            assert mask >> entry.coset_rep & 1
+        assert union == (1 << n_prime) - 1, n_prime
