@@ -34,7 +34,7 @@ residue j, and its factor is x - alpha^j.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from math import gcd, prod
 
@@ -478,7 +478,7 @@ def factor_xn1(n: int, field: Field) -> Factorization:
     nu, n_prime = split_length(n, field)
     if nu:
         base = factor_xn1(n_prime, field).factors
-        entries = [replace(e, multiplicity=field.p ** nu) for e in base]
+        entries = [FactorEntry(e.poly, field.p ** nu, e.coset_rep, e.order) for e in base]
     else:
         entries = []  # by order d, then by coset representative
         for d, cosets in coset_partition(n, field.q).by_order.items():

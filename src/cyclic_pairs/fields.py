@@ -346,7 +346,7 @@ def lex_least_irreducible(p: int, m: int) -> tuple[int, ...]:
 class Field:
     """The finite field GF(p^m) with canonical integer element encoding."""
 
-    __slots__ = ("p", "m", "q", "modulus", "_ring", "_small", "_orders",
+    __slots__ = ("p", "m", "q", "modulus", "_ring", "_small", "_orders", "_powers",
                  "_lists", "_rows", "_add_table", "_mul_table")
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
@@ -357,6 +357,7 @@ class Field:
         self._small = m > 1 and self.q <= _TABLE_LIMIT
         self._ring = _slot_ring(modulus, p) if m > 1 else None
         self._orders = {}  # n -> element_of_order(n)
+        self._powers = {}  # prime r -> the beta element_of_order found to be r-th powers
         self._lists = None  # log/antilog (and, for odd p, Zech) lists; see _logs()
         self._rows = {}  # c -> bytes.translate table of v -> c * v; see _mul_row()
         self._add_table = None
@@ -455,16 +456,25 @@ class Field:
         gamma^(n/r) != 1 for every prime r | n.  A prime-field constant
         beta < p gives a gamma in GF(p)*, whose order divides p - 1, so
         when n does not divide p - 1 the scan starts at beta = p and finds
-        the same gamma.  ValueError unless n | q - 1.
+        the same gamma.  gamma^(n/r) = beta^((q-1)/r), so a beta that fails
+        the check at r is an r-th power and fails it for every n with r | n:
+        such beta are kept per r and skipped.  ValueError unless n | q - 1.
         """
         if n < 1 or (self.q - 1) % n:
             raise ValueError(f"{self!r} has no element of order {n}")
         if n in self._orders:
             return self._orders[n]
         cofactor, primes = (self.q - 1) // n, _prime_divisors(n)
+        known = [self._powers.get(r, ()) for r in primes]
         for beta in range(1 if (self.p - 1) % n == 0 else self.p, self.q):
+            if any(beta in powers for powers in known):
+                continue
             gamma = self.pow(beta, cofactor)
-            if all(self.pow(gamma, n // r) != 1 for r in primes):
+            for r in primes:
+                if self.pow(gamma, n // r) == 1:
+                    self._powers.setdefault(r, set()).add(beta)
+                    break
+            else:
                 return self._orders.setdefault(n, gamma)
         raise RuntimeError(f"no element of order {n} in {self!r}")  # GF(q)* is cyclic
 

@@ -96,18 +96,23 @@ class _DegreeSpectrum:
     fewest copies that leave an attainable rest, so it takes none before
     the first factor i whose successors cannot reach ell, then s copies of
     f_i, and continues as it would for ell - s * d, d = deg f_i.  The
-    reach sets are nested and s is least, so for every 1 <= t <= s the
-    vector of ell - t * d is that of ell with t fewer copies of f_i, and
-    the witness of ell is f_i^t times the witness of ell - t * d.  The
-    least t whose witness is kept is taken, else t = s and the same step
-    is made for ell - s * d, its scan resumed at factor i + 1, since that
-    rest is in reach[i + 1]; every witness met is kept.  Asked in
-    ascending order, each ell is one product f_i * W(ell - d); asked cold,
-    it is one power per factor taken.
+    reach sets are nested, so each attainable ell > 0 is a bit of exactly
+    one reach[i] & ~reach[i + 1], and that i is stop[ell], read in O(1)
+    from a table built in one pass over those bits.  As s is least, for
+    every 1 <= t <= s the vector of ell - t * d is that of ell with t
+    fewer copies of f_i, and the witness of ell is f_i^t times the witness
+    of ell - t * d.  The least t whose witness is kept is taken, else
+    t = s and the same step is made for ell - s * d, which is in
+    reach[i + 1] and so has its first factor past i; every witness met is
+    kept.
 
-    A kept witness stores its link (rest, i, t), W(ell) = f_i^t * W(rest),
-    and not its vector: the vector of an ell asked is that of the first
-    asked ell down its links plus their copies, and is kept in turn.
+    Asked in ascending order, ell - d has been asked before: t = 1, the
+    witness is the one product f_i * W(ell - d), and the vector is that of
+    ell - d with one more copy of f_i.  Asked cold, each ell is one power
+    per factor taken.  A kept witness stores its link (rest, i, t),
+    W(ell) = f_i^t * W(rest), and a chain stores no vector: the vector of
+    an ell asked is that of the first asked ell down its links plus their
+    copies, and is kept in turn.
     """
 
     def __init__(self, fac: Factorization):
@@ -121,30 +126,48 @@ class _DegreeSpectrum:
                 cur <<= self.degrees[i]
                 acc |= cur
             reach[i] = acc
+        # attainable ell > 0 -> the first i with ell not in reach[i + 1]
+        self.stop = stop = [0] * (fac.n + 1)
+        for i in range(nf):
+            fresh = reach[i] & ~reach[i + 1]
+            while fresh:
+                low = fresh & -fresh
+                stop[low.bit_length() - 1] = i
+                fresh ^= low
         self.witnesses = {0: Polynomial.one(fac.field)}
         self.links: dict[int, tuple[int, int, int]] = {}  # ell -> (rest, i, t)
         self.vectors = {0: (0,) * nf}  # for the ell asked
 
     def witness(self, ell: int) -> tuple[tuple[int, ...], Polynomial]:
         """The lex-least exponent vector of degree ell and its divisor; ell attainable."""
-        reach, degrees, witnesses, chain, i = self.reach, self.degrees, self.witnesses, [], 0
-        asked = ell
+        witnesses, vectors = self.witnesses, self.vectors
+        if ell in witnesses:
+            return self._vector(ell), witnesses[ell]
+        i = self.stop[ell]
+        rest = ell - self.degrees[i]
+        if rest in vectors:  # the ascending step
+            poly = witnesses[ell] = self.fac.factors[i].poly * witnesses[rest]
+            self.links[ell] = rest, i, 1
+            vector = list(vectors[rest])
+            vector[i] += 1
+            vector = vectors[ell] = tuple(vector)
+            return vector, poly
+        reach, degrees, stop, chain, asked = self.reach, self.degrees, self.stop, [], ell
         while ell not in witnesses:
-            while reach[i + 1] >> ell & 1:
-                i += 1
+            i = stop[ell]
             d, rest = degrees[i], ell - degrees[i]
             # the least t <= s whose witness is kept, else s: the least t reach[i + 1] attains
             while rest not in witnesses and not reach[i + 1] >> rest & 1:
                 rest -= d
             chain.append((ell, rest, i))
-            ell, i = rest, i + 1
+            ell = rest
         poly = witnesses[ell]
         for ell, rest, i in reversed(chain):
             t = (ell - rest) // degrees[i]
             f = self.fac.factors[i].poly
             poly = witnesses[ell] = (f ** t if t > 1 else f) * poly
             self.links[ell] = rest, i, t
-        return self._vector(asked), witnesses[asked]
+        return self._vector(asked), poly
 
     def _vector(self, ell: int) -> tuple[int, ...]:
         vectors = self.vectors
@@ -189,7 +212,7 @@ def exists_ell(n: int, field: Field, ell: int,
     if not spectrum.reach[0] >> ell & 1:
         return ExistenceWitness(n, field.q, ell, False, None, None)
     vector, witness = spectrum.witness(ell)
-    return ExistenceWitness(n, field.q, ell, True, vector, witness)
+    return tuple.__new__(ExistenceWitness, (n, field.q, ell, True, vector, witness))
 
 
 def small_ell_predicate(n: int, field: Field, ell: int) -> tuple[bool, str]:

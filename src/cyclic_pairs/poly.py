@@ -12,7 +12,10 @@ Products take one lane per field, all giving the same coefficients:
   as in the field layer: each operand is packed once into an int,
   coefficient i in slot i of u bytes, the ints are multiplied, and the
   product is unpacked once, its slots taken mod p by ``bytes.translate``
-  (u = 1) or over a ``memoryview.cast`` (``_kronecker``);
+  (u = 1) or over a ``memoryview.cast`` (``_kronecker``).  One
+  comparison, min(len a, len b)·(p − 1)² < 256, picks u = 1 before any
+  loop, and ``__mul__`` compares the fields by identity and builds the
+  product in place, so ``_kronecker`` is its only call;
 * GF(2^m) with q <= 256, where an element is one byte: the loop runs
   over the shorter operand, and each nonzero coefficient c translates
   the longer operand's bytes by c's multiplication row
@@ -89,13 +92,13 @@ def _kronecker(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...
     that sum below 2^(8u), never carries.  For p < MAX_ORDER = 2^20,
     8 bytes cover every min(len a, len b) < 2^24.
     """
-    top, u = min(len(a), len(b)) * (p - 1) ** 2, 1
-    while top >> (8 * u):
-        u *= 2
-    n = len(a) + len(b) - 1
-    if u == 1:  # p <= 13: a coefficient is a byte
+    top, n = min(len(a), len(b)) * (p - 1) ** 2, len(a) + len(b) - 1
+    if top < 256:  # u = 1, so p <= 13: a coefficient is a byte
         prod = int.from_bytes(bytes(a), "little") * int.from_bytes(bytes(b), "little")
         return tuple(prod.to_bytes(n, "little").translate(_mod_table(p)))
+    u = 2
+    while top >> (8 * u):
+        u *= 2
     raw = (_pack(a, p, u) * _pack(b, p, u)).to_bytes(u * n, "little")
     if u in _SLOT_FORMAT and sys.byteorder == "little":
         slots = memoryview(raw).cast(_SLOT_FORMAT[u])
@@ -183,13 +186,16 @@ class Polynomial:
         return Polynomial(f, [f.neg(c) for c in self.coeffs])
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        self._same_field(other)
         f = self.field
+        if other.field is not f:
+            self._same_field(other)  # raises
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Polynomial.zero(f)
-        if f.m == 1:
-            return Polynomial._product(f, _kronecker(a, b, f.p))
+        if f.m == 1:  # built in place: the product lane is the only call
+            poly = object.__new__(Polynomial)
+            poly.field, poly.coeffs = f, _kronecker(a, b, f.p)
+            return poly
         if f.p == 2 and f.q <= 256:
             # an element is one byte, so one translate multiplies a whole operand by c
             if len(a) < len(b):

@@ -746,6 +746,58 @@ def test_log_tables_take_the_same_primitive_element():
         assert exp[1] == f.element_of_order(q - 1), q
 
 
+def _divisors(n):
+    small = [d for d in range(1, int(n ** 0.5) + 1) if n % d == 0]
+    return sorted(set(small + [n // d for d in small]))
+
+
+def _scan_without_memo(f, n):
+    """element_of_order(n) by the scan from beta = 1, keeping nothing."""
+    cofactor, primes = (f.q - 1) // n, _prime_factors(n)
+    return next(gamma for gamma in (f.pow(beta, cofactor) for beta in range(1, f.q))
+                if all(f.pow(gamma, n // r) != 1 for r in primes))
+
+
+@pytest.mark.parametrize("p, m", [(3, 10), (3, 4), (5, 4), (2, 28)])
+def test_element_of_order_skipping_known_powers_equals_the_scan(p, m):
+    # every n | q - 1, asked ascending and descending on fields of their own, so
+    # the beta kept as r-th powers come from other orders than the one asked
+    modulus = make_field(p, m).modulus
+    oracle = fields.Field(p, m, modulus)
+    orders = _divisors(oracle.q - 1)
+    expected = {n: _scan_without_memo(oracle, n) for n in orders}
+    for asked in (orders, orders[::-1]):
+        f = fields.Field(p, m, modulus)
+        for n in asked:
+            assert f.element_of_order(n) == expected[n], (p, m, n)
+
+
+def test_element_of_order_skips_the_powers_it_has_met(monkeypatch):
+    # in GF(3^10) beta = 3 ... 33 are squares, so alone each of n = 8, 44 and 22
+    # tries 32 candidates, two or three powers each; after n = 8 has met the
+    # squares, n = 44 and n = 22 skip them without a power
+    modulus = make_field(3, 10).modulus
+    assert modulus == (1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 1)
+    calls, power = [0], fields.Field.pow
+
+    def counted(f, a, e):
+        calls[0] += 1
+        return power(f, a, e)
+
+    monkeypatch.setattr(fields.Field, "pow", counted)
+
+    def pows(f, n):
+        calls[0] = 0
+        f.element_of_order(n)
+        return calls[0]
+
+    warm = fields.Field(3, 10, modulus)
+    in_turn = [pows(warm, n) for n in (8, 44, 22)]
+    alone = [pows(fields.Field(3, 10, modulus), n) for n in (8, 44, 22)]
+    assert in_turn[0] == alone[0] == 64
+    assert in_turn[1:] == [3, 3] and alone[1:] == [65, 65]
+
+
 def test_element_of_order_keeps_its_answers(monkeypatch):
     f = make_field(3, 40)
     n = (f.q - 1) // 2

@@ -313,6 +313,26 @@ def test_cold_chains_over_gf65537_match_an_ascending_sweep(n):
         assert exists_ell(n, f, ell, fact) == ascending[ell], (n, ell)
 
 
+# every length of the factor sweep, one factor of multiplicity 4 096, and 256
+# linear factors
+STOP_CASES = ([(n, q) for q in (2, 3, 4, 5, 8, 9) for n in range(1, 65)]
+              + [(4096, 2), (256, 65537)])
+
+
+def test_first_factor_table_equals_the_linear_scan():
+    # stop[ell], built from the bits of reach[i] & ~reach[i + 1], is the first
+    # factor i whose successors cannot reach ell, found here by scanning from 0
+    for n, q in STOP_CASES:
+        spectrum = pairs._DegreeSpectrum(factor_xn1(n, field_from_order(q)))
+        reach = spectrum.reach
+        for ell in range(1, n + 1):
+            if reach[0] >> ell & 1:
+                i = 0
+                while reach[i + 1] >> ell & 1:
+                    i += 1
+                assert spectrum.stop[ell] == i, (n, q, ell)
+
+
 def test_exists_refuses_a_factorization_of_another_polynomial():
     # x^7 - 1 has no degree-2 divisor; x^15 - 1 has x^2 + x + 1
     with pytest.raises(ValueError, match="not of x\\^7 - 1 over GF\\(2\\)"):

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from itertools import product
@@ -9,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cyclic_pairs
-from cyclic_pairs.fields import Field, field_from_order, lex_least_irreducible, make_field
+from cyclic_pairs.fields import (Field, FieldMismatchError, field_from_order,
+                                 lex_least_irreducible, make_field)
 from cyclic_pairs.poly import Polynomial, PolyParseError, parse_poly, xn_minus_1
 from helpers import divides, naive_poly_mul, poly_gcd, poly_lcm
 
@@ -169,6 +171,48 @@ def test_prime_field_products_make_no_field_mul_call(monkeypatch):
         for x, y in [(a, b), (a, a), (b, Polynomial.one(f)), (a, Polynomial.zero(f))]:
             x * y
         b ** 5
+
+
+def _int_schoolbook(a, b, p):
+    """The product's coefficients by a double loop on ints mod p, trimmed."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+# (p, shorter): min(len a, len b) * (p - 1)^2 is 252 and 256 for p = 3, 255 and
+# 256 for p = 2, 144 and 288 for p = 13; the first of each pair takes one-byte
+# product slots, decided by one comparison, and the second two-byte slots
+ONE_BYTE_EDGES = [(3, 63), (3, 64), (2, 255), (2, 256), (13, 1), (13, 2)]
+
+
+@pytest.mark.parametrize("p, shorter", ONE_BYTE_EDGES)
+def test_prime_field_products_at_the_one_byte_boundary_equal_schoolbook(p, shorter):
+    f = make_field(p)
+    rng = random.Random(1000 * p + shorter)
+    operands = [([p - 1] * shorter, [p - 1] * (shorter + 5))]  # every slot at its largest sum
+    for extra in (0, 1, 40):
+        a = [rng.randrange(p) for _ in range(shorter - 1)] + [rng.randrange(1, p)]
+        b = [rng.randrange(p) for _ in range(shorter + extra - 1)] + [rng.randrange(1, p)]
+        operands.append((a, b))
+    for a, b in operands:
+        for x, y in ((a, b), (b, a)):
+            assert (Polynomial(f, x) * Polynomial(f, y)).coeffs == _int_schoolbook(x, y, p)
+
+
+def test_products_over_different_prime_fields_raise_field_mismatch():
+    # fields compare by identity: a second GF(3) object is another field
+    gf3, other_gf3 = make_field(3), Field(3, 1, (0, 1))
+    for f, g in [(GF2, gf3), (gf3, other_gf3), (gf3, make_field(3, 2)), (gf3, GF2)]:
+        for a, b in [(Polynomial(f, (1, 1)), Polynomial(g, (1, 1))),
+                     (Polynomial.zero(f), Polynomial(g, (1,))),
+                     (Polynomial(f, (2 % f.p, 1)), Polynomial.zero(g))]:
+            with pytest.raises(FieldMismatchError):
+                a * b
 
 
 @pytest.mark.parametrize("q", [4, 32, 256, 512])
