@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
+from types import MappingProxyType
 
 from cyclic_pairs.fields import _prime_divisors
 
@@ -58,13 +60,16 @@ class CosetPartition:
     n_prime: int
     q: int
     cosets: tuple[tuple[int, ...], ...]      # sorted by representative
-    by_order: dict[int, tuple[tuple[int, ...], ...]]
+    by_order: MappingProxyType[int, tuple[tuple[int, ...], ...]]  # read-only, ascending d
 
     def representatives(self) -> tuple[int, ...]:
         return tuple(c[0] for c in self.cosets)
 
 
+@lru_cache(maxsize=1)
 def coset_partition(n_prime: int, q: int) -> CosetPartition:
+    """The q-cyclotomic cosets of Z_{n'}, read-only.  The last one is kept:
+    ``factor_xn1`` asks for it, then its trace table for the same (n', q)."""
     if gcd(n_prime, q) != 1:
         raise ValueError(f"gcd({n_prime}, {q}) != 1")
     cosets = []
@@ -81,7 +86,7 @@ def coset_partition(n_prime: int, q: int) -> CosetPartition:
         by_order.setdefault(additive_order(c[0], n_prime), []).append(c)
     return CosetPartition(n_prime, q,
                           tuple(cosets),
-                          {d: tuple(v) for d, v in sorted(by_order.items())})
+                          MappingProxyType({d: tuple(v) for d, v in sorted(by_order.items())}))
 
 
 def coset_count(n_prime: int, q: int) -> int:

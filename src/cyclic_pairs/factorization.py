@@ -7,10 +7,16 @@ minimal polynomial of alpha^rep for a primitive n'-th root of unity alpha.
 A full coset, every residue of additive order d (|coset| = phi(d), that
 is ord_d(q) = phi(d)), has the cyclotomic polynomial Phi_d reduced mod p
 as its factor (Lidl & Niederreiter, Finite Fields, Thm 2.47), computed
-over Z with no root of unity; coset {0} is full, with Phi_1 = x - 1.
-Every other coset is solved by ``minimal_poly`` in a deterministic
-extension field GF(p^(m*t)), t = ord_n'(q), so a length whose cosets are
-all full builds no extension field.  alpha, and the generator of the copy
+over Z with no root of unity and kept mod p per (d, p); coset {0} is
+full, with Phi_1 = x - 1.  Every other coset is solved by ``minimal_poly``
+in a deterministic extension field GF(p^(m*t)), t = ord_n'(q), so a
+length whose cosets are all full builds no extension field.  When t > 1,
+a coset C whose negation -C is another coset, of the smaller
+representative n' - max C, is not solved: the roots of M_C are the
+inverses of those of M_-C, so M_C is the monic reciprocal of M_-C
+(ibid., ch. 3), built with the lookup lists Berlekamp-Massey read for
+M_-C.  ``factor_xn1`` and then the trace table of the same (n', q) read
+one kept ``coset_partition``.  alpha, and the generator of the copy
 of GF(q) in which the image gamma of GF(q)'s own generator is sought, both
 come from ``Field.element_of_order``.  Lengths above ``MAX_LENGTH`` are
 refused up front, and a degree m*t above ``MAX_EXTENSION_DEGREE`` only
@@ -466,11 +472,28 @@ def _cyclotomic_coeffs(d: int) -> list[int]:
 
 
 @lru_cache(maxsize=None)
+def _cyclotomic_mod(d: int, p: int) -> tuple[int, ...]:
+    """Phi_d mod p, ascending, kept per (d, p)."""
+    return tuple(c % p for c in _cyclotomic_coeffs(d))
+
+
+def _reciprocal(poly: Polynomial) -> Polynomial:
+    """The monic reciprocal x^d M(1/x) / M(0) of M = poly, M(0) != 0, whose
+    roots are the inverses of M's, with the field's ``_scalar_ops``."""
+    _, mul, _, inv = _scalar_ops(poly.field)
+    row = mul[inv[poly.coeffs[0]]]
+    return Polynomial._product(poly.field, [row[c] for c in reversed(poly.coeffs)])
+
+
+@lru_cache(maxsize=None)
 def factor_xn1(n: int, field: Field) -> Factorization:
     """All irreducible factors of x^n - 1 over the field, with multiplicity p^nu.
 
     For nu >= 1 they are the factors of the cached x^n' - 1, each raised
-    to multiplicity p^nu.  A degree of the root-of-unity extension past
+    to multiplicity p^nu.  For nu = 0 a full coset's factor is Phi_d mod
+    p; for t > 1 a coset C after -C is the reciprocal of M_-C, and every
+    other coset is ``minimal_poly``'s, so that t = 1 keeps x - alpha^j and
+    builds no lookup list.  A degree of the root-of-unity extension past
     MAX_EXTENSION_DEGREE is refused by ``root_of_unity`` when the first
     coset that is not full needs it; a length whose cosets are all full
     builds no extension and is answered whatever that degree.
@@ -480,12 +503,18 @@ def factor_xn1(n: int, field: Field) -> Factorization:
         base = factor_xn1(n_prime, field).factors
         entries = [FactorEntry(e.poly, field.p ** nu, e.coset_rep, e.order) for e in base]
     else:
-        entries = []  # by order d, then by coset representative
+        twins = (field.q - 1) % n  # t > 1, where minimal_poly runs Berlekamp-Massey
+        entries, solved = [], {}  # by order d, then by coset representative
         for d, cosets in coset_partition(n, field.q).by_order.items():
             for coset in cosets:
                 # phi(d) residues have additive order d, so a coset holds them
                 # all (is full) exactly when it is the only coset of order d
-                poly = (Polynomial(field, [c % field.p for c in _cyclotomic_coeffs(d)])
-                        if len(cosets) == 1 else minimal_poly(n, field, coset))
+                if len(cosets) == 1:
+                    poly = Polynomial(field, _cyclotomic_mod(d, field.p))
+                elif twins and n - coset[-1] < coset[0]:
+                    # -C, of representative n - max C, was solved before
+                    poly = _reciprocal(solved[n - coset[-1]])
+                else:
+                    poly = solved[coset[0]] = minimal_poly(n, field, coset)
                 entries.append(FactorEntry(poly, 1, coset[0], d))
     return Factorization(n, field, nu, n_prime, tuple(entries))

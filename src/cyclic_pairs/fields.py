@@ -19,16 +19,17 @@ representative polynomial; every method takes and returns them.
   coefficient i in its own slot of w bits (``_SlotRing``).  A product is
   one int multiply (Kronecker substitution; Harvey 2009), every slot is
   taken mod p at once, and the reduction mod f is Barrett's (Barrett
-  1986) with mu = x^(2m-2) // f built with the ring.  Only the slot
-  width, the slot reduction and the packing depend on p: for odd p the
-  slots are as wide as the largest slot sum needs, and one multiply,
-  shift and mask takes them mod p (Granlund & Montgomery 1994); for p = 2
-  they are one or two bytes, one AND takes them mod 2, and packing is a
-  few C-level ``bytes`` operations (``_BinarySlotRing``).  ``mul`` packs
-  its operands and unpacks the result; ``pow`` packs its operand once and
-  squares and multiplies on slots.  For p = 2 ``add`` stays XOR on the
-  encodings; for odd p it adds packed slots.  Ben-Or's irreducibility
-  test behind the modulus search runs on the same packed ints for every p.
+  1986) with mu = x^(2m-2) // f built with the ring.  The slot width,
+  the slot reduction, the packing and the resultant depend on p: for odd
+  p the slots are as wide as the largest slot sum needs, and one
+  multiply, shift and mask takes them mod p (Granlund & Montgomery 1994);
+  for p = 2 they are one or two bytes, one AND takes them mod 2, packing
+  is a few C-level ``bytes`` operations, and the resultant's Euclid runs
+  on the plain bits of the unpacked operands (``_BinarySlotRing``).
+  ``mul`` packs its operands and unpacks the result; ``pow`` packs its
+  operand once and squares and multiplies on slots.  For p = 2 ``add``
+  stays XOR on the encodings; for odd p it adds packed slots.  Ben-Or's
+  irreducibility test behind the modulus search runs on the same rings.
 
 Every lane composes ``neg`` (times p - 1, the prime-field constant -1),
 ``sub`` (add the negation) and ``inv`` (Fermat's a^(q-2)) from these three.
@@ -39,8 +40,11 @@ gcd(x^(p^i) - x, f) = 1 for every i <= m/2.  The x^(p^i) - x mod f are
 multiplied over blocks of i of lengths 1, 2, 4, ..., the last cut at m/2,
 with one gcd per block; an irreducible factor of f divides the product
 exactly when it divides one factor, and a zero product gives gcd(0, f) = f.
-Most reducible candidates fall in the first blocks.  The gcds run on packed
-ints and only answer "is it 1?", reading a degree off the bit length.
+Most reducible candidates fall in the first blocks.  A gcd is 1 exactly
+when the resultant Res(f, b) in GF(p) is nonzero, and the ring reads it
+off Euclid's remainders (``_SlotRing.resultant``), degrees off the bit
+length.  For irreducible f the resultant is the norm of b down to GF(p),
+by which ``element_of_order`` tells the r-th powers for r | p - 1.
 When p <= m + 1 the search first drops a candidate with a root in
 GF(p), in plain ints: the coefficient sum tests a = 1 and Horner
 evaluation every other a (about m^2 operations in all), which answers
@@ -95,13 +99,14 @@ class _SlotRing:
     A product is one int multiply (Kronecker substitution), and ``reduce``
     takes every slot mod p at once.  Reduction mod f is Barrett's, with
     mu = x^(2m-2) // f, which is x^(m-2) - r // x^2 for f = x^m + r with
-    2 deg r <= m + 1.  Only the slot width, ``reduce`` and the packing
-    depend on p: for odd p, w holds the largest slot sum times the constant
-    c of ``reduce``, so nothing carries into the next slot.  That sum is
-    m(p-1)^2 in a product and p(p-1) in a multiply-add a + c*b of reduced
-    slots (division steps, and the row updates by which
-    ``factorization._solve`` reads a trace's m base-field digits on the
-    extension's ring, for every p); the second is larger only for m = 1.
+    2 deg r <= m + 1.  The slot width, ``reduce``, the packing and
+    ``resultant`` depend on p: for odd p, w holds the largest slot sum
+    times the constant c of ``reduce``, so nothing carries into the next
+    slot.  That sum is m(p-1)^2 in a product and p(p-1) in a multiply-add
+    a + c*b of reduced slots (division and Euclid steps, and the row
+    updates by which ``factorization._solve`` reads a trace's m base-field
+    digits on the extension's ring, for every p); the second is larger
+    only for m = 1.
     A sum of at most m reduced slots (a trace over a coset of
     ``factorization._traces``) is within the first.  p = 2 is
     ``_BinarySlotRing``.
@@ -178,18 +183,28 @@ class _SlotRing:
             a = self.reduce(a + ((-lead % p) * f << (w * i)))
         return mu
 
-    def coprime_to_modulus(self, a: int) -> bool:
-        """True when gcd(a, f) = 1; gcd(0, f) is f.  Euclid keeps remainders only."""
-        p, w, a, b = self.p, self.w, self.f, a
+    def resultant(self, b: int) -> int:
+        """Res(f, b) in GF(p), from Euclid's remainders, which it keeps only:
+        Res(A, B) = (-1)^(deg A deg B) lc(B)^(deg A - deg R) Res(B, R) with
+        R = A mod B, and a constant B gives B^(deg A).  It is 0 exactly when
+        gcd(b, f) != 1 (so for b = 0), and the norm b^((p^m-1)/(p-1)) of b
+        when f is irreducible."""
+        p, w, a, da, res = self.p, self.w, self.f, self.m, 1
         while b:
-            db, da = (b.bit_length() - 1) // w, (a.bit_length() - 1) // w
-            inv = pow(b >> (w * db), -1, p)
-            while da >= db:
-                lead = (a >> (w * da)) * inv % p
-                a = self.reduce(a + ((p - lead) * b << (w * (da - db))))
-                da = (a.bit_length() - 1) // w
-            a, b = b, a
-        return a >> w == 0
+            db = (b.bit_length() - 1) // w
+            lead = b >> (w * db)
+            if not db:
+                return res * pow(lead, da, p) % p
+            inv, dr = pow(lead, -1, p), da
+            while dr >= db:
+                c = (a >> (w * dr)) * inv % p
+                a = self.reduce(a + ((p - c) * b << (w * (dr - db))))
+                dr = (a.bit_length() - 1) // w
+            if da & db & 1:
+                res = p - res
+            res = res * pow(lead, da - dr, p) % p
+            a, da, b = b, db, a
+        return 0
 
 
 @lru_cache(maxsize=None)
@@ -240,6 +255,17 @@ class _BinarySlotRing(_SlotRing):
     def reduce(self, a: int) -> int:
         return a & self.ones
 
+    def resultant(self, b: int) -> int:
+        """Res(f, b), which over GF(2) is 1 when gcd(b, f) = 1 and 0 otherwise,
+        for b of degree < m: Euclid on the plain bits of f and b."""
+        a, b = self.unpack(self.f & self.low) | 1 << self.m, self.unpack(b)
+        while b:
+            db = b.bit_length()
+            while (da := a.bit_length()) >= db:
+                a ^= b << (da - db)
+            a, b = b, a
+        return int(a == 1)
+
 
 def _slot_ring(coeffs: tuple[int, ...], p: int) -> _SlotRing:
     return _BinarySlotRing(coeffs, p) if p == 2 else _SlotRing(coeffs, p)
@@ -280,11 +306,11 @@ def is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
     """Ben-Or irreducibility test for a monic polynomial over GF(p).
 
     Coefficients are integers taken mod p, ascending.  gcd(x^(p^i) - x, f)
-    = 1 is checked for i <= m/2, one gcd per block of i, on the packed ints
-    of a slot ring mod f, or mod its monic reciprocal when that has the
-    shorter tail, the same code for every p.  When p <= m + 1 (so always
-    for p = 2) a candidate with a root in GF(p) is rejected first, and
-    i = 1 is skipped.
+    = 1 is checked for i <= m/2, one resultant per block of i, on the
+    packed ints of a slot ring mod f, or mod its monic reciprocal when that
+    has the shorter tail.  When p <= m + 1 (so always for p = 2) a
+    candidate with a root in GF(p) is rejected first, and i = 1 is
+    skipped.
     """
     if not isinstance(p, int) or _prime_divisors(p) != [p]:
         raise ValueError(f"characteristic must be prime, got {p!r}")
@@ -319,7 +345,7 @@ def _ben_or(coeffs: tuple[int, ...], p: int) -> bool:
         diff = ring.reduce(t + (p - 1) * x)  # t - x
         acc = diff if acc is None else ring.mul(acc, diff)
         if i & (i + 1) == 0 or i == m // 2:  # blocks end at 2^k - 1 and at m/2
-            if not ring.coprime_to_modulus(acc):
+            if not ring.resultant(acc):
                 return False
             acc = None
     return True
@@ -458,19 +484,32 @@ class Field:
         when n does not divide p - 1 the scan starts at beta = p and finds
         the same gamma.  gamma^(n/r) = beta^((q-1)/r), so a beta that fails
         the check at r is an r-th power and fails it for every n with r | n:
-        such beta are kept per r and skipped.  ValueError unless n | q - 1.
+        such beta are kept per r and skipped.  For m > 1 and r | p - 1,
+        beta^((q-1)/r) = N(beta)^((p-1)/r) with N(beta) the norm down to
+        GF(p), the resultant of the modulus and beta: those primes are
+        checked first, and a beta that fails one needs no power at all.
+        ValueError unless n | q - 1.
         """
         if n < 1 or (self.q - 1) % n:
             raise ValueError(f"{self!r} has no element of order {n}")
         if n in self._orders:
             return self._orders[n]
+        p, ring = self.p, self._ring
         cofactor, primes = (self.q - 1) // n, _prime_divisors(n)
         known = [self._powers.get(r, ()) for r in primes]
-        for beta in range(1 if (self.p - 1) % n == 0 else self.p, self.q):
+        by_norm = [r for r in primes if (p - 1) % r == 0] if ring else []
+        by_power = [r for r in primes if r not in by_norm]
+        for beta in range(1 if (p - 1) % n == 0 else p, self.q):
             if any(beta in powers for powers in known):
                 continue
+            if by_norm:
+                norm = ring.resultant(ring.pack(beta))
+                r = next((r for r in by_norm if pow(norm, (p - 1) // r, p) == 1), None)
+                if r is not None:
+                    self._powers.setdefault(r, set()).add(beta)
+                    continue
             gamma = self.pow(beta, cofactor)
-            for r in primes:
+            for r in by_power:
                 if self.pow(gamma, n // r) == 1:
                     self._powers.setdefault(r, set()).add(beta)
                     break

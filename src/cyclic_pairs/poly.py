@@ -10,9 +10,10 @@ Products take one lane per field, all giving the same coefficients:
 
 * prime fields, GF(2) among them: Kronecker substitution (Harvey 2009),
   as in the field layer: each operand is packed once into an int,
-  coefficient i in slot i of u bytes, the ints are multiplied, and the
-  product is unpacked once, its slots taken mod p by ``bytes.translate``
-  (u = 1) or over a ``memoryview.cast`` (``_kronecker``).  One
+  coefficient i in slot i of u bytes (one ``struct.pack`` for p >= 256),
+  the ints are multiplied, and the product is unpacked once, its slots
+  taken mod p by ``bytes.translate`` (u = 1) or over a ``memoryview.cast``
+  (``_kronecker``).  One
   comparison, min(len a, len b)·(p − 1)² < 256, picks u = 1 before any
   loop, and ``__mul__`` compares the fields by identity and builds the
   product in place, so ``_kronecker`` is its only call;
@@ -38,6 +39,7 @@ leading coefficients is nonzero.  Subtraction adds the negation, and
 from __future__ import annotations
 
 import re
+import struct
 import sys
 from functools import lru_cache
 
@@ -66,7 +68,7 @@ def _trim(coeffs: list[int]) -> tuple[int, ...]:
     return tuple(coeffs[:n])
 
 
-# slot width in bytes -> memoryview format of one unsigned slot
+# slot width in bytes -> memoryview and struct format of one unsigned slot
 _SLOT_FORMAT = {2: "H", 4: "I", 8: "Q"}
 
 
@@ -77,7 +79,10 @@ def _mod_table(p: int) -> bytes:
 
 def _pack(coeffs: tuple[int, ...], p: int, u: int) -> int:
     """Coefficient i in bytes [u*i, u*(i+1)) of a little-endian int, u > 1."""
-    if p >= 256:  # a coefficient is more than one byte: packed one by one
+    if p >= 256:  # a coefficient is more than one byte
+        if u in _SLOT_FORMAT:  # "<": little-endian standard sizes on any host
+            fmt = f"<{len(coeffs)}{_SLOT_FORMAT[u]}"
+            return int.from_bytes(struct.pack(fmt, *coeffs), "little")
         return int.from_bytes(b"".join(c.to_bytes(u, "little") for c in coeffs), "little")
     slots = bytearray(u * len(coeffs))
     slots[::u] = bytes(coeffs)

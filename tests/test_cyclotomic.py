@@ -1,3 +1,4 @@
+import dataclasses
 from math import gcd
 
 import pytest
@@ -53,6 +54,19 @@ def test_by_order_grouping():
     assert part.by_order[3] == ((5, 10),)
     assert part.by_order[5] == ((3, 6, 9, 12),)
     assert set(part.by_order[15]) == {(1, 2, 4, 8), (7, 11, 13, 14)}
+
+
+def test_a_kept_partition_is_shared_and_read_only():
+    # the kept partition serves every caller asking for its (n', q), so none may change it
+    part = coset_partition(15, 2)
+    assert coset_partition(15, 2) is part
+    with pytest.raises(TypeError):
+        part.by_order[1] = ((0, 1),)
+    with pytest.raises(TypeError):
+        del part.by_order[15]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        part.by_order = {}
+    assert part.by_order[1] == ((0,),) and set(part.by_order) == {1, 3, 5, 15}
 
 
 def test_partition_rejects_shared_factor():

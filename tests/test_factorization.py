@@ -578,6 +578,64 @@ def test_full_cosets_give_the_minimal_polynomial(ns, q):
     assert seen
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27])
+def test_reciprocal_cosets_give_the_minimal_polynomial(q):
+    # a coset C whose negation -C was solved before it takes the monic reciprocal
+    # of M_-C: every factor is still minimal_poly's answer on its coset
+    f, twins = field_from_order(q), 0
+    for n in range(1, 65):
+        if n % f.p == 0:
+            continue  # the factors of n' < n
+        for entry in factor_xn1(n, f).factors:
+            coset = coset_of(n, q, entry.coset_rep)
+            assert entry.poly == minimal_poly(n, f, coset), (n, q, coset)
+            twins += (q - 1) % n != 0 and n - coset[-1] < coset[0]
+    assert twins
+
+
+def _counted_berlekamp_massey(monkeypatch) -> list:
+    runs, solve = [], factorization._berlekamp_massey
+
+    def counted(s, field):
+        runs.append(field)
+        return solve(s, field)
+
+    monkeypatch.setattr(factorization, "_berlekamp_massey", counted)
+    return runs
+
+
+def test_one_berlekamp_massey_run_serves_a_coset_and_its_negation(monkeypatch):
+    # over GF(2), {3, 5, 6} = -{1, 2, 4}: its factor is the reciprocal of the first
+    runs = _counted_berlekamp_massey(monkeypatch)
+    fac = factor_xn1.__wrapped__(7, GF2)
+    assert len(runs) == 1
+    assert [str(e.poly) for e in fac.factors] == ["x + 1", "x^3 + x^2 + 1", "x^3 + x + 1"]
+
+
+def test_the_factor_sweep_runs_berlekamp_massey_577_times(monkeypatch):
+    # the factor-sweep population, n <= 64 and q in {2, 3, 4, 5, 8, 9}: 940 runs
+    # with one per coset that is not full, 577 with reciprocal cosets derived
+    runs = _counted_berlekamp_massey(monkeypatch)
+    for q in (2, 3, 4, 5, 8, 9):
+        f = field_from_order(q)
+        for n in range(1, 65):
+            if n % f.p:  # a repeated-root length reuses the factors of n'
+                factor_xn1.__wrapped__(n, f)
+    assert len(runs) == 577
+
+
+def test_linear_factors_build_no_lookup_lists(monkeypatch):
+    # t = 1: x^10 - 1 over GF(11) splits into the x - alpha^j, with no
+    # Berlekamp-Massey and no reciprocal, so no _scalar_ops and no log lists
+    f = fields.Field(11, 1, (0, 1))
+    built, ops = [], factorization._scalar_ops
+    monkeypatch.setattr(factorization, "_scalar_ops",
+                        lambda field: built.append(field) or ops(field))
+    fac = factor_xn1(10, f)
+    assert built == [] and f._lists is None
+    assert fac.factor_degrees() == (1,) * 10
+
+
 # simple roots over GF(2) (n = 15, 21, 31) and GF(4) (15), repeated roots over GF(2),
 # GF(3) and GF(4) (14, 18, 12), and GF(11), where x^10 - 1 splits into linear factors
 MULTIPLIER_CASES = [(15, 2), (21, 2), (31, 2), (14, 2), (18, 3), (12, 4), (15, 4), (10, 11)]

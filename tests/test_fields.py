@@ -611,6 +611,64 @@ def test_binary_slot_ring_packs_one_bit_per_slot(m, w):
         assert ring.unpack(packed) == v
 
 
+@pytest.mark.parametrize("p, m", [(3, 2), (3, 7), (3, 22), (5, 3), (5, 10), (7, 3), (13, 4)])
+def test_resultant_with_the_field_modulus_is_the_norm(p, m):
+    # f irreducible: Res(f, b) = N(b) = b^((q-1)/(p-1)); a constant c gives c^m
+    f = make_field(p, m)
+    ring, e = f._ring, (f.q - 1) // (p - 1)
+    rng = random.Random(100 * p + m)
+    for b in [0, 1, p - 1, p, f.q - 1] + [rng.randrange(f.q) for _ in range(60)]:
+        assert ring.resultant(ring.pack(b)) == (f.pow(b, e) if b else 0), b
+
+
+def _naive_gcd_degree(a, b, p):
+    """deg gcd(a, b) over GF(p), a != 0, by schoolbook Euclid on ascending lists."""
+    a, b = list(_strip(a)), list(_strip(b))
+    while b:
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):
+            c, shift = a[-1] * inv % p, len(a) - len(b)
+            for i, y in enumerate(b):
+                a[i + shift] = (a[i + shift] - c * y) % p
+            a = list(_strip(a))
+        a, b = b, a
+    return len(a) - 1
+
+
+def _strip(c):
+    c = list(c)
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
+# p = 2 at m = 256 and 300 runs the binary Euclid on two-byte slots' elements
+@pytest.mark.parametrize("p, m", [(2, 12), (2, 40), (2, 256), (2, 300), (3, 9), (3, 30),
+                                  (5, 8), (7, 6)])
+def test_resultant_is_zero_exactly_when_euclid_finds_a_common_factor(p, m):
+    # random monic f of degree m, mostly reducible; every other b shares a factor
+    # g of degree 1 to 4 with f, the others are random of degree < m
+    rng = random.Random(31 * p + m)
+
+    def rand(k):
+        return [rng.randrange(p) for _ in range(k)]
+
+    for k in range(24):
+        if k % 2:
+            g = rand(rng.randint(1, 4)) + [1]
+            f = _times(g, rand(m - len(g) + 1) + [1], p)
+            b = _times(g, rand(rng.randrange(m - len(g) + 1)) + [rng.randrange(1, p)], p)
+        else:
+            f, b = tuple(rand(m) + [1]), rand(rng.randrange(m + 1))
+        ring = fields._slot_ring(f, p)
+        common = _naive_gcd_degree(f, b, p) > 0
+        assert (ring.resultant(ring.pack_coeffs(b)) == 0) == common, (f, b)
+    # b = 0 has f itself in common; a constant c has nothing, and Res(f, c) = c^m
+    assert ring.resultant(0) == 0
+    for c in range(1, p):
+        assert ring.resultant(c) == pow(c, m, p)
+
+
 @pytest.mark.parametrize("p, m", PACKED_LANE)
 def test_packed_lane_pow_matches_repeated_naive_multiply(p, m):
     f = make_field(p, m)
@@ -758,13 +816,19 @@ def _scan_without_memo(f, n):
                 if all(f.pow(gamma, n // r) != 1 for r in primes))
 
 
-@pytest.mark.parametrize("p, m", [(3, 10), (3, 4), (5, 4), (2, 28)])
+# fields asked at some n | q - 1 only; the others are asked at every one
+_ASKED_ORDERS = {(3, 28): [58, 8]}
+
+
+# in (7, 3), (13, 2) and (3, 28) the norm decides r | p - 1: r = 2, 3, then 2, 3,
+# then 2, beside r = 29 at n = 58 = 2 * 29, which the power decides
+@pytest.mark.parametrize("p, m", [(3, 10), (3, 4), (5, 4), (2, 28), (7, 3), (13, 2), (3, 28)])
 def test_element_of_order_skipping_known_powers_equals_the_scan(p, m):
     # every n | q - 1, asked ascending and descending on fields of their own, so
     # the beta kept as r-th powers come from other orders than the one asked
     modulus = make_field(p, m).modulus
     oracle = fields.Field(p, m, modulus)
-    orders = _divisors(oracle.q - 1)
+    orders = _ASKED_ORDERS.get((p, m)) or _divisors(oracle.q - 1)
     expected = {n: _scan_without_memo(oracle, n) for n in orders}
     for asked in (orders, orders[::-1]):
         f = fields.Field(p, m, modulus)
@@ -773,29 +837,37 @@ def test_element_of_order_skipping_known_powers_equals_the_scan(p, m):
 
 
 def test_element_of_order_skips_the_powers_it_has_met(monkeypatch):
-    # in GF(3^10) beta = 3 ... 33 are squares, so alone each of n = 8, 44 and 22
-    # tries 32 candidates, two or three powers each; after n = 8 has met the
-    # squares, n = 44 and n = 22 skip them without a power
+    # in GF(3^10) beta = 3 ... 33 are squares, and 2 | p - 1, so one resultant
+    # each (the norm) finds them with no power: alone each of n = 8, 44 and 22
+    # makes 32 resultants, and the beta that passes one power, or two when
+    # 11 | n; after n = 8 has met the squares, n = 44 and n = 22 skip them
+    # with no power and no resultant
     modulus = make_field(3, 10).modulus
     assert modulus == (1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 1)
-    calls, power = [0], fields.Field.pow
+    calls = {"pow": 0, "resultant": 0}
+    power, resultant = fields.Field.pow, fields._SlotRing.resultant
 
-    def counted(f, a, e):
-        calls[0] += 1
+    def counted_pow(f, a, e):
+        calls["pow"] += 1
         return power(f, a, e)
 
-    monkeypatch.setattr(fields.Field, "pow", counted)
+    def counted_resultant(ring, b):
+        calls["resultant"] += 1
+        return resultant(ring, b)
 
-    def pows(f, n):
-        calls[0] = 0
+    monkeypatch.setattr(fields.Field, "pow", counted_pow)
+    monkeypatch.setattr(fields._SlotRing, "resultant", counted_resultant)
+
+    def counts(f, n):
+        calls.update(pow=0, resultant=0)
         f.element_of_order(n)
-        return calls[0]
+        return calls["pow"], calls["resultant"]
 
     warm = fields.Field(3, 10, modulus)
-    in_turn = [pows(warm, n) for n in (8, 44, 22)]
-    alone = [pows(fields.Field(3, 10, modulus), n) for n in (8, 44, 22)]
-    assert in_turn[0] == alone[0] == 64
-    assert in_turn[1:] == [3, 3] and alone[1:] == [65, 65]
+    in_turn = [counts(warm, n) for n in (8, 44, 22)]
+    alone = [counts(fields.Field(3, 10, modulus), n) for n in (8, 44, 22)]
+    assert alone == [(1, 32), (2, 32), (2, 32)]
+    assert in_turn == [(1, 32), (2, 1), (2, 1)]
 
 
 def test_element_of_order_keeps_its_answers(monkeypatch):

@@ -101,7 +101,7 @@ def test_degree_sentinel():
 # fields above the table limit (bit-packed 2^13, vector 3^9)
 MUL_ORDERS = [2, 3, 4, 5, 7, 8, 9, 16, 27, 32, 256, 512, 2 ** 13, 3 ** 9]
 # prime fields whose Kronecker slots are 2 to 8 bytes wide from the shortest
-# operands on, packed through bytes (251) or one coefficient at a time (the others)
+# operands on, packed through bytes (251) or by one struct.pack (the others)
 WIDE_PRIMES = [251, 257, 65537, 1048573]
 
 
