@@ -13,6 +13,7 @@ from cyclic_pairs.fields import (MAX_EXTENSION_DEGREE, MAX_ORDER,
                                  is_irreducible, lex_least_irreducible,
                                  make_field)
 from cyclic_pairs.poly import Polynomial
+from helpers import poly_gcd
 
 SMALL_ORDERS = [2, 3, 4, 5, 7, 8, 9]
 # every extension field of order <= 81, and a prime field for tables(): every pair is checked
@@ -621,34 +622,14 @@ def test_resultant_with_the_field_modulus_is_the_norm(p, m):
         assert ring.resultant(ring.pack(b)) == (f.pow(b, e) if b else 0), b
 
 
-def _naive_gcd_degree(a, b, p):
-    """deg gcd(a, b) over GF(p), a != 0, by schoolbook Euclid on ascending lists."""
-    a, b = list(_strip(a)), list(_strip(b))
-    while b:
-        inv = pow(b[-1], -1, p)
-        while len(a) >= len(b):
-            c, shift = a[-1] * inv % p, len(a) - len(b)
-            for i, y in enumerate(b):
-                a[i + shift] = (a[i + shift] - c * y) % p
-            a = list(_strip(a))
-        a, b = b, a
-    return len(a) - 1
-
-
-def _strip(c):
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
 # p = 2 at m = 256 and 300 runs the binary Euclid on two-byte slots' elements
 @pytest.mark.parametrize("p, m", [(2, 12), (2, 40), (2, 256), (2, 300), (3, 9), (3, 30),
                                   (5, 8), (7, 6)])
 def test_resultant_is_zero_exactly_when_euclid_finds_a_common_factor(p, m):
     # random monic f of degree m, mostly reducible; every other b shares a factor
-    # g of degree 1 to 4 with f, the others are random of degree < m
-    rng = random.Random(31 * p + m)
+    # g of degree 1 to 4 with f, the others are random of degree < m; the oracle
+    # is Euclid on Polynomial values
+    rng, gf = random.Random(31 * p + m), make_field(p)
 
     def rand(k):
         return [rng.randrange(p) for _ in range(k)]
@@ -661,7 +642,7 @@ def test_resultant_is_zero_exactly_when_euclid_finds_a_common_factor(p, m):
         else:
             f, b = tuple(rand(m) + [1]), rand(rng.randrange(m + 1))
         ring = fields._slot_ring(f, p)
-        common = _naive_gcd_degree(f, b, p) > 0
+        common = poly_gcd(Polynomial(gf, f), Polynomial(gf, b)).degree > 0
         assert (ring.resultant(ring.pack_coeffs(b)) == 0) == common, (f, b)
     # b = 0 has f itself in common; a constant c has nothing, and Res(f, c) = c^m
     assert ring.resultant(0) == 0
