@@ -11,29 +11,36 @@ over Z with no root of unity and kept mod p per (d, p); coset {0} is
 full, with Phi_1 = x - 1.  Every other coset is solved by ``minimal_poly``
 in a deterministic extension field GF(p^(m*t)), t = ord_n'(q), so a
 length whose cosets are all full builds no extension field.  When t > 1,
-a coset C whose negation -C is another coset, of the smaller
-representative n' - max C, is not solved: the roots of M_C are the
-inverses of those of M_-C, so M_C is the monic reciprocal of M_-C
-(ibid., ch. 3), built with the lookup lists Berlekamp-Massey read for
-M_-C.  ``factor_xn1`` and then the trace table of the same (n', q) read
-one kept ``coset_partition``.  alpha, and the generator of the copy
-of GF(q) in which the image gamma of GF(q)'s own generator is sought, both
-come from ``Field.element_of_order``.  Lengths above ``MAX_LENGTH`` are
-refused up front, and a degree m*t above ``MAX_EXTENSION_DEGREE`` only
-when a coset needs the extension.
+the cosets c*C, c = +-p^i (i < m, q = p^m), share one factor up to the
+automorphism sigma: a -> a^p of GF(q) and a reciprocal: x -> x^p maps
+the roots of M_C onto those of M_pC, so M_pC = sigma(M_C), and the roots
+of M_-C are the inverses of M_C's, so M_-C is its monic reciprocal
+(ibid., ch. 2-3).  Only the coset of least representative among them is
+solved; each other one is derived from it with the lookup lists
+Berlekamp-Massey read.  ``factor_xn1`` and then the trace table of the
+same (n', q) read one kept ``coset_partition``.  alpha, and the
+generator of the copy of GF(q) in which the image gamma of GF(q)'s own
+generator is sought (once per pair of fields), both come from
+``Field.element_of_order``.  Lengths above ``MAX_LENGTH`` are refused up
+front, and a degree m*t above ``MAX_EXTENSION_DEGREE`` only when a coset
+needs the extension.
 
 A minimal polynomial is that of a linear recurring sequence (Lidl &
 Niederreiter, Finite Fields, Sec. 8.6): the trace Tr from the extension
 down to GF(q) is GF(q)-linear, so s_k = Tr(alpha^c beta^k), beta =
 alpha^rep, is annihilated by the minimal polynomial of beta, and
 Berlekamp-Massey (Massey 1969) finds it from 2|coset| terms in
-O(|coset|^2) operations of GF(q), on lookup lists for q <= 16 and by
+O(|coset|^2) operations of GF(q), on lookup lists for q <= 49 and by
 ``Field`` calls above.  Tr is constant on each cyclotomic coset, so one
-table of n' traces per (field, n') serves every coset.  It is built from
-the powers of alpha, multiplied on the packed ints of the extension's
-own slot ring (``Field._ring``) with no ``Field.mul``; for m > 1 each
-coset's trace is read as a base-field encoding by one GF(p) solve on the
-m columns gamma^0 .. gamma^(m-1), gamma the image of GF(q)'s generator.
+table of n' traces per (field, n') serves every coset, and each coset
+needs one power of alpha, multiplied on the packed ints of the
+extension's own slot ring (``Field._ring``) with no ``Field.mul``.  The
+trace down to GF(p) is a linear functional: with the power sums
+P_k = Tr(x^k) of the extension's modulus, from Newton's identities over
+its few nonzero terms, Tr(a) is one int product of a with P packed.  For
+m > 1 the trace down to GF(q) has the m digits d = W^-1 u, u_k the trace
+down to GF(p) of gamma^k times the power, W the Gram matrix of GF(q)'s
+trace form on gamma^0 .. gamma^(m-1), gamma the image of its generator.
 When t = 1 the extension is the field itself, every coset is one
 residue j, and its factor is x - alpha^j.
 """
@@ -58,22 +65,31 @@ class CoercionError(RuntimeError):
     """
 
 
+def _horner(ring: _SlotRing, coeffs: tuple[int, ...], u: int) -> int:
+    """The packed value at packed u of the polynomial with prime-field
+    coefficients ``coeffs`` (ascending), by Horner on the ring; a
+    prime-field constant packs as itself."""
+    top, *rest = reversed(coeffs)
+    acc = top
+    for c in rest:
+        acc = ring.reduce(ring.mul(acc, u) + c)
+    return acc
+
+
+@lru_cache(maxsize=None)
 def _subfield_root(base: Field, ext: Field) -> int:
-    """Deterministic root of the base modulus inside the extension.
+    """Deterministic root of the base modulus inside the extension, kept per
+    (base, ext).
 
     The roots lie in the copy of GF(q) inside ext, the powers of
     w = ext.element_of_order(q - 1); the least power index wins, making
-    the embedding reproducible.
+    the embedding reproducible.  The base modulus is evaluated on the
+    extension's packed ints, with no Field.mul.
     """
-    ring = ext._ring  # Horner on packed ints, with no Field.mul
-    # prime-field constants encode identically in ext and pack as themselves
-    top, *rest = reversed(base.modulus)
+    ring = ext._ring
     w, u = ring.pack(ext.element_of_order(base.q - 1)), 1  # 1 packs as itself
     for _ in range(base.q - 1):
-        acc = top
-        for c in rest:
-            acc = ring.reduce(ring.mul(acc, u) + c)
-        if not acc:
+        if not _horner(ring, base.modulus, u):
             return ring.unpack(u)
         u = ring.mul(u, w)
     raise RuntimeError("base modulus has no root in the extension")
@@ -102,76 +118,102 @@ def root_of_unity(field: Field, n_prime: int) -> tuple[Field, int, int]:
     return ext, gamma, ext.element_of_order(n_prime)
 
 
+def _power_sums(coeffs: tuple[int, ...], p: int, count: int) -> list[int]:
+    """P_k = Tr(x^k) from GF(p)[x]/f down to GF(p), k < count, for f = coeffs
+    (ascending, monic of degree M), by Newton's identities: P_0 = M and
+    P_k = -(k c_(M-k) + sum over i < k of c_(M-i) P_(k-i)), the k c_(M-k)
+    term dropped for k > M.  Only the nonzero c_j take part, so the cost is
+    O(count * terms of f)."""
+    big = len(coeffs) - 1
+    terms = [(i, coeffs[big - i]) for i in range(1, big + 1) if coeffs[big - i]]  # (i, c_(M-i))
+    sums = [big % p]
+    for k in range(1, count):
+        acc = k * coeffs[big - k] if k <= big else 0
+        for i, c in terms:
+            if i >= k:
+                break
+            acc += c * sums[k - i]
+        sums.append(-acc % p)
+    return sums
+
+
+@lru_cache(maxsize=None)
+def _trace_form(ext: Field) -> int:
+    """P_(M-1) .. P_0 packed on ``ext._ring``, M = ext.m: Tr(a) down to GF(p)
+    of a packed a is slot M - 1 of a times it, a slot sum of at most
+    M(p-1)^2, within the ring's width as a product's slots are."""
+    return ext._ring.pack_coeffs(_power_sums(ext.modulus, ext.p, ext.m)[::-1])
+
+
+@lru_cache(maxsize=None)
+def _digit_matrix(field: Field) -> list[list[int]]:
+    """W^-1 mod p for W[k][s] = Tr(g^(k+s)) from GF(q) down to GF(p), g the
+    class of x, k, s < m: T = sum of d_s g^s has digits d = W^-1 u for
+    u_k = Tr(g^k T).  W is the Gram matrix of the trace form on the basis
+    g^0 .. g^(m-1), invertible since the form is nondegenerate; its inverse
+    is by Gauss-Jordan elimination on lists."""
+    p, m = field.p, field.m
+    sums = _power_sums(field.modulus, p, 2 * m - 1)
+    rows = [sums[k:k + m] + [int(s == k) for s in range(m)] for k in range(m)]
+    for col in range(m):
+        pivot = next(r for r in range(col, m) if rows[r][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        inv = pow(rows[col][col], -1, p)
+        rows[col] = [v * inv % p for v in rows[col]]
+        for r in range(m):
+            if r != col and (c := rows[r][col]):
+                rows[r] = [(u - c * v) % p for u, v in zip(rows[r], rows[col])]
+    return [row[m:] for row in rows]
+
+
 @lru_cache(maxsize=1)
 def _traces(field: Field, n_prime: int) -> list[int]:
     """Tr(alpha^e) from ext = GF(q^t), t = ord_n'(q) > 1, down to the field,
     for e = 0 .. n'-1 as base-field encodings; kept for every coset of one
     (field, n').
 
-    Tr is (t/|C| mod p) times the sum of alpha^e over the q-cyclotomic
-    coset C of e.  The powers and sums are on the packed ints of
-    ``ext._ring``; a sum of |C| <= t reduced slots is within the ring's
-    ``reduce`` bound.  For m = 1 a trace is a prime-field constant, which
-    packs as itself; for m > 1 its digits are read by one ``_solve`` on
-    the m columns gamma^0 .. gamma^(m-1), and a trace outside their span
-    (alpha and gamma inconsistent) raises CoercionError.
+    Each coset's alpha^rep is one product on ``ext._ring`` with alpha^gap
+    (kept as met) from the representative before it, and its trace down to
+    GF(p) one int product with ``_trace_form``; for m > 1 the digits are
+    W^-1 u (``_digit_matrix``), u_k that trace of gamma^k alpha^rep.  A
+    gamma that is not a root of the base modulus in ext (alpha and gamma
+    inconsistent) raises CoercionError.
     """
     ext, gamma, alpha = root_of_unity(field, n_prime)
-    ring, p, m, q = ext._ring, field.p, field.m, field.q
-    t = ext.m // m
-    a, g, powers, cols = ring.pack(alpha), ring.pack(gamma), [1], [1]  # 1 packs as itself
-    for _ in range(1, n_prime):
-        powers.append(ring.mul(powers[-1], a))
-    for _ in range(1, m):
-        cols.append(ring.mul(cols[-1], g))
+    ring, p, m = ext._ring, field.p, field.m
+    top, mask, form = ring.w * (ext.m - 1), (1 << ring.w) - 1, _trace_form(ext)
+
+    def trace(a: int) -> int:  # down to GF(p)
+        return (a * form >> top & mask) % p
+
+    g = ring.pack(gamma)
+    if m > 1:
+        if _horner(ring, field.modulus, g):
+            raise CoercionError(f"gamma of {ext!r} is no root of the modulus of {field!r}")
+        inverse = _digit_matrix(field)
     table = [0] * n_prime
-    for coset in coset_partition(n_prime, q).cosets:
-        tr = ring.reduce(t // len(coset) % p * ring.reduce(sum(powers[r] for r in coset)))
-        if m > 1:  # _solve gives the digits x of -tr; negate them mod p
-            digits = _solve(cols, tr, ring)
-            if digits is None:
-                raise CoercionError(f"alpha and gamma of {ext!r} are inconsistent over {field!r}")
-            tr = sum(-x % p * p ** s for s, x in enumerate(digits))
+    power, rep, steps = 1, 0, [1, ring.pack(alpha)]  # steps[k] = alpha^k; 1 packs as itself
+    for coset in coset_partition(n_prime, field.q).cosets:
+        gap, rep = coset[0] - rep, coset[0]
+        if gap:
+            while len(steps) <= gap:
+                steps.append(ring.mul(steps[-1], steps[1]))
+            power = ring.mul(power, steps[gap])
+        tr = trace(power)
+        if m > 1:
+            u, b = [tr], power
+            for _ in range(1, m):
+                b = ring.mul(b, g)
+                u.append(trace(b))
+            tr = sum(sum(x * y for x, y in zip(row, u)) % p * p ** s
+                     for s, row in enumerate(inverse))
         for r in coset:
             table[r] = tr
     return table
 
 
-def _solve(cols: list[int], b: int, ring: _SlotRing) -> list[int] | None:
-    """The unique x with sum_j x_j * cols[j] = -b over GF(p), or None.
-
-    cols and b are elements of ``_traces``' extension, one encoding for
-    every p: the packed slots of its ring.  A basis keyed by leading slot
-    holds the reduced columns, each with the packed combination of
-    unknowns that gives it (slot j for cols[j]).  A row update subtracts a
-    multiple c of a basis row and its combination, reduce(v + c * row).
-    A column that reduces to 0 (many solutions) or a b that does not
-    (none) gives None.
-    """
-    p, w = ring.p, ring.w
-    basis: dict[int, tuple[int, int, int]] = {}  # leading slot -> (row, combination, 1 / lead)
-
-    def eliminate(v: int, combo: int) -> tuple[int, int]:
-        while v and (top := (v.bit_length() - 1) // w) in basis:
-            row, row_combo, inv = basis[top]
-            # c * lead(row) = -lead(v); every slot sum is at most p(p - 1)
-            c = (p - (v >> (w * top))) * inv % p
-            v, combo = ring.reduce(v + c * row), ring.reduce(combo + c * row_combo)
-        return v, combo
-
-    for j, col in enumerate(cols):
-        v, combo = eliminate(col, 1 << (w * j))
-        if not v:
-            return None
-        top = (v.bit_length() - 1) // w
-        basis[top] = (v, combo, pow(v >> (w * top), -1, p))
-    b, x = eliminate(b, 0)
-    mask = (1 << w) - 1
-    return None if b else [x >> (w * j) & mask for j in range(len(cols))]
-
-
 # fields of at most this order do Berlekamp-Massey's arithmetic by lookup lists
-_LIST_LIMIT = 16
+_LIST_LIMIT = 49
 
 
 class _Calls:
@@ -189,14 +231,14 @@ class _Calls:
 
 @lru_cache(maxsize=None)
 def _scalar_ops(field: Field) -> tuple:
-    """(add, mul, neg, inv) of the field, read add[a][b], mul[a][b], neg[a]
-    and inv[a]: pure-Python lists for q <= ``_LIST_LIMIT``, addition and
-    negation digit by digit and the products and inverses from
-    ``Field._logs``; ``Field`` calls above it."""
+    """(add, mul, neg, inv, frob) of the field, read add[a][b], mul[a][b],
+    neg[a], inv[a] and frob[a] = a^p: pure-Python lists for q <=
+    ``_LIST_LIMIT``, addition and negation digit by digit and the products,
+    inverses and p-th powers from ``Field._logs``; ``Field`` calls above it."""
     p, q = field.p, field.q
     if q > _LIST_LIMIT:
         return (_Calls(field.add, 2), _Calls(field.mul, 2),
-                _Calls(field.neg, 1), _Calls(field.inv, 1))
+                _Calls(field.neg, 1), _Calls(field.inv, 1), _Calls(partial(field.pow, e=p), 1))
     exp, log, _ = field._logs()
     places = [p ** i for i in range(field.m)]
     add = [[sum((a // s + b // s) % p * s for s in places) for b in range(q)]
@@ -204,14 +246,15 @@ def _scalar_ops(field: Field) -> tuple:
     mul = [[exp[log[a] + log[b]] if a and b else 0 for b in range(q)] for a in range(q)]
     neg = [sum(-(a // s) % p * s for s in places) for a in range(q)]
     inv = [exp[q - 1 - log[a]] if a else 0 for a in range(q)]
-    return add, mul, neg, inv
+    frob = [exp[log[a] * p % (q - 1)] if a else 0 for a in range(q)]
+    return add, mul, neg, inv, frob
 
 
 def _berlekamp_massey(s: list[int], field: Field) -> list[int]:
     """The connection polynomial C of s, C[0] = 1 and len(C) = L + 1: the
     shortest recurrence sum_(i <= L) C[i] s[k-i] = 0, L <= k < len(s)
     (Massey 1969), with the field's arithmetic from ``_scalar_ops``."""
-    add, mul, neg, inv = _scalar_ops(field)
+    add, mul, neg, inv, _ = _scalar_ops(field)
     c, b = [1], [1]  # the current connection polynomial and the one before the last length change
     length, shift, last = 0, 1, 1  # last: the discrepancy that made b current
     for k in range(len(s)):
@@ -477,12 +520,19 @@ def _cyclotomic_mod(d: int, p: int) -> tuple[int, ...]:
     return tuple(c % p for c in _cyclotomic_coeffs(d))
 
 
-def _reciprocal(poly: Polynomial) -> Polynomial:
-    """The monic reciprocal x^d M(1/x) / M(0) of M = poly, M(0) != 0, whose
-    roots are the inverses of M's, with the field's ``_scalar_ops``."""
-    _, mul, _, inv = _scalar_ops(poly.field)
-    row = mul[inv[poly.coeffs[0]]]
-    return Polynomial._product(poly.field, [row[c] for c in reversed(poly.coeffs)])
+def _image(poly: Polynomial, k: int, invert: bool) -> Polynomial:
+    """The factor whose roots are the p^k-th powers of poly's roots, inverted
+    when asked: x -> x^p maps roots to roots, so sigma: c -> c^p is applied
+    k times to each coefficient, then the monic reciprocal x^d M(1/x) / M(0)
+    of the result M (M(0) != 0), with the field's ``_scalar_ops``."""
+    _, mul, _, inv, frob = _scalar_ops(poly.field)
+    coeffs = poly.coeffs
+    for _ in range(k):
+        coeffs = [frob[c] for c in coeffs]
+    if invert:
+        row = mul[inv[coeffs[0]]]
+        coeffs = [row[c] for c in reversed(coeffs)]
+    return Polynomial._product(poly.field, coeffs)
 
 
 @lru_cache(maxsize=None)
@@ -491,30 +541,44 @@ def factor_xn1(n: int, field: Field) -> Factorization:
 
     For nu >= 1 they are the factors of the cached x^n' - 1, each raised
     to multiplicity p^nu.  For nu = 0 a full coset's factor is Phi_d mod
-    p; for t > 1 a coset C after -C is the reciprocal of M_-C, and every
-    other coset is ``minimal_poly``'s, so that t = 1 keeps x - alpha^j and
-    builds no lookup list.  A degree of the root-of-unity extension past
-    MAX_EXTENSION_DEGREE is refused by ``root_of_unity`` when the first
-    coset that is not full needs it; a length whose cosets are all full
-    builds no extension and is answered whatever that degree.
+    p; for t > 1 a coset C after the least of its conjugates +-p^i C is
+    derived from that one's factor (``_image``), and every other coset is
+    ``minimal_poly``'s, so that t = 1 keeps x - alpha^j and builds no
+    lookup list.  Every factor is kept by representative, derived ones
+    too, since a later coset may be derived from it.  A degree of the
+    root-of-unity extension past MAX_EXTENSION_DEGREE is refused by
+    ``root_of_unity`` when the first coset that is not full needs it; a
+    length whose cosets are all full builds no extension and is answered
+    whatever that degree.
     """
     nu, n_prime = split_length(n, field)
     if nu:
         base = factor_xn1(n_prime, field).factors
         entries = [FactorEntry(e.poly, field.p ** nu, e.coset_rep, e.order) for e in base]
     else:
-        twins = (field.q - 1) % n  # t > 1, where minimal_poly runs Berlekamp-Massey
+        p, m, partition = field.p, field.m, coset_partition(n, field.q)
         entries, solved = [], {}  # by order d, then by coset representative
-        for d, cosets in coset_partition(n, field.q).by_order.items():
+        # t > 1: the cosets c * C, c = s p^i with s = +-1 and i < m, have
+        # C's factor up to sigma^i and a reciprocal; C's is taken from the
+        # one of least representative, solved before C unless it is C
+        conjugates = [(s * p ** i % n, -i % m, s < 0) for i in range(m) for s in (1, -1)]
+        if (field.q - 1) % n == 0:  # t = 1, where minimal_poly runs no Berlekamp-Massey
+            conjugates = conjugates[:1]
+        rep_of = [0] * n
+        for coset in partition.cosets:
+            for r in coset:
+                rep_of[r] = coset[0]
+        for d, cosets in partition.by_order.items():
             for coset in cosets:
                 # phi(d) residues have additive order d, so a coset holds them
                 # all (is full) exactly when it is the only coset of order d
+                rep = coset[0]
                 if len(cosets) == 1:
-                    poly = Polynomial(field, _cyclotomic_mod(d, field.p))
-                elif twins and n - coset[-1] < coset[0]:
-                    # -C, of representative n - max C, was solved before
-                    poly = _reciprocal(solved[n - coset[-1]])
+                    poly = Polynomial(field, _cyclotomic_mod(d, p))
                 else:
-                    poly = solved[coset[0]] = minimal_poly(n, field, coset)
-                entries.append(FactorEntry(poly, 1, coset[0], d))
+                    src, k, invert = min((rep_of[c * rep % n], k, invert)
+                                         for c, k, invert in conjugates)
+                    poly = solved[rep] = (minimal_poly(n, field, coset) if src == rep
+                                          else _image(solved[src], k, invert))
+                entries.append(FactorEntry(poly, 1, rep, d))
     return Factorization(n, field, nu, n_prime, tuple(entries))

@@ -45,13 +45,19 @@ when the resultant Res(f, b) in GF(p) is nonzero, and the ring reads it
 off Euclid's remainders (``_SlotRing.resultant``), degrees off the bit
 length.  For irreducible f the resultant is the norm of b down to GF(p),
 by which ``element_of_order`` tells the r-th powers for r | p - 1.
+Lex order varies only the top coefficients: the k-th candidate of a
+constant term c0 has c_(m-1-i) = base-p digit i of k, so the search
+builds each candidate as its few nonzero terms {j: c} from the digits of
+k, and the root sieve, the orientation and the ring read only those.
 When p <= m + 1 the search first drops a candidate with a root in
-GF(p), in plain ints: the coefficient sum tests a = 1 and Horner
-evaluation every other a (about m^2 operations in all), which answers
-the block i = 1; for larger p that sieve would cost more than the
-block, so it is skipped and the block runs.  Lex order varies only the top
-coefficients, so the test runs mod whichever of f and its monic reciprocal
-x^m f(1/x) / f(0) has the shorter tail, where mu is closed-form (``_SlotRing``).
+GF(p), in plain ints: the coefficient sum tests a = 1 and the sum of
+c a^j over the terms every other a, which answers the block i = 1; for
+larger p that sieve would cost more than the block, so it is skipped
+and the block runs.  The test runs mod whichever of f and its monic
+reciprocal x^m f(1/x) / f(0) has the shorter tail, told by the lowest and
+highest inner term, where mu is closed-form (``_SlotRing``); the slot
+constants are kept per (p, m), and while p^i < m, x^(p^i) is a monomial
+set with no power.
 
 Fields with at most ``_TABLE_LIMIT`` elements also have log/antilog
 lists over a primitive element, and in odd characteristic a Zech
@@ -62,19 +68,18 @@ them: their four readers are the inline log lane of
 rows of ``Field._mul_row`` (one ``bytes.translate`` table per coefficient
 met, for GF(2^m) with q <= 256, which that product reads in place of the
 log lane), the lookup tables of ``Field.tables`` and the Berlekamp-Massey
-lists of ``factorization`` (fields of order at most 16, prime fields
+lists of ``factorization`` (fields of order at most 49, prime fields
 too), so a field that none uses builds none.
 The trace tables behind the minimal polynomials of ``factorization`` are
-built on a slot ring, and its roots of unity come from
-``element_of_order``, the one search for an element of given order.
+built on a slot ring, as int products with a packed trace functional, and
+its roots of unity come from ``element_of_order``, the one search for an
+element of given order.
 Only the lookup tables of ``Field.tables`` use numpy.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
-
 import numpy as np
 
 # largest extension degree make_field builds
@@ -103,25 +108,26 @@ class _SlotRing:
     ``resultant`` depend on p: for odd p, w holds the largest slot sum
     times the constant c of ``reduce``, so nothing carries into the next
     slot.  That sum is m(p-1)^2 in a product and p(p-1) in a multiply-add
-    a + c*b of reduced slots (division and Euclid steps, and the row
-    updates by which ``factorization._solve`` reads a trace's m base-field
-    digits on the extension's ring, for every p); the second is larger
-    only for m = 1.
-    A sum of at most m reduced slots (a trace over a coset of
-    ``factorization._traces``) is within the first.  p = 2 is
-    ``_BinarySlotRing``.
+    a + c*b of reduced slots (division and Euclid steps); the second is
+    larger only for m = 1.  The trace functional of
+    ``factorization._trace_form`` is a product of two reduced elements,
+    so its slot m - 1 is within the first.  p = 2 is ``_BinarySlotRing``.
+    The slot constants are kept per (p, m), so a ring costs only the
+    packing of its terms and, past the closed form, the division for mu.
     """
 
     __slots__ = ("p", "m", "w", "k", "c", "qmask", "low", "f", "mu", "negf")
 
-    def __init__(self, coeffs: tuple[int, ...], p: int):
-        m = len(coeffs) - 1
+    def __init__(self, terms: dict[int, int], p: int):
+        """The ring mod f = sum of c x^j over ``terms`` {j: c}, monic of degree
+        max(terms), coefficients in [0, p); zero terms may be left out."""
+        m = max(terms)
         self.p, self.m = p, m
         self._set_width()
         w = self.w
         self.low = (1 << (w * m)) - 1
-        self.f = self.pack_coeffs(coeffs)
-        self.negf = negf = self.pack_coeffs([-x % p for x in coeffs[:m]])
+        self.f = sum(c << (w * j) for j, c in terms.items())
+        self.negf = negf = sum(-c % p << (w * j) for j, c in terms.items() if j < m)
         if m > 1 and 2 * ((negf.bit_length() - 1) // w) <= m + 1:  # 2 deg r <= m + 1
             # x^(2m-2) - f * mu = r * (r // x^2) - x^(m-2) * (r mod x^2) has degree < m
             self.mu = (1 << (w * (m - 2))) + (negf >> (2 * w))
@@ -227,9 +233,9 @@ class _BinarySlotRing(_SlotRing):
 
     A slot of a product sums at most m products of bits, so w = 8 for
     m <= 255 and w = 16 up to ``MAX_EXTENSION_DEGREE`` never carries, nor
-    does Barrett's step, whose sums are smaller, nor a row update of
-    ``factorization._solve``, which adds a row once (c = 1) and so sums at
-    most 2 per slot.  Mod 2 is one AND with the slots' low bits.  Packing
+    does Barrett's step, whose sums are smaller, nor the slot m - 1 of a
+    trace functional's product.  Mod 2 is one AND with the slots' low
+    bits, kept per m with the width.  Packing
     spreads the bits of an element's encoding into bytes with C-level
     ``bytes`` operations, not a loop over slots.
     """
@@ -237,9 +243,7 @@ class _BinarySlotRing(_SlotRing):
     __slots__ = ("ones",)
 
     def _set_width(self) -> None:
-        m = self.m
-        self.w = w = 8 if m <= 255 else 16
-        self.ones = ((1 << (w * (2 * m - 1))) - 1) // ((1 << w) - 1)  # bit 0 of each slot
+        self.w, self.ones = _binary_slot_constants(self.m)
 
     def pack(self, v: int) -> int:
         k = self.w // 8
@@ -267,8 +271,14 @@ class _BinarySlotRing(_SlotRing):
         return int(a == 1)
 
 
-def _slot_ring(coeffs: tuple[int, ...], p: int) -> _SlotRing:
-    return _BinarySlotRing(coeffs, p) if p == 2 else _SlotRing(coeffs, p)
+@lru_cache(maxsize=None)
+def _binary_slot_constants(m: int) -> tuple[int, int]:
+    w = 8 if m <= 255 else 16
+    return w, ((1 << (w * (2 * m - 1))) - 1) // ((1 << w) - 1)  # bit 0 of each slot
+
+
+def _slot_ring(terms: dict[int, int], p: int) -> _SlotRing:
+    return _BinarySlotRing(terms, p) if p == 2 else _SlotRing(terms, p)
 
 
 # ---------------------------------------------------------------------------
@@ -288,18 +298,13 @@ def _prime_divisors(n: int) -> list[int]:
     return out
 
 
-def _has_root(coeffs: tuple[int, ...], p: int) -> bool:
-    """True when the polynomial vanishes at some nonzero a in GF(p): at 1 when
-    the coefficients sum to 0 mod p, at a >= 2 by Horner."""
-    if sum(coeffs) % p == 0:
+def _has_root(terms: dict[int, int], p: int) -> bool:
+    """True when the polynomial sum of c x^j over ``terms`` {j: c} vanishes at
+    some nonzero a in GF(p): at 1 when the coefficients sum to 0 mod p, at
+    a >= 2 by one power of a per term."""
+    if sum(terms.values()) % p == 0:
         return True
-    for a in range(2, p):
-        acc = 0
-        for c in reversed(coeffs):
-            acc = (acc * a + c) % p
-        if acc == 0:
-            return True
-    return False
+    return any(sum(c * pow(a, j, p) for j, c in terms.items()) % p == 0 for a in range(2, p))
 
 
 def is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
@@ -320,26 +325,33 @@ def is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
     m = len(coeffs) - 1
     if m < 1 or coeffs[-1] != 1:
         raise ValueError("expected a monic polynomial of degree >= 1")
-    return m == 1 or _ben_or(coeffs, p)
+    return m == 1 or _ben_or({j: c for j, c in enumerate(coeffs) if c}, p)
 
 
-def _ben_or(coeffs: tuple[int, ...], p: int) -> bool:
-    """``is_irreducible`` for a monic polynomial of degree m >= 2, coefficients in [0, p)."""
-    m = len(coeffs) - 1
+def _ben_or(terms: dict[int, int], p: int) -> bool:
+    """``is_irreducible`` for the monic polynomial of degree m = max(terms) >= 2
+    whose nonzero coefficients in [1, p) are ``terms`` {j: c}."""
+    m = max(terms)
     sieved = p <= m + 1  # always for p = 2
-    if coeffs[0] == 0 or (sieved and _has_root(coeffs, p)):
+    if 0 not in terms or (sieved and _has_root(terms, p)):
         return False
     # f and f* = x^m f(1/x) / c0 are irreducible together: test f* when its tail,
-    # of degree m - low, is shorter than f's, so that the ring's mu is closed-form
-    low = next(j for j in range(1, m + 1) if coeffs[j])
-    if any(coeffs[m - low + 1:m]):
-        inv = pow(coeffs[0], -1, p)
-        coeffs = tuple(c * inv % p for c in reversed(coeffs))
-    ring = _slot_ring(coeffs, p)
-    x = 1 << ring.w
+    # of degree m - (f's lowest inner term), is shorter than f's, so that the
+    # ring's mu is closed-form
+    inner = [j for j in terms if 0 < j < m]
+    if inner and max(inner) > m - min(inner):
+        inv = pow(terms[0], -1, p)
+        terms = {m - j: c * inv % p for j, c in terms.items()}
+    ring = _slot_ring(terms, p)
+    w = ring.w
+    x, power = 1 << w, 1  # power = p^i while x^(p^i) is a monomial
     t, acc = x, None
     for i in range(1, m // 2 + 1):
-        t = ring.pow(t, p)  # x^(p^i)
+        if power * p < m:  # x^(p^i) has degree below m
+            power *= p
+            t = 1 << (w * power)
+        else:
+            t = ring.pow(t, p)  # x^(p^i)
         if i == 1 and sieved:
             continue
         diff = ring.reduce(t + (p - 1) * x)  # t - x
@@ -353,16 +365,24 @@ def _ben_or(coeffs: tuple[int, ...], p: int) -> bool:
 
 @lru_cache(maxsize=None)
 def lex_least_irreducible(p: int, m: int) -> tuple[int, ...]:
-    """Deterministic field modulus: lex-least monic irreducible of degree m."""
+    """Deterministic field modulus: lex-least monic irreducible of degree m.
+
+    Candidates are ordered by (c0, c1, ..., c_{m-1}), c0 = 0 skipped (x
+    divides them).  Within c0 the k-th candidate has c_{m-1-i} = base-p
+    digit i of k, so its terms are built from the digits of k alone.
+    """
     if m == 1:
         return (0, 1)  # the polynomial x
-    # candidates ordered lexicographically by (c0, c1, ..., c_{m-1});
-    # c0 = 0 gives a polynomial divisible by x, skipped outright
     for c0 in range(1, p):
-        for rest in product(range(p), repeat=m - 1):
-            coeffs = (c0,) + rest + (1,)
-            if _ben_or(coeffs, p):  # monic, in range: no validation
-                return coeffs
+        for k in range(p ** (m - 1)):
+            terms, j = {0: c0, m: 1}, m - 1
+            while k:
+                k, digit = divmod(k, p)
+                if digit:
+                    terms[j] = digit
+                j -= 1
+            if _ben_or(terms, p):
+                return tuple(terms.get(j, 0) for j in range(m + 1))
     raise RuntimeError(f"no irreducible polynomial of degree {m} over GF({p})")
 
 
@@ -381,7 +401,7 @@ class Field:
         self.q = p ** m
         self.modulus = modulus
         self._small = m > 1 and self.q <= _TABLE_LIMIT
-        self._ring = _slot_ring(modulus, p) if m > 1 else None
+        self._ring = _slot_ring(dict(enumerate(modulus)), p) if m > 1 else None
         self._orders = {}  # n -> element_of_order(n)
         self._powers = {}  # prime r -> the beta element_of_order found to be r-th powers
         self._lists = None  # log/antilog (and, for odd p, Zech) lists; see _logs()

@@ -202,3 +202,24 @@ def naive_minimal_poly(n_prime: int, field: Field, coset) -> Polynomial:
         raise CoercionError(f"a coefficient of the coset {coset} product is outside "
                             f"the embedded base field")
     return Polynomial(field, [section[c] for c in coeffs])
+
+
+def traces_by_power_sums(field: Field, n_prime: int) -> list[int]:
+    """Tr(alpha^e) down to the field for e < n', as base-field encodings: each
+    q-cyclotomic coset C's trace is (t/|C| mod p) times the sum of alpha^e
+    over C, t = ord_n'(q), by ``Field`` calls in the extension of
+    ``root_of_unity``, mapped back through the embedding's inverse as in
+    ``naive_minimal_poly``."""
+    from cyclic_pairs.cyclotomic import coset_partition
+    ext, gamma, alpha = root_of_unity(field, n_prime)
+    t = ext.m // field.m
+    section = {embed(field, ext, gamma, v): v for v in range(field.q)}
+    table = [0] * n_prime
+    for coset in coset_partition(n_prime, field.q).cosets:
+        total = 0
+        for e in coset:
+            total = ext.add(total, ext.pow(alpha, e))
+        value = section[ext.mul(total, t // len(coset) % field.p)]
+        for e in coset:
+            table[e] = value
+    return table

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclic_pairs import factorization, fields
-from cyclic_pairs.cyclotomic import (coset_count, coset_of, coset_partition, euler_phi,
-                                     mult_order)
+from cyclic_pairs.cyclotomic import (additive_order, coset_count, coset_of, coset_partition,
+                                     euler_phi, mult_order)
 from cyclic_pairs.factorization import (CoercionError, factor_xn1,
                                         minimal_poly, root_of_unity,
                                         split_length)
@@ -19,7 +19,7 @@ from cyclic_pairs.fields import (FieldMismatchError, field_from_order,
 from cyclic_pairs.poly import Polynomial, parse_poly, xn_minus_1
 from cyclic_pairs.codes import CyclicCode
 from helpers import (embed, naive_min_distance, naive_minimal_poly, naive_poly_mul,
-                     poly_gcd, solve_mod_p)
+                     poly_gcd, solve_mod_p, traces_by_power_sums)
 
 GF2 = make_field(2)
 
@@ -146,38 +146,95 @@ def test_minimal_poly_shifts_a_sequence_whose_traces_vanish(n_prime, q, rep):
 
 @pytest.mark.parametrize("n_prime, q", [(63, 4), (47, 9)])
 def test_traces_are_read_by_solves_of_m_columns(n_prime, q, monkeypatch):
-    # only a trace's m base-field digits are solved for, never a column per
-    # power of beta and per digit
+    # only a trace's m base-field digits are solved for, by the m x m W^-1 on
+    # ints: each coset's alpha^rep is one product from the representative
+    # before it (with the alpha^gap kept as met), plus m - 1 products by gamma
+    # for the m traces down to GF(p) and the m Horner steps checking gamma,
+    # with no ring product per digit solved
     f = field_from_order(q)
-    solve, widths = factorization._solve, []
-
-    def counted(cols, b, ring):
-        widths.append(len(cols))
-        return solve(cols, b, ring)
-
+    root_of_unity(f, n_prime)
+    factorization._trace_form(root_of_unity(f, n_prime)[0])
+    factorization._digit_matrix(f)
+    cosets = coset_partition(n_prime, q).cosets
+    reps = [c[0] for c in cosets]
+    top_gap = max(b - a for a, b in zip(reps, reps[1:]))
+    mul, calls = fields._SlotRing.mul, []
+    monkeypatch.setattr(fields._SlotRing, "mul",
+                        lambda ring, a, b: calls.append(ring) or mul(ring, a, b))
     factorization._traces.cache_clear()
-    monkeypatch.setattr(factorization, "_solve", counted)
-    fresh = factor_xn1.__wrapped__(n_prime, f)
+    table = factorization._traces(f, n_prime)
     monkeypatch.undo()
-    assert widths and set(widths) == {f.m}
-    assert fresh.factors == factor_xn1(n_prime, f).factors
+    assert len(calls) == (len(cosets) - 1) + (top_gap - 1) + (f.m - 1) * len(cosets) + f.m
+    assert [len(row) for row in factorization._digit_matrix(f)] == [f.m] * f.m
+    assert table == traces_by_power_sums(f, n_prime)
 
 
-def _packed_solve(a, b, p):
-    """factorization._solve on the columns of a, for the right-hand side b.
+def _trace_cases():
+    """(n', q) with t = ord_n'(q) > 1 and an extension of degree at most 200."""
+    for q in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27):
+        m = field_from_order(q).m
+        for n_prime in range(2, 80):
+            if gcd(n_prime, q) == 1 and 1 < mult_order(q, n_prime) and m * mult_order(q, n_prime) <= 200:
+                yield n_prime, q
 
-    The rows sit in the slots of the ring of degree len(a) that
-    ``fields._slot_ring`` builds for p, byte-aligned for p = 2; its
-    modulus plays no part in a row update.
-    """
-    rows = len(a)
-    ring = fields._slot_ring((1,) + (0,) * (rows - 1) + (1,), p)
-    w = ring.w
 
-    def pack(vec):
-        return sum(v << (w * r) for r, v in enumerate(vec))
+def test_trace_tables_equal_the_sums_of_powers():
+    # 481 tables: the Newton functional (and for m > 1 the digits W^-1 u) against
+    # (t/|C| mod p) times each coset's sum of alpha powers, by Field calls
+    cases = list(_trace_cases())
+    assert len(cases) == 481
+    for n_prime, q in cases:
+        f = field_from_order(q)
+        assert factorization._traces(f, n_prime) == traces_by_power_sums(f, n_prime), (n_prime, q)
 
-    return factorization._solve([pack(col) for col in zip(*a)], pack([-v % p for v in b]), ring)
+
+# GF(2^256) and GF(2^260) have two-byte slots; GF(5^30) and GF(7^12) odd p past the sieve
+@pytest.mark.parametrize("p, m", [(2, 2), (2, 7), (2, 64), (2, 256), (2, 260), (3, 5), (3, 22),
+                                  (5, 4), (5, 30), (7, 12)])
+def test_newton_power_sums_are_the_traces_of_x_powers(p, m):
+    # P_k = sum over i < m of (x^k)^(p^i), the conjugates by Field.pow, for
+    # k < 2m - 1 (every k up to m = 64, a sample beyond)
+    f = make_field(p, m)
+    sums = factorization._power_sums(f.modulus, p, 2 * m - 1)
+    assert len(sums) == 2 * m - 1
+    ks = range(2 * m - 1) if m <= 64 else sorted({0, 1, m - 1, m, m + 1, 2 * m - 2}
+                                                 | set(random.Random(m).sample(range(2 * m - 1), 12)))
+    x = p  # the class of x
+    for k in ks:
+        conj, total = f.pow(x, k) if k else 1, 0
+        for _ in range(m):
+            total = f.add(total, conj)
+            conj = f.pow(conj, p)
+        assert total == sums[k], (p, m, k)
+    # the packed functional reads the same traces off one int product
+    ring, form = f._ring, factorization._trace_form(f)
+    rng = random.Random(p * m)
+    for a in [1, x] + [rng.randrange(f.q) for _ in range(5)]:
+        conj, total = a, 0
+        for _ in range(m):
+            total = f.add(total, conj)
+            conj = f.pow(conj, p)
+        slot = ring.pack(a) * form >> (ring.w * (m - 1)) & ((1 << ring.w) - 1)
+        assert slot % p == total, (p, m, a)
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 32, 49, 81, 121])
+def test_digit_matrix_inverts_the_trace_form(q):
+    # W[k][s] = Tr(g^(k+s)) by Field calls; column j of W^-1 solves W x = e_j
+    f = field_from_order(q)
+    p, m = f.p, f.m
+    g = [f.pow(p, k) for k in range(2 * m - 1)]
+
+    def trace(a):
+        total = 0
+        for _ in range(m):
+            total, a = f.add(total, a), f.pow(a, p)
+        return total
+
+    w = [[trace(g[k + s]) for s in range(m)] for k in range(m)]
+    inverse = factorization._digit_matrix(f)
+    for j in range(m):
+        assert [row[j] for row in inverse] == solve_mod_p(w, [int(i == j) for i in range(m)], p)
 
 
 def test_an_inconsistent_embedding_raises_coercion_error(monkeypatch):
@@ -192,45 +249,6 @@ def test_an_inconsistent_embedding_raises_coercion_error(monkeypatch):
     monkeypatch.undo()
     factorization._traces.cache_clear()
     assert minimal_poly(9, f, (1, 4, 7)) == naive_minimal_poly(9, f, (1, 4, 7))
-
-
-def _mat_vec(a, x, p):
-    return [sum(u * v for u, v in zip(row, x)) % p for row in a]
-
-
-@pytest.mark.parametrize("p", [2, 3, 5, 7])
-def test_packed_row_solve_matches_gauss_jordan(p):
-    rng = random.Random(p)
-    kinds = {"unique": 0, "rank_deficient": 0, "inconsistent": 0}
-    for _ in range(60):
-        rows = rng.randrange(1, 40)
-        cols = rng.randrange(1, rows + 1)
-        a = [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)]
-        x = [rng.randrange(p) for _ in range(cols)]
-        b = _mat_vec(a, x, p)
-        expected = solve_mod_p(a, b, p)
-        assert _packed_solve(a, b, p) == expected
-        if expected is None:
-            continue  # a random a of short rank
-        kinds["unique"] += 1
-        assert expected == x
-        if cols >= 2:  # a column that is a combination of one or two others: many solutions
-            i, *others = rng.sample(range(cols), min(cols, 3))
-            coef = [rng.randrange(1, p) for _ in others]
-            dep = [row[:i] + [sum(c * row[k] for c, k in zip(coef, others)) % p] + row[i + 1:]
-                   for row in a]
-            rhs = _mat_vec(dep, x, p)
-            assert solve_mod_p(dep, rhs, p) is None
-            assert _packed_solve(dep, rhs, p) is None
-            kinds["rank_deficient"] += 1
-        if cols < rows:  # a b outside the column span
-            for _ in range(20):
-                off = [rng.randrange(p) for _ in range(rows)]
-                if solve_mod_p(a, off, p) is None:
-                    assert _packed_solve(a, off, p) is None
-                    kinds["inconsistent"] += 1
-                    break
-    assert all(kinds.values()), kinds
 
 
 @pytest.mark.parametrize("p, n_prime", [(3, 2), (5, 4), (17, 16), (257, 256), (4099, 683)])
@@ -593,6 +611,58 @@ def test_reciprocal_cosets_give_the_minimal_polynomial(q):
     assert twins
 
 
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 32, 49])
+def test_the_factor_of_p_times_a_coset_is_its_frobenius_image(q):
+    # x -> x^p maps the roots of M_C onto those of M_pC, so M_pC is M_C with
+    # each coefficient raised to the p-th power in GF(q); both by Berlekamp-Massey
+    f = field_from_order(q)
+    p, seen = f.p, 0
+    for n in range(2, 41 if q > 16 else 65):
+        if n % p == 0 or (q - 1) % n == 0:
+            continue
+        for coset in coset_partition(n, q).cosets:
+            image = coset_of(n, q, p * coset[0] % n)
+            if image == coset or len(coset) == euler_phi(additive_order(coset[0], n)):
+                continue
+            m_c, m_pc = minimal_poly(n, f, coset), minimal_poly(n, f, image)
+            assert m_pc.coeffs == tuple(f.pow(c, p) for c in m_c.coeffs), (n, q, coset)
+            seen += 1
+    assert seen
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 32, 49, 64, 81])
+def test_conjugate_cosets_give_the_minimal_polynomial(q):
+    # every coset s p^i C (s = +-1) after the least of them takes its factor by
+    # sigma^i and a reciprocal: still minimal_poly's answer on each coset; q = 64
+    # and 81 run Berlekamp-Massey and the images on Field calls
+    f, derived = field_from_order(q), 0
+    for n in range(1, 41 if q > 16 else 65):
+        if n % f.p == 0:
+            continue
+        fac = factor_xn1(n, f)
+        for entry in fac.factors:
+            coset = coset_of(n, q, entry.coset_rep)
+            assert entry.poly == minimal_poly(n, f, coset), (n, q, coset)
+        cosets = coset_partition(n, q).cosets
+        if (q - 1) % n:
+            orbits = {min(coset_of(n, q, s * f.p ** i * c[0] % n)[0]
+                          for i in range(f.m) for s in (1, -1)) for c in cosets}
+            derived += len(cosets) - len(orbits)
+    assert derived
+    assert isinstance(factorization._scalar_ops(f)[0], factorization._Calls) == (q > 49)
+
+
+def test_subfield_root_is_evaluated_once_per_extension():
+    # GF(4) at n' = 9 and 7 needs GF(2^6) both times, so one root is sought
+    f = field_from_order(4)
+    factorization._subfield_root.cache_clear()
+    first = root_of_unity.__wrapped__(f, 9)
+    second = root_of_unity.__wrapped__(f, 7)
+    assert first[0] is second[0] and first[1] == second[1]
+    info = factorization._subfield_root.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
 def _counted_berlekamp_massey(monkeypatch) -> list:
     runs, solve = [], factorization._berlekamp_massey
 
@@ -612,16 +682,17 @@ def test_one_berlekamp_massey_run_serves_a_coset_and_its_negation(monkeypatch):
     assert [str(e.poly) for e in fac.factors] == ["x + 1", "x^3 + x^2 + 1", "x^3 + x + 1"]
 
 
-def test_the_factor_sweep_runs_berlekamp_massey_577_times(monkeypatch):
+def test_the_factor_sweep_runs_berlekamp_massey_444_times(monkeypatch):
     # the factor-sweep population, n <= 64 and q in {2, 3, 4, 5, 8, 9}: 940 runs
-    # with one per coset that is not full, 577 with reciprocal cosets derived
+    # with one per coset that is not full, 577 with reciprocal cosets derived,
+    # 444 with every coset s p^i C (s = +-1) derived from the least of them
     runs = _counted_berlekamp_massey(monkeypatch)
     for q in (2, 3, 4, 5, 8, 9):
         f = field_from_order(q)
         for n in range(1, 65):
             if n % f.p:  # a repeated-root length reuses the factors of n'
                 factor_xn1.__wrapped__(n, f)
-    assert len(runs) == 577
+    assert len(runs) == 444
 
 
 def test_linear_factors_build_no_lookup_lists(monkeypatch):

@@ -94,6 +94,29 @@ def test_lex_least_moduli_are_irreducible_and_least():
             assert not is_irreducible(cand + (1,), p)
 
 
+# degrees whose dense lex-order scan stays short for sympy; 154 moduli in all
+_DENSE_DEGREES = {2: 48, 3: 36, 5: 28, 7: 20, 11: 16, 13: 12}
+
+
+def test_sparse_search_equals_a_dense_lex_order_reference():
+    # the search builds each candidate's terms from the base-p digits of its
+    # index; the reference walks full coefficient tuples in lex order and asks
+    # sympy's Ben-Or, skipping c0 = 0
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.galoistools import gf_irred_p_ben_or
+    count = 0
+    for p, top in _DENSE_DEGREES.items():
+        for m in range(2, top + 1):
+            expected = next(
+                (c0,) + rest + (1,)
+                for c0 in range(1, p) for rest in product(range(p), repeat=m - 1)
+                if gf_irred_p_ben_or([sympy.ZZ(1)] + [sympy.ZZ(v) for v in reversed(rest)]
+                                     + [sympy.ZZ(c0)], p, sympy.ZZ))
+            assert lex_least_irreducible.__wrapped__(p, m) == expected, (p, m)
+            count += 1
+    assert count == 154
+
+
 def test_gf2_508_modulus_is_pinned():
     # GF(2^508) carries the roots of x^509 - 1; no CLI output shows its modulus
     mod = lex_least_irreducible(2, 508)
@@ -251,7 +274,7 @@ def test_root_sieve_matches_evaluation_at_every_nonzero_constant(p):
         for low in product(range(p), repeat=m):
             c = low + (1,)
             roots = any(sum(x * a ** i for i, x in enumerate(c)) % p == 0 for a in range(1, p))
-            assert fields._has_root(c, p) == roots, c
+            assert fields._has_root(dict(enumerate(c)), p) == roots, c
 
 
 # (3, 30), (5, 24) and (7, 20) run odd-p Ben-Or blocks up to i = 15, 12 and 10;
@@ -292,7 +315,7 @@ def test_closed_form_mu_equals_the_long_division(p, monkeypatch):
         for d in {0, 1, (m + 1) // 2, (m + 2) // 2, m - 1, rng.randrange(m)} - {m}:
             c = _tail_of_degree(rng, p, m, d)
             divisions.clear()
-            ring = fields._slot_ring(c, p)
+            ring = fields._slot_ring(dict(enumerate(c)), p)
             slots = [ring.mu >> (ring.w * i) & ((1 << ring.w) - 1) for i in range(m - 1)]
             assert slots == _long_division_mu(c, p), (m, c)
             assert bool(divisions) == (2 * d > m + 1), (m, d)
@@ -590,7 +613,7 @@ def test_packed_lane_multiply_matches_naive_reference(p, m):
 def test_odd_slot_reduce_holds_a_multiply_add(p, m):
     # a + c*b with reduced slots sums to p(p - 1), more than a product's m(p - 1)^2
     # when m = 1, at the Fermat primes too narrow for the product-sized slot
-    ring = fields._SlotRing((1,) + (0,) * (m - 1) + (1,), p)
+    ring = fields._SlotRing({0: 1, m: 1}, p)
     top = p * (p - 1)
     sums = [top, top - 1, p * p - 2 * p, (p - 1) ** 2 + 1, p, 0] + \
         [random.Random(p * m + k).randrange(top) for k in range(20)]
@@ -641,7 +664,7 @@ def test_resultant_is_zero_exactly_when_euclid_finds_a_common_factor(p, m):
             b = _times(g, rand(rng.randrange(m - len(g) + 1)) + [rng.randrange(1, p)], p)
         else:
             f, b = tuple(rand(m) + [1]), rand(rng.randrange(m + 1))
-        ring = fields._slot_ring(f, p)
+        ring = fields._slot_ring(dict(enumerate(f)), p)
         common = poly_gcd(Polynomial(gf, f), Polynomial(gf, b)).degree > 0
         assert (ring.resultant(ring.pack_coeffs(b)) == 0) == common, (f, b)
     # b = 0 has f itself in common; a constant c has nothing, and Res(f, c) = c^m

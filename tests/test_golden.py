@@ -58,6 +58,7 @@ CASES = {
     "factor_n404_q3": "--q 3 factor --n 404 --json",
     "factor_n83_q9": "--q 9 factor --n 83 --json",
     "factor_n26_q25": "--q 25 factor --n 26 --json",
+    "factor_n124_q81": "--q 81 factor --n 124 --json",
     "factor_n509_q2": "factor --n 509 --json",
     "factor_n1009_q2": "factor --n 1009 --json",
     "factor_n131_q16": "--q 16 factor --n 131 --json",
