@@ -16,8 +16,8 @@ automorphism sigma: a -> a^p of GF(q) and a reciprocal: x -> x^p maps
 the roots of M_C onto those of M_pC, so M_pC = sigma(M_C), and the roots
 of M_-C are the inverses of M_C's, so M_-C is its monic reciprocal
 (ibid., ch. 2-3).  Only the coset of least representative among them is
-solved; each other one is derived from it with the lookup lists
-Berlekamp-Massey read.  ``factor_xn1`` and then the trace table of the
+solved; each other one is derived from one before it with the lookup
+lists Berlekamp-Massey read.  ``factor_xn1`` and then the trace table of the
 same (n', q) read one kept ``coset_partition``.  alpha, and the
 generator of the copy of GF(q) in which the image gamma of GF(q)'s own
 generator is sought (once per pair of fields), both come from
@@ -541,8 +541,8 @@ def factor_xn1(n: int, field: Field) -> Factorization:
 
     For nu >= 1 they are the factors of the cached x^n' - 1, each raised
     to multiplicity p^nu.  For nu = 0 a full coset's factor is Phi_d mod
-    p; for t > 1 a coset C after the least of its conjugates +-p^i C is
-    derived from that one's factor (``_image``), and every other coset is
+    p; for t > 1 a coset C after one of its conjugates +-p^i C is derived
+    from that one's factor (``_image``), and every other coset is
     ``minimal_poly``'s, so that t = 1 keeps x - alpha^j and builds no
     lookup list.  Every factor is kept by representative, derived ones
     too, since a later coset may be derived from it.  A degree of the
@@ -559,11 +559,11 @@ def factor_xn1(n: int, field: Field) -> Factorization:
         p, m, partition = field.p, field.m, coset_partition(n, field.q)
         entries, solved = [], {}  # by order d, then by coset representative
         # t > 1: the cosets c * C, c = s p^i with s = +-1 and i < m, have
-        # C's factor up to sigma^i and a reciprocal; C's is taken from the
-        # one of least representative, solved before C unless it is C
-        conjugates = [(s * p ** i % n, -i % m, s < 0) for i in range(m) for s in (1, -1)]
+        # C's factor up to sigma^i and a reciprocal, so C's is derived from
+        # any of them solved before C (of a smaller representative)
+        conjugates = [(s * p ** i % n, -i % m, s < 0) for i in range(m) for s in (1, -1)][1:]
         if (field.q - 1) % n == 0:  # t = 1, where minimal_poly runs no Berlekamp-Massey
-            conjugates = conjugates[:1]
+            conjugates = []
         rep_of = [0] * n
         for coset in partition.cosets:
             for r in coset:
@@ -576,9 +576,12 @@ def factor_xn1(n: int, field: Field) -> Factorization:
                 if len(cosets) == 1:
                     poly = Polynomial(field, _cyclotomic_mod(d, p))
                 else:
-                    src, k, invert = min((rep_of[c * rep % n], k, invert)
-                                         for c, k, invert in conjugates)
-                    poly = solved[rep] = (minimal_poly(n, field, coset) if src == rep
-                                          else _image(solved[src], k, invert))
+                    for c, k, invert in conjugates:
+                        if (src := rep_of[c * rep % n]) < rep:
+                            poly = _image(solved[src], k, invert)
+                            break
+                    else:
+                        poly = minimal_poly(n, field, coset)
+                    solved[rep] = poly
                 entries.append(FactorEntry(poly, 1, rep, d))
     return Factorization(n, field, nu, n_prime, tuple(entries))
