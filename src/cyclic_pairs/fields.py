@@ -427,7 +427,7 @@ class Field:
         p = 2 zech is None.  g is ``element_of_order(n)`` and its powers
         are one multiply chain on the slot ring, or on ints mod p for a
         prime field, whose lists ``tables`` and the Berlekamp-Massey lists
-        of ``factorization`` (q <= 16) read.
+        of ``factorization`` (q <= 49) read.
         """
         if self._lists is not None:
             return self._lists

@@ -268,8 +268,9 @@ def test_split_polynomials_are_rejected_without_the_root_sieve(p, roots):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_root_sieve_matches_evaluation_at_every_nonzero_constant(p):
-    # a = 1 is read off the coefficient sum, a >= 2 by Horner; the oracle
-    # evaluates every monic polynomial of degree <= 4 at every a in GF(p)*
+    # a = 1 is read off the coefficient sum, a >= 2 by the sum of c a^j over
+    # the terms; the oracle evaluates every monic polynomial of degree <= 4
+    # at every a in GF(p)*
     for m in range(1, 5):
         for low in product(range(p), repeat=m):
             c = low + (1,)
